@@ -34,6 +34,7 @@ from .errors import (
     HqcError,
     NotHermitian,
     NotPositive,
+    OptimumMismatch,
     ParseError,
     TraceNotOne,
     ZeroProbability,

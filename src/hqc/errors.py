@@ -41,6 +41,10 @@ class DegenerateNormalForm(HqcError):
     """Leading normal-form eigenvalue vanishes; hidden measures undefined."""
 
 
+class OptimumMismatch(HqcError):
+    """An optimiser's value is not reproduced by the state it reports."""
+
+
 class DomainError(HqcError):
     """Argument outside its documented domain."""
 

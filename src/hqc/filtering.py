@@ -22,6 +22,21 @@ CHSH 0.550 reaches 0.999996 under diag(1, 1e-3) on both sides). Hidden F3
 is a lower bound on the best F3 value. One-sided optima (one party
 filters, the other does nothing) have no closed form and are estimated
 numerically; they are bounded by max(1, hidden CHSH).
+
+In the correlation picture a filter f on Alice acts as
+R -> Lambda R / (Lambda R)[0, 0], with Lambda_ij = Tr(sigma_j f^dag sigma_i f) / 2
+and (Lambda R)[0, 0] the success probability; a filter on Bob acts from
+the right with Lambda^T (Verstraete, Dehaene & De Moor, PRA 64, 010101(R),
+2001). Writing f = diag(d, 1) . V with V in SU(2), Lambda = O(V) . L(d, n):
+O(V) = diag(1, rotation of V) is a local rotation, which leaves the
+singular values of T and hence every correlation maximum unchanged, and
+
+    L(d, n) = [[c, s n^T], [s n, d I + (c - d) n n^T]],
+    c = (d^2 + 1) / 2,  s = (d^2 - 1) / 2,
+
+is d times a Lorentz boost of rapidity |ln d| along n, the third row of
+the rotation. The one-sided optimiser therefore evaluates a candidate
+filter as one 4x4 product L . R (R . L^T for Bob) and a 3x3 SVD.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ from scipy.optimize import minimize
 
 from .correlations import chsh_max, f3_max
 from .ellipsoid import Party
-from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, ZeroSuccessProbability
+from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
 from .states import DensityMatrix, RMatrix, to_r_picture, validate_state
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -96,7 +111,8 @@ class OneSidedResult:
     objective: Objective
     party: Party
     converged: bool
-    starts_used: int
+    starts_used: int  # starts actually run; fewer than the budget after an early exit
+    evaluations: int  # objective evaluations over the starts run
     at_scale_floor: bool  # optimiser pushed the filter scale to its floor; supremum may be on the boundary
 
 
@@ -202,6 +218,45 @@ def _filter_from_params(x: np.ndarray) -> np.ndarray:
     return np.diag([d, 1.0]) @ v
 
 
+def _boost(x: np.ndarray) -> np.ndarray:
+    """Lorentz boost L(d, n) of the filter diag(d, 1) . V(theta, phi, psi).
+
+    With V = w - i (qx sigma_x + qy sigma_y + qz sigma_z), the filter acts
+    on R as O(V) . L(d, n), where n is the third row of the rotation O(V);
+    L is symmetric and the rotation is dropped (see the module docstring).
+    """
+    d, th, phi, psi = x
+    ct, st = math.cos(th), math.sin(th)
+    w, qz = ct * math.cos(phi), -ct * math.sin(phi)
+    qy, qx = -st * math.cos(psi), -st * math.sin(psi)
+    n1, n2, n3 = 2.0 * (qx * qz - qy * w), 2.0 * (qy * qz + qx * w), 1.0 - 2.0 * (qx * qx + qy * qy)
+    c, s = 0.5 * (d * d + 1.0), 0.5 * (d * d - 1.0)
+    e = c - d
+    return np.array(
+        [
+            [c, s * n1, s * n2, s * n3],
+            [s * n1, d + e * n1 * n1, e * n1 * n2, e * n1 * n3],
+            [s * n2, e * n2 * n1, d + e * n2 * n2, e * n2 * n3],
+            [s * n3, e * n3 * n1, e * n3 * n2, d + e * n3 * n3],
+        ]
+    )
+
+
+def _maximum(r: RMatrix, objective: Objective) -> float:
+    return chsh_max(r)[0] if objective is Objective.CHSH else f3_max(r)
+
+
+def _filtered_value(r0: np.ndarray, boost: np.ndarray, party: Party, objective: Objective) -> float:
+    """CHSH/F3 optimum of the state whose picture is r0 after one party's boost."""
+    rf = boost @ r0 if party is Party.A else r0 @ boost.T
+    # rf[0, 0] is the success probability c + s (n . a) (b for Bob); since
+    # |a| <= 1 it is at least d^2 >= SCALE_FLOOR^2 = 1e-8 on a valid state.
+    prob = rf[0, 0]
+    if prob <= 1e-12:
+        raise ZeroSuccessProbability(f"success probability {prob:.3e} <= 1e-12")
+    return _maximum(RMatrix(rf / prob), objective)
+
+
 def optimize_one_sided(
     rho: DensityMatrix,
     party: Party,
@@ -213,29 +268,43 @@ def optimize_one_sided(
 ) -> OneSidedResult:
     """Maximise the filtered CHSH/F3 optimum over one party's filters.
 
-    Multi-start Nelder-Mead over the 4-parameter chart (scale in
-    (SCALE_FLOOR, 1], three SU(2) angles); start 0 is the identity filter,
-    so the result never falls below the unfiltered value. Start seeds are
-    deterministic in (seed, start index) and ties resolve to the lowest
-    start index.
+    Multi-start Nelder-Mead over the 4-parameter chart x = (d, theta, phi,
+    psi) of filters diag(d, 1) . V, with the scale d in [SCALE_FLOOR, 1]
+    and three SU(2) angles; start 0 is the identity filter, so the result
+    never falls below the unfiltered value. Start seeds are deterministic
+    in (seed, start index) and ties resolve to the lowest start index. The
+    search stops early once a start reaches the quantum maximum;
+    ``starts_used`` counts the starts run and ``evaluations`` their
+    objective evaluations.
+
+    Each evaluation works on rho's correlation picture R, computed once:
+    the candidate's boost L(d, n) (see the module docstring) is applied to
+    R, the success probability is read off its [0, 0] entry, and the
+    maximum comes from the singular values of the normalised T. No density
+    matrix is formed during the search; positivity needs no check there,
+    because a filter is a congruence of the already validated rho.
+
+    The winning filter is then applied once through ``apply_one_sided``,
+    whose ``validate_state`` checks the filtered state, and the value is
+    recomputed from that state; this is the value reported. If it differs
+    from the search's value by more than 1e-9, ``OptimumMismatch`` is
+    raised. The boost depends on the angles only through theta and
+    phi - psi, so the chart has a flat direction, and roundoff decides
+    where along it the returned filter ends.
     """
     if starts < 1:
         raise DomainError(f"starts must be >= 1, got {starts}")
     maxval = math.sqrt(2.0) if objective is Objective.CHSH else math.sqrt(3.0)
+    r0 = to_r_picture(rho).r
 
     def value_of(x: np.ndarray) -> float:
-        f = LocalFilter(_filter_from_params(x))
-        try:
-            filtered, _ = apply_one_sided(rho, f, party)
-        except ZeroSuccessProbability:
-            return -1.0
-        r = to_r_picture(filtered)
-        return chsh_max(r)[0] if objective is Objective.CHSH else f3_max(r)
+        return _filtered_value(r0, _boost(x), party, objective)
 
     bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None), (None, None)]
     best_x = np.array([1.0, 0.0, 0.0, 0.0])
     best_val = value_of(best_x)
     converged = False
+    evaluations = 0
     for start in range(starts):
         if start == 0:
             x0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -257,16 +326,23 @@ def optimize_one_sided(
             options={"maxiter": max_iters, "xatol": 1e-9, "fatol": tol * 1e-3},
         )
         converged = converged or bool(res.success)
+        evaluations += int(res.nfev)
         if -res.fun > best_val + 1e-15:
             best_val, best_x = -res.fun, res.x
         if best_val >= maxval - 1e-12:
             break  # cannot improve on the quantum maximum
+    best = LocalFilter(_filter_from_params(best_x))
+    filtered, _ = apply_one_sided(rho, best, party)
+    value = _maximum(to_r_picture(filtered), objective)
+    if abs(value - best_val) > 1e-9:
+        raise OptimumMismatch(f"boost value {best_val!r} but the filtered state gives {value!r}")
     return OneSidedResult(
-        value=float(best_val),
-        filter=LocalFilter(_filter_from_params(best_x)),
+        value=float(value),
+        filter=best,
         objective=objective,
         party=party,
         converged=converged,
-        starts_used=starts,
+        starts_used=start + 1,
+        evaluations=evaluations,
         at_scale_floor=bool(best_x[0] <= SCALE_FLOOR * 1.01),
     )

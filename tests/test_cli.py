@@ -242,6 +242,8 @@ class TestFilter:
         assert code == 0
         assert doc["optimizer"]["value"] == pytest.approx(0.5 * math.sqrt(2), abs=1e-6)
         assert doc["optimizer"]["party"] == "A"
+        assert doc["optimizer"]["starts_used"] == 4
+        assert doc["optimizer"]["evaluations"] > 0
 
     def test_optimize_excludes_filter_files(self, capsys, tmp_path):
         path = tmp_path / "w.json"
