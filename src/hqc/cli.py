@@ -24,11 +24,11 @@ import sys
 import numpy as np
 
 from . import serde
-from .criteria import OptimizerBudget, Thresholds, classify
-from .ellipsoid import Party, compute_ellipsoid
+from .criteria import OptimizerBudget, Thresholds, certify_inaccessible, classify
+from .ellipsoid import Party, centre_magnitude, compute_ellipsoid
 from .errors import DomainError, HqcError
 from .families import Family, qd_centre_boundary, scan_family
-from .filtering import Objective, apply_filters, apply_one_sided, identity_filter, optimize_one_sided
+from .filtering import Objective, apply_filters, identity_filter, optimize_one_sided
 from .kernels import ACTIVE_KERNEL
 from .montecarlo import DEFAULT_RANK_MIX, SweepConfig, bin_envelope, run_sweep
 from .states import DensityMatrix, from_r_picture, to_r_picture
@@ -110,16 +110,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     party = Party[args.party]
     objective = Objective[args.objective.upper()]
     witness = compute_ellipsoid(r, party.other())
-    c = float(np.linalg.norm(witness.centre))
-    cutoff = th.c_chsh if objective is Objective.CHSH else th.c_f3
     _emit(
         {
             "party": party.value,
             "objective": objective.value,
-            "certified_inaccessible": c > cutoff,
+            "certified_inaccessible": certify_inaccessible(r, party, objective, th),
             "witness_centre": f"c_{party.other().value.lower()}",
-            "witness_centre_magnitude": c,
-            "threshold": cutoff,
+            "witness_centre_magnitude": centre_magnitude(witness),
+            "threshold": th.cutoff(objective),
             "witness_degenerate": bool(witness.degenerate),
             "conjecture_conditional": True,
         }
@@ -221,7 +219,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         res = optimize_one_sided(
             rho, party, objective, starts=budget.starts, max_iters=budget.max_iters, seed=budget.seed
         )
-        filtered, prob = apply_one_sided(rho, res.filter, party)
+        filtered, prob = res.filtered_state, res.success_probability
         payload["optimizer"] = serde.one_sided_result_to_dict(res)
         payload["seed_source"] = seed_source
     else:

@@ -21,8 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .correlations import chsh_max, f3_max, ppt_entangled
-from .ellipsoid import Party, centre_magnitude, compute_ellipsoid
+from .ellipsoid import Party, centre_magnitude, compute_ellipsoid, ellipsoid_centres
 from .errors import DegenerateNormalForm, DomainError
 from .filtering import Objective, hidden_chsh, hidden_f3, optimize_one_sided
 from .states import RMatrix, from_r_picture
@@ -50,6 +52,10 @@ class Thresholds:
     def __post_init__(self) -> None:
         if not (0.0 < self.c_chsh < self.c_f3 < 1.0):
             raise DomainError(f"thresholds must satisfy 0 < c_chsh < c_f3 < 1, got {self.c_chsh}, {self.c_f3}")
+
+    def cutoff(self, objective: Objective) -> float:
+        """The centre cutoff for ``objective``."""
+        return self.c_chsh if objective is Objective.CHSH else self.c_f3
 
 
 @dataclass(frozen=True)
@@ -106,11 +112,18 @@ class InaccessibilityReport:
     conjecture_conditional: bool = True
 
 
-def conjecture_bound_chsh(c: float) -> float:
-    """Conjectured CHSH upper bound max(sqrt(2(1-c)), 1) at centre c."""
-    if not 0.0 <= c <= 1.0:
-        raise DomainError(f"centre magnitude must be in [0, 1], got {c}")
-    return max(math.sqrt(2.0 * (1.0 - c)), 1.0)
+def conjecture_bound_chsh(c: float | np.ndarray) -> float | np.ndarray:
+    """Conjectured CHSH upper bound max(sqrt(2(1-c)), 1) at centre c.
+
+    Accepts a scalar (returns a float) or an array (returns an array);
+    any magnitude outside [0, 1], NaN included, raises DomainError.
+    """
+    arr = np.asarray(c, dtype=float)
+    inside = (arr >= 0.0) & (arr <= 1.0)
+    if not inside.all():
+        raise DomainError(f"centre magnitude must be in [0, 1], got {arr[~inside].flat[0]}")
+    bound = np.maximum(np.sqrt(2.0 * (1.0 - arr)), 1.0)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def certify_inaccessible(r: RMatrix, target_party: Party, objective: Objective, th: Thresholds | None = None) -> bool:
@@ -123,9 +136,7 @@ def certify_inaccessible(r: RMatrix, target_party: Party, objective: Objective, 
     """
     th = th or Thresholds()
     witness = compute_ellipsoid(r, target_party.other())
-    c = centre_magnitude(witness)
-    cutoff = th.c_chsh if objective is Objective.CHSH else th.c_f3
-    return c > cutoff
+    return centre_magnitude(witness) > th.cutoff(objective)
 
 
 def classify(
@@ -146,8 +157,9 @@ def classify(
         hb = math.nan
         hf3 = math.nan
         degenerate = True
-    c_a = centre_magnitude(compute_ellipsoid(r, Party.A))
-    c_b = centre_magnitude(compute_ellipsoid(r, Party.B))
+    # Alice's ellipsoid of R is Bob's of R^T, so one batch of two gives both centres
+    centres, _ = ellipsoid_centres(np.stack([r.r.T, r.r]), Party.B)
+    c_a, c_b = (float(np.linalg.norm(c)) for c in centres)
     entangled, _ = ppt_entangled(rho)
 
     flags: set[str] = set()

@@ -24,6 +24,8 @@ import numpy as np
 from .errors import DegenerateEllipsoid, DomainError
 from .states import RMatrix
 
+DEGENERACY_TOL = 1e-9  # threshold on 1 - |steering Bloch|^2 below which the marginal counts as pure
+
 
 class Party(Enum):
     A = "A"
@@ -44,7 +46,25 @@ class SteeringEllipsoid:
     degenerate: bool
 
 
-def compute_ellipsoid(r: RMatrix, party: Party, tol: float = 1e-9) -> SteeringEllipsoid:
+def ellipsoid_centres(r: np.ndarray, party: Party, tol: float = DEGENERACY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Centres of ``party``'s ellipsoids for a (n, 4, 4) batch of pictures.
+
+    Returns ``(centres, ok)``: ``ok`` marks the samples whose steering
+    marginal is not pure (1 - |steering Bloch|^2 > ``tol``); where it is
+    pure, the centre is the steered party's Bloch vector, the
+    point-ellipsoid convention.
+    """
+    if party is Party.A:
+        r = r.transpose(0, 2, 1)  # Alice's ellipsoid of R is Bob's ellipsoid of R^T
+    steer, steered, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
+    denom = 1.0 - np.einsum("ni,ni->n", steer, steer)
+    ok = denom > tol
+    gamma_sq = 1.0 / np.where(ok, denom, 1.0)
+    centres = gamma_sq[:, None] * (steered - np.einsum("nij,ni->nj", t, steer))
+    return np.where(ok[:, None], centres, steered), ok
+
+
+def compute_ellipsoid(r: RMatrix, party: Party, tol: float = DEGENERACY_TOL) -> SteeringEllipsoid:
     """Steering ellipsoid of ``party`` for the state with picture ``r``.
 
     ``tol`` is the degeneracy threshold on 1 - |steering Bloch|^2; below
@@ -52,28 +72,25 @@ def compute_ellipsoid(r: RMatrix, party: Party, tol: float = 1e-9) -> SteeringEl
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    if party is Party.B:
-        steer, steered, t = r.a, r.b, r.t
-    else:
-        steer, steered, t = r.b, r.a, r.t.T
-    denom = 1.0 - float(steer @ steer)
-    if denom <= tol:
+    centres, ok = ellipsoid_centres(r.r[None], party, tol)
+    if not ok[0]:
         return SteeringEllipsoid(
-            centre=steered.copy(),
+            centre=centres[0],
             q=np.zeros((3, 3)),
             gamma_sq=math.inf,
             semiaxes=np.zeros(3),
             degenerate=True,
         )
-    gamma_sq = 1.0 / denom
-    centre = gamma_sq * (steered - t.T @ steer)
+    rb = r.r if party is Party.B else r.r.T
+    steer, steered, t = rb[1:, 0], rb[0, 1:], rb[1:, 1:]
+    gamma_sq = 1.0 / (1.0 - float(steer @ steer))
     q = gamma_sq * (t.T - np.outer(steered, steer)) @ (np.eye(3) + gamma_sq * np.outer(steer, steer)) @ (
         t - np.outer(steer, steered)
     )
     q = 0.5 * (q + q.T)  # kill roundoff asymmetry before eigensolving
     eigs = np.linalg.eigvalsh(q)
     semiaxes = np.sqrt(np.clip(eigs, 0.0, None))[::-1]
-    return SteeringEllipsoid(centre=centre, q=q, gamma_sq=gamma_sq, semiaxes=semiaxes, degenerate=False)
+    return SteeringEllipsoid(centre=centres[0], q=q, gamma_sq=gamma_sq, semiaxes=semiaxes, degenerate=False)
 
 
 def centre_magnitude(e: SteeringEllipsoid) -> float:

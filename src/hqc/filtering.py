@@ -114,6 +114,8 @@ class OneSidedResult:
     starts_used: int  # starts actually run; fewer than the budget after an early exit
     evaluations: int  # objective evaluations over the starts run
     at_scale_floor: bool  # optimiser pushed the filter scale to its floor; supremum may be on the boundary
+    filtered_state: DensityMatrix  # the input after ``filter``, validated by the final verification
+    success_probability: float  # probability of the filter's successful branch
 
 
 def apply_filters(rho: DensityMatrix, fa: LocalFilter, fb: LocalFilter) -> tuple[DensityMatrix, float]:
@@ -286,7 +288,8 @@ def optimize_one_sided(
 
     The winning filter is then applied once through ``apply_one_sided``,
     whose ``validate_state`` checks the filtered state, and the value is
-    recomputed from that state; this is the value reported. If it differs
+    recomputed from that state; this is the value reported, alongside
+    that filtered state and its success probability. If it differs
     from the search's value by more than 1e-9, ``OptimumMismatch`` is
     raised. The boost depends on the angles only through theta and
     phi - psi, so the chart has a flat direction, and roundoff decides
@@ -332,7 +335,7 @@ def optimize_one_sided(
         if best_val >= maxval - 1e-12:
             break  # cannot improve on the quantum maximum
     best = LocalFilter(_filter_from_params(best_x))
-    filtered, _ = apply_one_sided(rho, best, party)
+    filtered, prob = apply_one_sided(rho, best, party)
     value = _maximum(to_r_picture(filtered), objective)
     if abs(value - best_val) > 1e-9:
         raise OptimumMismatch(f"boost value {best_val!r} but the filtered state gives {value!r}")
@@ -345,4 +348,6 @@ def optimize_one_sided(
         starts_used=start + 1,
         evaluations=evaluations,
         at_scale_floor=bool(best_x[0] <= SCALE_FLOOR * 1.01),
+        filtered_state=filtered,
+        success_probability=prob,
     )

@@ -1,42 +1,25 @@
-"""Per-state statistics kernels for the conjecture sweep.
+"""The per-state statistics kernel of the conjecture sweep.
 
-The sweep evaluates, for every sampled state: the maximal CHSH value
-``B = sqrt(s1^2 + s2^2)``, the maximal F3 value ``sqrt(s1^2 + s2^2 + s3^2)``
-(``s_i`` the singular values of the correlation matrix), and the steering
-ellipsoid centre magnitudes ``c_A``, ``c_B``. This is the only hot loop in
-the package, so it ships in two equivalent implementations:
-
-* a numba ``@njit`` kernel (default when numba imports), and
-* a vectorised pure-numpy fallback,
-
-selected at import time by the ``HQC_DISABLE_NUMBA`` environment variable
-(any of ``1/true/yes/on`` forces the numpy path). Both share the contract
-of :func:`sweep_stats_numpy`; ``benchmarks/bench_kernels.py`` compares
-their throughput and agreement.
+For every sampled state the sweep needs the maximal CHSH value ``B``, the
+maximal F3 value and both steering-ellipsoid centre magnitudes ``c_A``,
+``c_B``. The kernel composes the package's batched R-picture functions
+(:func:`hqc.states.r_pictures`, :func:`hqc.correlations.chsh_f3_maxima`,
+:func:`hqc.ellipsoid.ellipsoid_centres`), so the sweep evaluates the same
+formulas as the scalar API.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-from .states import PAULI_KRON
+from .correlations import chsh_f3_maxima
+from .ellipsoid import Party, ellipsoid_centres
+from .states import r_pictures, states_from_factors
 
-# sigma_i (x) sigma_j for i, j in 1..3 only (the correlation block).
-_PK3 = np.ascontiguousarray(PAULI_KRON[1:, 1:])
-
-DEGENERACY_TOL = 1e-9
-
-
-def _numpy_forced() -> bool:
-    return os.environ.get("HQC_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
+ACTIVE_KERNEL = "numpy"  # the only kernel; recorded in run provenance
 
 
-def sweep_stats_numpy(
-    g: np.ndarray, deg_tol: float = DEGENERACY_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sweep_stats(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Correlation statistics for a batch of Ginibre factors.
 
     ``g`` is (n, 4, 4) complex; state i is ``g[i] g[i]^dag`` normalised to
@@ -44,154 +27,10 @@ def sweep_stats_numpy(
     marks samples whose steering party has a non-pure marginal (centre
     well defined); ``c_W`` is 0 where not ok.
     """
-    rho = g @ g.conj().transpose(0, 2, 1)
-    tr = np.einsum("nii->n", rho).real
-    rho /= tr[:, None, None]
-
-    rr = rho.reshape(-1, 2, 2, 2, 2)
-    rho_a = np.einsum("nikjk->nij", rr)
-    rho_b = np.einsum("nkikj->nij", rr)
-    a = np.stack(
-        [2 * rho_a[:, 0, 1].real, -2 * rho_a[:, 0, 1].imag, (rho_a[:, 0, 0] - rho_a[:, 1, 1]).real], axis=1
-    )
-    b = np.stack(
-        [2 * rho_b[:, 0, 1].real, -2 * rho_b[:, 0, 1].imag, (rho_b[:, 0, 0] - rho_b[:, 1, 1]).real], axis=1
-    )
-    t = np.einsum("ijkl,nlk->nij", _PK3, rho).real
-
-    w = np.linalg.eigvalsh(t @ t.transpose(0, 2, 1))
-    w = np.clip(w, 0.0, None)
-    b_val = np.sqrt(w[:, 2] + w[:, 1])
-    f3_val = np.sqrt(w.sum(axis=1))
-
-    den_a = 1.0 - np.einsum("ni,ni->n", a, a)
-    den_b = 1.0 - np.einsum("ni,ni->n", b, b)
-    ok_b = den_a > deg_tol
-    ok_a = den_b > deg_tol
-    cb_vec = b - np.einsum("nij,ni->nj", t, a)
-    ca_vec = a - np.einsum("nij,nj->ni", t, b)
-    c_b = np.where(ok_b, np.linalg.norm(cb_vec, axis=1) / np.where(ok_b, den_a, 1.0), 0.0)
-    c_a = np.where(ok_a, np.linalg.norm(ca_vec, axis=1) / np.where(ok_a, den_b, 1.0), 0.0)
-    return b_val, f3_val, c_a, c_b, ok_a, ok_b
-
-
-def _sweep_stats_loop(g, deg_tol, pk3):  # pragma: no cover - exercised through the jitted wrapper
-    n = g.shape[0]
-    b_val = np.empty(n)
-    f3_val = np.empty(n)
-    c_a = np.zeros(n)
-    c_b = np.zeros(n)
-    ok_a = np.empty(n, dtype=np.bool_)
-    ok_b = np.empty(n, dtype=np.bool_)
-    rho = np.empty((4, 4), dtype=np.complex128)
-    t = np.empty((3, 3))
-    for idx in range(n):
-        for r_ in range(4):
-            for c_ in range(4):
-                s = 0.0 + 0.0j
-                for k in range(4):
-                    s += g[idx, r_, k] * np.conj(g[idx, c_, k])
-                rho[r_, c_] = s
-        inv = 1.0 / (rho[0, 0] + rho[1, 1] + rho[2, 2] + rho[3, 3]).real
-        for r_ in range(4):
-            for c_ in range(4):
-                rho[r_, c_] *= inv
-
-        ra01 = rho[0, 2] + rho[1, 3]
-        ax = 2.0 * ra01.real
-        ay = -2.0 * ra01.imag
-        az = (rho[0, 0] + rho[1, 1] - rho[2, 2] - rho[3, 3]).real
-        rb01 = rho[0, 1] + rho[2, 3]
-        bx = 2.0 * rb01.real
-        by = -2.0 * rb01.imag
-        bz = (rho[0, 0] - rho[1, 1] + rho[2, 2] - rho[3, 3]).real
-
-        for i in range(3):
-            for j in range(3):
-                acc = 0.0
-                for m_ in range(4):
-                    for n_ in range(4):
-                        acc += (pk3[i, j, m_, n_] * rho[n_, m_]).real
-                t[i, j] = acc
-
-        # eigenvalues of T T^T via the closed-form symmetric 3x3 solver
-        m00 = t[0, 0] * t[0, 0] + t[0, 1] * t[0, 1] + t[0, 2] * t[0, 2]
-        m11 = t[1, 0] * t[1, 0] + t[1, 1] * t[1, 1] + t[1, 2] * t[1, 2]
-        m22 = t[2, 0] * t[2, 0] + t[2, 1] * t[2, 1] + t[2, 2] * t[2, 2]
-        m01 = t[0, 0] * t[1, 0] + t[0, 1] * t[1, 1] + t[0, 2] * t[1, 2]
-        m02 = t[0, 0] * t[2, 0] + t[0, 1] * t[2, 1] + t[0, 2] * t[2, 2]
-        m12 = t[1, 0] * t[2, 0] + t[1, 1] * t[2, 1] + t[1, 2] * t[2, 2]
-        q = (m00 + m11 + m22) / 3.0
-        p1 = m01 * m01 + m02 * m02 + m12 * m12
-        p2 = (m00 - q) ** 2 + (m11 - q) ** 2 + (m22 - q) ** 2 + 2.0 * p1
-        if p2 <= 1e-300:
-            e1 = q
-            e2 = q
-            e3 = q
-        else:
-            p = math.sqrt(p2 / 6.0)
-            b00 = (m00 - q) / p
-            b11 = (m11 - q) / p
-            b22 = (m22 - q) / p
-            b01 = m01 / p
-            b02 = m02 / p
-            b12 = m12 / p
-            detb = (
-                b00 * (b11 * b22 - b12 * b12)
-                - b01 * (b01 * b22 - b12 * b02)
-                + b02 * (b01 * b12 - b11 * b02)
-            )
-            r = detb / 2.0
-            if r < -1.0:
-                r = -1.0
-            elif r > 1.0:
-                r = 1.0
-            phi = math.acos(r) / 3.0
-            e1 = q + 2.0 * p * math.cos(phi)
-            e3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-            e2 = 3.0 * q - e1 - e3
-        if e1 < 0.0:
-            e1 = 0.0
-        if e2 < 0.0:
-            e2 = 0.0
-        if e3 < 0.0:
-            e3 = 0.0
-        b_val[idx] = math.sqrt(e1 + e2)
-        f3_val[idx] = math.sqrt(e1 + e2 + e3)
-
-        den_a = 1.0 - (ax * ax + ay * ay + az * az)
-        den_b = 1.0 - (bx * bx + by * by + bz * bz)
-        ok_b[idx] = den_a > deg_tol
-        ok_a[idx] = den_b > deg_tol
-        if ok_b[idx]:
-            vx = bx - (t[0, 0] * ax + t[1, 0] * ay + t[2, 0] * az)
-            vy = by - (t[0, 1] * ax + t[1, 1] * ay + t[2, 1] * az)
-            vz = bz - (t[0, 2] * ax + t[1, 2] * ay + t[2, 2] * az)
-            c_b[idx] = math.sqrt(vx * vx + vy * vy + vz * vz) / den_a
-        if ok_a[idx]:
-            vx = ax - (t[0, 0] * bx + t[0, 1] * by + t[0, 2] * bz)
-            vy = ay - (t[1, 0] * bx + t[1, 1] * by + t[1, 2] * bz)
-            vz = az - (t[2, 0] * bx + t[2, 1] * by + t[2, 2] * bz)
-            c_a[idx] = math.sqrt(vx * vx + vy * vy + vz * vz) / den_b
-    return b_val, f3_val, c_a, c_b, ok_a, ok_b
-
-
-sweep_stats_numba = None
-if not _numpy_forced():
-    try:
-        import numba
-
-        _jitted = numba.njit(cache=True, nogil=True)(_sweep_stats_loop)
-
-        def sweep_stats_numba(g, deg_tol=DEGENERACY_TOL):
-            return _jitted(np.ascontiguousarray(g), deg_tol, _PK3)
-
-    except ImportError:
-        sweep_stats_numba = None
-
-if sweep_stats_numba is not None:
-    sweep_stats = sweep_stats_numba
-    ACTIVE_KERNEL = "numba"
-else:
-    sweep_stats = sweep_stats_numpy
-    ACTIVE_KERNEL = "numpy"
+    r = r_pictures(states_from_factors(g))
+    b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
+    centre_a, ok_a = ellipsoid_centres(r, Party.A)
+    centre_b, ok_b = ellipsoid_centres(r, Party.B)
+    c_a = np.where(ok_a, np.linalg.norm(centre_a, axis=1), 0.0)
+    c_b = np.where(ok_b, np.linalg.norm(centre_b, axis=1), 0.0)
+    return b, f3, c_a, c_b, ok_a, ok_b

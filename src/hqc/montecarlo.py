@@ -20,19 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import Thresholds
+from .criteria import Thresholds, conjecture_bound_chsh
 from .errors import DomainError
-from .kernels import DEGENERACY_TOL, sweep_stats
-from .states import SeededRng
+from .kernels import sweep_stats
+from .states import SeededRng, ginibre_factors, states_from_factors
 
-VIOLATION_TOL = 1e-9
+VIOLATION_TOL = 1e-9  # margin a sample must exceed a bound by to count as a violation
 
 DEFAULT_RANK_MIX = (0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-
-
-def chsh_bound_vec(c: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`hqc.criteria.conjecture_bound_chsh` (clipped domain)."""
-    return np.maximum(np.sqrt(2.0 * (1.0 - np.clip(c, 0.0, 1.0))), 1.0)
 
 
 @dataclass(frozen=True)
@@ -51,8 +46,6 @@ class SweepConfig:
     bins: int = 200
     workers: int = 1
     chunk_size: int = 65536
-    degeneracy_tol: float = DEGENERACY_TOL
-    violation_tol: float = VIOLATION_TOL
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self) -> None:
@@ -172,11 +165,11 @@ def _violations_in_chunk(
     ok_a: np.ndarray,
     ok_b: np.ndarray,
 ) -> list[Violation]:
-    tol = config.violation_tol
+    tol = VIOLATION_TOL
     th = config.thresholds
     checks = {
-        "chsh_bound_cB": ok_b & (b > chsh_bound_vec(c_b) + tol),
-        "chsh_bound_cA": ok_a & (b > chsh_bound_vec(c_a) + tol),
+        "chsh_bound_cB": ok_b & (b > conjecture_bound_chsh(c_b) + tol),
+        "chsh_bound_cA": ok_a & (b > conjecture_bound_chsh(c_a) + tol),
         "chsh_above_threshold_cB": ok_b & (b > 1.0 + tol) & (c_b > th.c_chsh),
         "chsh_above_threshold_cA": ok_a & (b > 1.0 + tol) & (c_a > th.c_chsh),
         "f3_above_threshold_cB": ok_b & (f3 > 1.0 + tol) & (c_b > th.c_f3),
@@ -185,10 +178,9 @@ def _violations_in_chunk(
     any_bad = np.zeros(len(b), dtype=bool)
     for mask in checks.values():
         any_bad |= mask
+    bad = np.nonzero(any_bad)[0]
     out = []
-    for local in np.nonzero(any_bad)[0]:
-        rho = g[local] @ g[local].conj().T
-        rho /= rho.trace().real
+    for local, rho in zip(bad, states_from_factors(g[bad])):
         out.append(
             Violation(
                 index=start + int(local),
@@ -209,9 +201,8 @@ def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBin
     gen = SeededRng(config.seed, chunk_index).generator()
     mix = np.asarray(config.rank_mix, dtype=float)
     ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
-    g = gen.standard_normal((count, 4, 4)) + 1j * gen.standard_normal((count, 4, 4))
-    g *= np.arange(4)[None, None, :] < ranks[:, None, None]
-    b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g, config.degeneracy_tol)
+    g = ginibre_factors(gen, ranks)
+    b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g)
     side_b = _bin_side(c_b, ok_b, b, f3, config.bins)
     side_a = _bin_side(c_a, ok_a, b, f3, config.bins)
     violations = _violations_in_chunk(config, start, g, b, f3, c_a, c_b, ok_a, ok_b)

@@ -30,6 +30,9 @@ SIGMA = (
 # PAULI_KRON[i, j] = sigma_i (x) sigma_j, the 16-element operator basis.
 PAULI_KRON = np.array([[np.kron(SIGMA[i], SIGMA[j]) for j in range(4)] for i in range(4)])
 
+# _PAULI_TABLE[4 l + k, 4 i + j] = (sigma_i (x) sigma_j)[k, l]: flattened rho @ table = flattened R.
+_PAULI_TABLE = np.ascontiguousarray(PAULI_KRON.transpose(3, 2, 0, 1).reshape(16, 16))
+
 DEFAULT_TOL = 1e-10
 
 
@@ -116,12 +119,17 @@ def validate_state(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def r_pictures(rho: np.ndarray) -> np.ndarray:
+    """Pictures R[n, i, j] = Tr[(sigma_i (x) sigma_j) rho[n]] of a (n, 4, 4) batch
+    of unit-trace states, as one (n, 16) x (16, 16) product; R[n, 0, 0] is exactly 1."""
+    r = (rho.reshape(-1, 16) @ _PAULI_TABLE).real.reshape(-1, 4, 4)
+    r[:, 0, 0] = 1.0
+    return r
+
+
 def to_r_picture(rho: DensityMatrix) -> RMatrix:
-    """Pauli-correlation picture R[i, j] = Tr[(sigma_i (x) sigma_j) rho]."""
-    m = rho.matrix
-    r = np.einsum("ijkl,lk->ij", PAULI_KRON, m).real
-    r[0, 0] = 1.0
-    return RMatrix(r)
+    """Pauli-correlation picture of one state: :func:`r_pictures` of a batch of one."""
+    return RMatrix(r_pictures(rho.matrix[None])[0])
 
 
 def from_r_picture(r: RMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -135,22 +143,33 @@ def from_r_picture(r: RMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return validate_state(m, tol)
 
 
+def ginibre_factors(gen: np.random.Generator, ranks: np.ndarray) -> np.ndarray:
+    """Ginibre factors G, one (4, 4) matrix per entry of ``ranks``, with the columns
+    from each rank on zeroed. Every sample consumes 32 standard normals whatever
+    its rank, so mixed-rank streams stay aligned and reproducible."""
+    count = len(ranks)
+    g = gen.standard_normal((count, 4, 4)) + 1j * gen.standard_normal((count, 4, 4))
+    g *= np.arange(4)[None, None, :] < ranks[:, None, None]
+    return g
+
+
+def states_from_factors(g: np.ndarray) -> np.ndarray:
+    """Unit-trace states G G^dag / Tr for a (n, 4, 4) batch of factors."""
+    rho = g @ g.conj().transpose(0, 2, 1)
+    tr = np.einsum("nii->n", rho).real
+    return rho / tr[:, None, None]
+
+
 def ginibre_states(gen: np.random.Generator, count: int, ranks: int | np.ndarray) -> np.ndarray:
     """Batch of Ginibre random states G G^dag / Tr as a (count, 4, 4) array.
 
     ``ranks`` is a scalar or per-sample array in 1..4; rank 4 yields the
-    Hilbert-Schmidt ensemble. Random draws always consume the same number
-    of variates per sample regardless of rank, so mixed-rank streams stay
-    aligned and reproducible.
+    Hilbert-Schmidt ensemble.
     """
     ranks = np.broadcast_to(np.asarray(ranks, dtype=np.int64), (count,))
     if ranks.size and (ranks.min() < 1 or ranks.max() > 4):
         raise DomainError("rank must be in 1..4")
-    g = gen.standard_normal((count, 4, 4)) + 1j * gen.standard_normal((count, 4, 4))
-    g *= np.arange(4)[None, None, :] < ranks[:, None, None]
-    rho = g @ g.conj().transpose(0, 2, 1)
-    tr = np.einsum("nii->n", rho).real
-    return rho / tr[:, None, None]
+    return states_from_factors(ginibre_factors(gen, ranks))
 
 
 def sample_state(rng: SeededRng, rank: int = 4) -> DensityMatrix:

@@ -45,7 +45,8 @@ from hqc import (
     validate_state,
 )
 from hqc.cli import main as cli_main
-from hqc.montecarlo import SweepConfig, bin_envelope, chsh_bound_vec
+from hqc.criteria import conjecture_bound_chsh
+from hqc.montecarlo import SweepConfig, bin_envelope
 
 from conftest import bounded_random_filter
 from test_filtering import random_bell_diagonal
@@ -149,7 +150,7 @@ def test_c06_conjecture_sweep_desk_scale():
     rows = bin_envelope(summary)
     for row in rows:
         lower_edge = row.c_mid - 0.5 / summary.config.bins
-        assert row.max_b <= chsh_bound_vec(np.array([lower_edge]))[0] + 1e-6
+        assert row.max_b <= conjecture_bound_chsh(lower_edge) + 1e-6
     assert summary.vs_cb.count.sum() == 1_000_000
     assert elapsed < 600.0
     report(f"C6 conjecture sweep (10^6 samples): PASS (0 violations, {len(rows)} bins, {elapsed:.1f}s)")

@@ -5,7 +5,22 @@ import os
 import numpy as np
 import pytest
 
-from hqc import serde, validate_state
+from hqc import (
+    Objective,
+    Party,
+    Thresholds,
+    apply_one_sided,
+    centre_magnitude,
+    certify_inaccessible,
+    classify,
+    compute_ellipsoid,
+    optimize_one_sided,
+    serde,
+    to_r_picture,
+    validate_state,
+)
+from hqc import cli as cli_mod
+from hqc import filtering as filtering_mod
 from hqc.cli import main
 from hqc.families import paper_filter_rho_m, rho_m, rho_qd
 
@@ -86,6 +101,34 @@ class TestCertify:
         code, doc = run_cli(capsys, "certify", singlet_file, "--party", "B", "--objective", "f3")
         assert code == 0
         assert doc["certified_inaccessible"] is False
+
+    @pytest.mark.parametrize("c_chsh", [None, "0.3"])
+    def test_verdict_is_certify_inaccessible(self, capsys, tmp_path, c_chsh):
+        # rho_qd(0.5) is certified for both parties; |00><00| has pure
+        # marginals, so its witness ellipsoids are degenerate points
+        ket00 = np.zeros((4, 4), dtype=complex)
+        ket00[0, 0] = 1.0
+        states = {"qd": rho_qd(0.5), "m": rho_m(math.pi / 12, 0.75), "ket00": validate_state(ket00)}
+        th = Thresholds() if c_chsh is None else Thresholds(c_chsh=float(c_chsh))
+        extra = [] if c_chsh is None else ["--c-chsh", c_chsh]
+        for name, rho in states.items():
+            path = tmp_path / f"{name}.json"
+            serde.dump_state_json(rho, str(path))
+            r = to_r_picture(rho)
+            for party in (Party.A, Party.B):
+                for objective in (Objective.CHSH, Objective.F3):
+                    code, doc = run_cli(
+                        capsys, "certify", str(path), "--party", party.value,
+                        "--objective", objective.value.lower(), *extra,
+                    )
+                    assert code == 0
+                    assert doc["certified_inaccessible"] is certify_inaccessible(r, party, objective, th), name
+                    witness = compute_ellipsoid(r, party.other())
+                    assert doc["witness_centre_magnitude"] == centre_magnitude(witness)
+                    assert doc["witness_degenerate"] is witness.degenerate
+                    assert doc["threshold"] == (th.c_chsh if objective is Objective.CHSH else th.c_f3)
+        code, doc = run_cli(capsys, "certify", str(tmp_path / "ket00.json"), "--party", "A", "--objective", "chsh")
+        assert doc["witness_degenerate"] is True and doc["certified_inaccessible"] is True
 
 
 class TestScan:
@@ -198,21 +241,6 @@ class TestSweepCounterexamplePath:
         assert dumped["matrix"][0][0]["re"] == pytest.approx(0.25)
 
 
-class TestKernelSelection:
-    def test_env_flag_forces_numpy_path(self):
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [sys.executable, "-c", "from hqc.kernels import ACTIVE_KERNEL; print(ACTIVE_KERNEL)"],
-            env={**os.environ, "HQC_DISABLE_NUMBA": "1"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-
 class TestFilter:
     def test_identity_default(self, capsys, tmp_path):
         path = tmp_path / "w.json"
@@ -244,6 +272,29 @@ class TestFilter:
         assert doc["optimizer"]["party"] == "A"
         assert doc["optimizer"]["starts_used"] == 4
         assert doc["optimizer"]["evaluations"] > 0
+
+    def test_optimize_applies_the_filter_once(self, capsys, tmp_path, monkeypatch):
+        # the CLI reports the optimiser's own verified filtered state; the
+        # filter is applied once per call, by the optimiser's verification
+        rho = rho_m(math.pi / 12, 0.75)
+        path = tmp_path / "m.json"
+        serde.dump_state_json(rho, str(path))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return apply_one_sided(*args, **kwargs)
+
+        monkeypatch.setattr(filtering_mod, "apply_one_sided", counting)
+        monkeypatch.setattr(cli_mod, "apply_one_sided", counting, raising=False)
+        code, doc = run_cli(capsys, "filter", str(path), "--optimize", "B", "chsh", "--starts", "3", "--seed", "5")
+        assert code == 0
+        assert len(calls) == 1
+        res = optimize_one_sided(rho, Party.B, Objective.CHSH, starts=3, seed=5)
+        filtered, prob = apply_one_sided(rho, res.filter, Party.B)
+        assert doc["filtered_state"] == serde.state_to_dict(filtered)
+        assert doc["success_probability"] == prob
+        assert doc["after"] == serde.report_to_dict(classify(to_r_picture(filtered)))
 
     def test_optimize_excludes_filter_files(self, capsys, tmp_path):
         path = tmp_path / "w.json"

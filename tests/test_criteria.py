@@ -12,8 +12,10 @@ from hqc import (
     Party,
     SeededRng,
     Thresholds,
+    centre_magnitude,
     certify_inaccessible,
     classify,
+    compute_ellipsoid,
     conjecture_bound_chsh,
     optimize_one_sided,
     rho_m,
@@ -132,7 +134,11 @@ class TestClassify:
         points += [to_r_picture(rho_mm(t, p)) for t in (0.05, 0.4) for p in (0.2, 0.6)]
         points += [to_r_picture(sample_state(SeededRng(61, i))) for i in range(20)]
         for r in points:
-            f = classify(r).flags
+            report = classify(r)
+            f = report.flags
+            # classify's batched centres are compute_ellipsoid's, to the bit
+            assert report.c_a == centre_magnitude(compute_ellipsoid(r, Party.A))
+            assert report.c_b == centre_magnitude(compute_ellipsoid(r, Party.B))
             for name in ("CHSH", "F3"):
                 assert (f"AB_INACCESSIBLE_{name}" in f) == (
                     f"A_INACCESSIBLE_{name}" in f and f"B_INACCESSIBLE_{name}" in f

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hqc import (
+    DensityMatrix,
     DomainError,
     NotHermitian,
     NotPositive,
@@ -21,7 +22,7 @@ from hqc import (
     to_r_picture,
     validate_state,
 )
-from hqc.states import bloch_of_qubit, partial_trace
+from hqc.states import bloch_of_qubit, ginibre_states, partial_trace, r_pictures
 
 from conftest import haar_unitary_2, ket00_matrix, rotation_of_unitary, singlet_matrix
 
@@ -105,6 +106,14 @@ class TestRPicture:
                 direct = np.trace(np.kron(SIGMA[i], SIGMA[j]) @ rho.matrix).real
                 if (i, j) != (0, 0):
                     assert r.r[i, j] == pytest.approx(direct, abs=1e-14)
+
+    def test_batch_equals_batch_of_one_bitwise(self):
+        # the sweep's batched pictures and the scalar API's agree to the bit
+        batch = ginibre_states(SeededRng(5, 4).generator(), 1000, np.repeat(np.arange(1, 5), 250))
+        r = r_pictures(batch)
+        assert r.shape == (1000, 4, 4)
+        for k, m in enumerate(batch):
+            np.testing.assert_array_equal(r[k], to_r_picture(DensityMatrix(m)).r)
 
 
 class TestFromRPicture:
