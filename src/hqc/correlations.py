@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError
-from .states import DensityMatrix, RMatrix
+from .states import RMatrix, pauli_expansion
 
 
 class SingularTriple(NamedTuple):
@@ -86,19 +86,25 @@ def f3_value(r: RMatrix, a1, a2, a3) -> float:
     return total / math.sqrt(3.0)
 
 
+def f3_from_singular(s: np.ndarray | SingularTriple) -> float:
+    """F3 maximum sqrt(s1^2 + s2^2 + s3^2) from T's singular values, e.g. :func:`chsh_max`'s triple."""
+    return math.sqrt(float(np.dot(s, s)))
+
+
 def f3_max(r: RMatrix) -> float:
     """Closed-form F3 maximum sqrt(s1^2 + s2^2 + s3^2) (= ||T||_F)."""
-    s = np.linalg.svd(r.t, compute_uv=False)
-    return math.sqrt(float(s @ s))
+    return f3_from_singular(np.linalg.svd(r.t, compute_uv=False))
 
 
-def ppt_entangled(rho: DensityMatrix) -> tuple[bool, float]:
+def ppt_entangled(r: RMatrix) -> tuple[bool, float]:
     """Partial-transpose entanglement test (exact for two qubits).
 
-    Transposes subsystem B and reports (min eigenvalue < -1e-10, min
-    eigenvalue). The verdict is independent of which side is transposed.
+    Transposing subsystem B negates R's sigma_y column (sigma_y^T = -sigma_y),
+    so rho^{T_B} is the Pauli expansion of R with R[:, 2] negated. Reports
+    (min eigenvalue < -1e-10, min eigenvalue). The verdict is independent
+    of which side is transposed.
     """
-    pt = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    pt = pauli_expansion(r.r * np.array([1.0, 1.0, -1.0, 1.0]))
     min_eig = float(np.linalg.eigvalsh(pt).min())
     return min_eig < -1e-10, min_eig
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import chsh_max, f3_max, ppt_entangled
+from .correlations import chsh_max, f3_from_singular, ppt_entangled
 from .ellipsoid import Party, centre_magnitude, compute_ellipsoid, ellipsoid_centres
 from .errors import DegenerateNormalForm, DomainError
-from .filtering import Objective, hidden_chsh, hidden_f3, optimize_one_sided
+from .filtering import Objective, hidden_values, optimize_one_sided
 from .states import RMatrix, from_r_picture
 
 SQRT2 = math.sqrt(2.0)
@@ -144,23 +144,23 @@ def classify(
     th: Thresholds | None = None,
     one_sided_budget: OptimizerBudget | None = None,
 ) -> InaccessibilityReport:
-    """Full per-state report: values, certificates, and case flags."""
+    """Full per-state report: values, certificates, and case flags.
+
+    ``r`` must be the picture of a validated state; it is not re-checked.
+    Each quantity is read once from R, PPT included; only the
+    ``one_sided_budget`` branch rebuilds rho, for the optimiser.
+    """
     th = th or Thresholds()
-    rho = from_r_picture(r)
-    b = chsh_max(r)[0]
-    f3 = f3_max(r)
-    degenerate = False
+    b, singulars = chsh_max(r)
+    f3 = f3_from_singular(singulars)
     try:
-        hb = hidden_chsh(r)
-        hf3 = hidden_f3(r)
+        hb, hf3 = hidden_values(r)
     except DegenerateNormalForm:
-        hb = math.nan
-        hf3 = math.nan
-        degenerate = True
+        hb = hf3 = math.nan
     # Alice's ellipsoid of R is Bob's of R^T, so one batch of two gives both centres
     centres, _ = ellipsoid_centres(np.stack([r.r.T, r.r]), Party.B)
     c_a, c_b = (float(np.linalg.norm(c)) for c in centres)
-    entangled, _ = ppt_entangled(rho)
+    entangled, _ = ppt_entangled(r)
 
     flags: set[str] = set()
     for name, value, hidden, maxval, cutoff in (
@@ -185,6 +185,7 @@ def classify(
             flags.add(f"AB_INACCESSIBLE_{name}")
 
     if one_sided_budget is not None:
+        rho = from_r_picture(r)
         for party in (Party.A, Party.B):
             for objective in (Objective.CHSH, Objective.F3):
                 res = optimize_one_sided(
@@ -209,5 +210,5 @@ def classify(
         entangled=entangled,
         flags=frozenset(flags),
         thresholds=th,
-        degenerate_normal_form=degenerate,
+        degenerate_normal_form=math.isnan(hb),
     )

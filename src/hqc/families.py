@@ -16,13 +16,13 @@ data for the families' region structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .criteria import Thresholds, classify
-from .ellipsoid import Party, centre_magnitude, compute_ellipsoid
+from .ellipsoid import Party, ellipsoid_centres
 from .errors import DomainError
 from .filtering import LocalFilter, identity_filter
 from .states import DensityMatrix, to_r_picture, validate_state
@@ -36,7 +36,7 @@ class Family(Enum):
 
 @dataclass(frozen=True)
 class ScanRow:
-    """classify() output at one grid point."""
+    """classify() output at one grid point: after theta and p, report fields of the same names."""
 
     theta: float
     p: float
@@ -128,29 +128,13 @@ def scan_family(
     p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
     if theta_grid.size == 0 or p_grid.size == 0:
         raise DomainError("scan grids must be non-empty")
-    make = {
-        Family.M: lambda th_, p_: rho_m(th_, p_),
-        Family.MM: lambda th_, p_: rho_mm(th_, p_),
-        Family.QD: lambda th_, p_: rho_qd(p_),
-    }[family]
+    make = {Family.M: rho_m, Family.MM: rho_mm, Family.QD: lambda _, p_: rho_qd(p_)}[family]
     rows = []
     for theta in theta_grid:
         for p in p_grid:
             report = classify(to_r_picture(make(float(theta), float(p))), th)
-            rows.append(
-                ScanRow(
-                    theta=float(theta),
-                    p=float(p),
-                    b=report.b,
-                    f3=report.f3,
-                    hb_star=report.hb_star,
-                    hf3_star=report.hf3_star,
-                    c_a=report.c_a,
-                    c_b=report.c_b,
-                    entangled=report.entangled,
-                    flags=report.flags,
-                )
-            )
+            values = {f.name: getattr(report, f.name) for f in fields(ScanRow)[2:]}
+            rows.append(ScanRow(theta=float(theta), p=float(p), **values))
     return rows
 
 
@@ -165,7 +149,8 @@ def qd_centre_boundary(threshold: float, tol: float = 1e-10) -> float:
         raise DomainError(f"threshold must be in (0, 1), got {threshold}")
 
     def centre(p: float) -> float:
-        return centre_magnitude(compute_ellipsoid(to_r_picture(rho_qd(p)), Party.B))
+        centres, _ = ellipsoid_centres(to_r_picture(rho_qd(p)).r[None], Party.B)
+        return float(np.linalg.norm(centres[0]))
 
     lo, hi = 1e-6, 1.0 - 1e-12
     if centre(lo) <= threshold:

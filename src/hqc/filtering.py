@@ -171,13 +171,24 @@ def normal_form_spectrum(r: RMatrix) -> NormalFormSpectrum:
     return NormalFormSpectrum(*map(float, out))
 
 
-def normal_form_r(r: RMatrix) -> RMatrix:
-    """Correlation picture of the Bell-diagonal normal form."""
+def _nondegenerate_spectrum(r: RMatrix) -> NormalFormSpectrum:
     nu = normal_form_spectrum(r)
     if nu.nu0 <= 1e-12:
         raise DegenerateNormalForm(f"leading eigenvalue {nu.nu0:.3e} <= 1e-12")
+    return nu
+
+
+def normal_form_r(r: RMatrix) -> RMatrix:
+    """Correlation picture of the Bell-diagonal normal form."""
+    nu = _nondegenerate_spectrum(r)
     d = np.array([1.0, -math.sqrt(nu.nu1 / nu.nu0), -math.sqrt(nu.nu2 / nu.nu0), -math.sqrt(nu.nu3 / nu.nu0)])
     return RMatrix(np.diag(d))
+
+
+def hidden_values(r: RMatrix) -> tuple[float, float]:
+    """Hidden CHSH and hidden F3 from one solve of the normal-form spectrum."""
+    nu = _nondegenerate_spectrum(r)
+    return math.sqrt((nu.nu1 + nu.nu2) / nu.nu0), math.sqrt((nu.nu1 + nu.nu2 + nu.nu3) / nu.nu0)
 
 
 def hidden_chsh(r: RMatrix) -> float:
@@ -187,19 +198,13 @@ def hidden_chsh(r: RMatrix) -> float:
     is at least 1; when it is below 1 the supremum is 1 instead (see the
     module docstring), so the two-sided supremum is max(1, hidden_chsh).
     """
-    nu = normal_form_spectrum(r)
-    if nu.nu0 <= 1e-12:
-        raise DegenerateNormalForm(f"leading eigenvalue {nu.nu0:.3e} <= 1e-12")
-    return math.sqrt((nu.nu1 + nu.nu2) / nu.nu0)
+    return hidden_values(r)[0]
 
 
 def hidden_f3(r: RMatrix) -> float:
     """F3 value of the Bell-diagonal normal form (a lower bound on the
     two-sided filtered optimum, which is not known to be attained here)."""
-    nu = normal_form_spectrum(r)
-    if nu.nu0 <= 1e-12:
-        raise DegenerateNormalForm(f"leading eigenvalue {nu.nu0:.3e} <= 1e-12")
-    return math.sqrt((nu.nu1 + nu.nu2 + nu.nu3) / nu.nu0)
+    return hidden_values(r)[1]
 
 
 def _filter_from_params(x: np.ndarray) -> np.ndarray:

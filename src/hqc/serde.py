@@ -66,13 +66,16 @@ def state_from_dict(obj: Any, tol: float = 1e-10) -> DensityMatrix:
     return validate_state(m, tol)
 
 
-def load_state_json(path: str, tol: float = 1e-10) -> DensityMatrix:
+def _read_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return state_from_dict(obj, tol)
+
+
+def load_state_json(path: str, tol: float = 1e-10) -> DensityMatrix:
+    return state_from_dict(_read_json(path), tol)
 
 
 def dump_state_json(rho: DensityMatrix, path: str) -> None:
@@ -121,12 +124,7 @@ def filter_from_dict(obj: Any) -> LocalFilter:
 
 
 def load_filter_json(path: str) -> LocalFilter:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return filter_from_dict(obj)
+    return filter_from_dict(_read_json(path))
 
 
 def ellipsoid_to_dict(e: SteeringEllipsoid) -> dict:

@@ -139,8 +139,12 @@ def from_r_picture(r: RMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """
     if abs(r.r[0, 0] - 1.0) > 1e-10:
         raise DomainError(f"R[0,0] must be 1, got {r.r[0, 0]!r}")
-    m = 0.25 * np.einsum("ij,ijkl->kl", r.r, PAULI_KRON)
-    return validate_state(m, tol)
+    return validate_state(pauli_expansion(r.r), tol)
+
+
+def pauli_expansion(r: np.ndarray) -> np.ndarray:
+    """The 4x4 operator (1/4) sum_ij r[i, j] sigma_i (x) sigma_j, unvalidated."""
+    return 0.25 * np.einsum("ij,ijkl->kl", r, PAULI_KRON)
 
 
 def ginibre_factors(gen: np.random.Generator, ranks: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ from hqc import (
     f3_value,
     ppt_entangled,
     rho_m,
+    rho_mm,
+    rho_qd,
     sample_state,
     sample_states,
     t_contract,
@@ -115,14 +117,20 @@ class TestF3Value:
         assert f3_value(r, X, Y, Z) == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
 
+def _density_route_min_eig(rho) -> float:
+    # partial transpose on B of the density matrix itself, by index permutation
+    pt = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return float(np.linalg.eigvalsh(pt).min())
+
+
 class TestPpt:
     def test_singlet(self, singlet):
-        entangled, min_eig = ppt_entangled(singlet)
+        entangled, min_eig = ppt_entangled(to_r_picture(singlet))
         assert entangled
         assert min_eig == pytest.approx(-0.5, abs=1e-12)
 
     def test_maximally_mixed(self, maximally_mixed):
-        entangled, min_eig = ppt_entangled(maximally_mixed)
+        entangled, min_eig = ppt_entangled(to_r_picture(maximally_mixed))
         assert not entangled
         assert min_eig == pytest.approx(0.25, abs=1e-12)
 
@@ -136,7 +144,7 @@ class TestPpt:
                 block = m[2 * ia : 2 * ia + 2, 2 * ja : 2 * ja + 2]
                 pt[2 * ia : 2 * ia + 2, 2 * ja : 2 * ja + 2] = block.T
         expected_min = float(np.linalg.eigvalsh(pt).min())
-        entangled, min_eig = ppt_entangled(rho)
+        entangled, min_eig = ppt_entangled(to_r_picture(rho))
         assert entangled
         assert min_eig == pytest.approx(expected_min, abs=1e-12)
 
@@ -145,8 +153,24 @@ class TestPpt:
             rho = sample_state(SeededRng(19, i))
             m = rho.matrix.reshape(2, 2, 2, 2)
             pt_a = m.transpose(2, 1, 0, 3).reshape(4, 4)
-            _, min_eig = ppt_entangled(rho)
+            _, min_eig = ppt_entangled(to_r_picture(rho))
             assert min_eig == pytest.approx(float(np.linalg.eigvalsh(pt_a).min()), abs=1e-12)
+
+    def test_r_route_matches_density_route(self, ket00):
+        # negating R's sigma_y column is the partial transpose on B
+        states = [sample_state(SeededRng(20, i), rank) for rank in (1, 2, 3, 4) for i in range(10)]
+        states += [rho_m(t, p) for t in (0.1, math.pi / 8, math.pi / 4) for p in (0.0, 0.3, 0.8)]
+        states += [rho_mm(t, p) for t in (0.1, math.pi / 8, math.pi / 4) for p in (0.0, 0.3, 0.8)]
+        states += [rho_qd(p) for p in (0.0, 0.2, 0.5, 2 / 3, 0.9, 1.0)]
+        states.append(ket00)
+        worst = 0.0
+        for rho in states:
+            expected = _density_route_min_eig(rho)
+            entangled, min_eig = ppt_entangled(to_r_picture(rho))
+            assert entangled == (expected < -1e-10)
+            worst = max(worst, abs(min_eig - expected))
+        assert worst <= 1e-14
+        assert ppt_entangled(to_r_picture(ket00)) == (False, pytest.approx(0.0, abs=1e-15))
 
 
 class TestBruteForceOracles:

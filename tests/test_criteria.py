@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hqc.criteria as criteria_mod
+import hqc.filtering as filtering_mod
 from hqc import (
+    DegenerateNormalForm,
     DomainError,
     Objective,
     OptimizerBudget,
@@ -14,18 +17,23 @@ from hqc import (
     Thresholds,
     centre_magnitude,
     certify_inaccessible,
+    chsh_max,
     classify,
     compute_ellipsoid,
     conjecture_bound_chsh,
+    f3_max,
+    from_r_picture,
+    hidden_chsh,
+    hidden_f3,
+    normal_form_spectrum,
     optimize_one_sided,
+    ppt_entangled,
     rho_m,
     rho_mm,
     rho_qd,
     sample_state,
     to_r_picture,
 )
-
-from hqc import from_r_picture
 
 
 class TestConjectureBound:
@@ -129,22 +137,57 @@ class TestClassify:
         assert "A_INACCESSIBLE_CHSH" not in report.flags
         assert "AB_INACCESSIBLE_CHSH" not in report.flags
 
-    def test_flag_logic_invariants(self):
+    def test_flag_logic_invariants(self, ket00):
         points = [to_r_picture(rho_qd(p)) for p in (0.1, 0.4, 0.7, 0.95)]
         points += [to_r_picture(rho_mm(t, p)) for t in (0.05, 0.4) for p in (0.2, 0.6)]
         points += [to_r_picture(sample_state(SeededRng(61, i))) for i in range(20)]
+        points += [to_r_picture(sample_state(SeededRng(63, i), rank=1)) for i in range(5)]
+        points.append(to_r_picture(ket00))
+        degenerate = 0
         for r in points:
             report = classify(r)
             f = report.flags
-            # classify's batched centres are compute_ellipsoid's, to the bit
+            # classify reads each value once; every one equals its scalar API, to the bit
+            assert report.b == chsh_max(r)[0]
+            assert report.f3 == f3_max(r)
             assert report.c_a == centre_magnitude(compute_ellipsoid(r, Party.A))
             assert report.c_b == centre_magnitude(compute_ellipsoid(r, Party.B))
+            assert report.entangled == ppt_entangled(r)[0]
+            try:
+                hidden = (hidden_chsh(r), hidden_f3(r))
+            except DegenerateNormalForm:
+                hidden = None
+                degenerate += 1
+            assert report.degenerate_normal_form == (hidden is None)
+            if hidden is None:
+                assert math.isnan(report.hb_star) and math.isnan(report.hf3_star)
+            else:
+                assert (report.hb_star, report.hf3_star) == hidden
             for name in ("CHSH", "F3"):
                 assert (f"AB_INACCESSIBLE_{name}" in f) == (
                     f"A_INACCESSIBLE_{name}" in f and f"B_INACCESSIBLE_{name}" in f
                 )
                 if f"MAXIMAL_HIDDEN_{name}" in f:
                     assert f"HIDDEN_{name}" in f
+        assert degenerate >= 1  # |00> at least takes the NaN branch
+
+    def test_reads_each_quantity_once(self, monkeypatch):
+        # one spectrum solve, one SVD of T, and no rebuilt density matrix
+        calls = {"spectrum": 0, "svd": 0, "from_r_picture": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        r = to_r_picture(rho_mm(0.3, 0.6))
+        monkeypatch.setattr(filtering_mod, "normal_form_spectrum", counting("spectrum", normal_form_spectrum))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(criteria_mod, "from_r_picture", counting("from_r_picture", from_r_picture))
+        classify(r)
+        assert calls == {"spectrum": 1, "svd": 1, "from_r_picture": 0}
 
     def test_degenerate_normal_form_reported_not_raised(self, ket00):
         report = classify(to_r_picture(ket00))
