@@ -64,7 +64,6 @@ from .states import (
     SeededRng,
     from_r_picture,
     sample_state,
-    sample_states,
     steered_bloch,
     to_r_picture,
     validate_state,

@@ -46,6 +46,21 @@ class SteeringEllipsoid:
     degenerate: bool
 
 
+def _steering(r: np.ndarray, party: Party, tol: float) -> tuple[np.ndarray, ...]:
+    """(steer, steered, t, gamma_sq, centres, ok) for ``party``'s ellipsoids of a
+    (n, 4, 4) batch: the steering and steered Bloch vectors, T with the steering
+    index first, gamma^2 (1 where ``ok`` is False) and the output of
+    :func:`ellipsoid_centres`."""
+    if party is Party.A:
+        r = r.transpose(0, 2, 1)  # Alice's ellipsoid of R is Bob's ellipsoid of R^T
+    steer, steered, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
+    denom = 1.0 - np.einsum("ni,ni->n", steer, steer)
+    ok = denom > tol
+    gamma_sq = 1.0 / np.where(ok, denom, 1.0)
+    centres = gamma_sq[:, None] * (steered - np.einsum("nij,ni->nj", t, steer))
+    return steer, steered, t, gamma_sq, np.where(ok[:, None], centres, steered), ok
+
+
 def ellipsoid_centres(r: np.ndarray, party: Party, tol: float = DEGENERACY_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Centres of ``party``'s ellipsoids for a (n, 4, 4) batch of pictures.
 
@@ -54,14 +69,7 @@ def ellipsoid_centres(r: np.ndarray, party: Party, tol: float = DEGENERACY_TOL) 
     pure, the centre is the steered party's Bloch vector, the
     point-ellipsoid convention.
     """
-    if party is Party.A:
-        r = r.transpose(0, 2, 1)  # Alice's ellipsoid of R is Bob's ellipsoid of R^T
-    steer, steered, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
-    denom = 1.0 - np.einsum("ni,ni->n", steer, steer)
-    ok = denom > tol
-    gamma_sq = 1.0 / np.where(ok, denom, 1.0)
-    centres = gamma_sq[:, None] * (steered - np.einsum("nij,ni->nj", t, steer))
-    return np.where(ok[:, None], centres, steered), ok
+    return _steering(r, party, tol)[4:]
 
 
 def compute_ellipsoid(r: RMatrix, party: Party, tol: float = DEGENERACY_TOL) -> SteeringEllipsoid:
@@ -72,25 +80,22 @@ def compute_ellipsoid(r: RMatrix, party: Party, tol: float = DEGENERACY_TOL) -> 
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    centres, ok = ellipsoid_centres(r.r[None], party, tol)
-    if not ok[0]:
+    steer, steered, t, gamma_sq, centre, ok = (v[0] for v in _steering(r.r[None], party, tol))
+    if not ok:
         return SteeringEllipsoid(
-            centre=centres[0],
+            centre=centre,
             q=np.zeros((3, 3)),
             gamma_sq=math.inf,
             semiaxes=np.zeros(3),
             degenerate=True,
         )
-    rb = r.r if party is Party.B else r.r.T
-    steer, steered, t = rb[1:, 0], rb[0, 1:], rb[1:, 1:]
-    gamma_sq = 1.0 / (1.0 - float(steer @ steer))
     q = gamma_sq * (t.T - np.outer(steered, steer)) @ (np.eye(3) + gamma_sq * np.outer(steer, steer)) @ (
         t - np.outer(steer, steered)
     )
     q = 0.5 * (q + q.T)  # kill roundoff asymmetry before eigensolving
     eigs = np.linalg.eigvalsh(q)
     semiaxes = np.sqrt(np.clip(eigs, 0.0, None))[::-1]
-    return SteeringEllipsoid(centre=centres[0], q=q, gamma_sq=gamma_sq, semiaxes=semiaxes, degenerate=False)
+    return SteeringEllipsoid(centre=centre, q=q, gamma_sq=float(gamma_sq), semiaxes=semiaxes, degenerate=False)
 
 
 def centre_magnitude(e: SteeringEllipsoid) -> float:

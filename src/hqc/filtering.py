@@ -27,16 +27,19 @@ In the correlation picture a filter f on Alice acts as
 R -> Lambda R / (Lambda R)[0, 0], with Lambda_ij = Tr(sigma_j f^dag sigma_i f) / 2
 and (Lambda R)[0, 0] the success probability; a filter on Bob acts from
 the right with Lambda^T (Verstraete, Dehaene & De Moor, PRA 64, 010101(R),
-2001). Writing f = diag(d, 1) . V with V in SU(2), Lambda = O(V) . L(d, n):
-O(V) = diag(1, rotation of V) is a local rotation, which leaves the
-singular values of T and hence every correlation maximum unchanged, and
+2001). Any filter is U . h with U unitary and h Hermitian (polar
+decomposition), and Lambda(U . h) = diag(1, O(U)) . Lambda(h): a local
+rotation, which leaves the singular values of T and hence every
+correlation maximum unchanged. Scaled to largest eigenvalue 1, h is
+d P_n + P_-n with P_n = (1 + n . sigma) / 2, 0 < d <= 1 and n a unit
+vector, and
 
-    L(d, n) = [[c, s n^T], [s n, d I + (c - d) n n^T]],
+    Lambda(h) = L(d, n) = [[c, s n^T], [s n, d I + (c - d) n n^T]],
     c = (d^2 + 1) / 2,  s = (d^2 - 1) / 2,
 
-is d times a Lorentz boost of rapidity |ln d| along n, the third row of
-the rotation. The one-sided optimiser therefore evaluates a candidate
-filter as one 4x4 product L . R (R . L^T for Bob) and a 3x3 SVD.
+is d times a Lorentz boost of rapidity |ln d| along n. The one-sided
+optimiser therefore searches the three parameters (d, n) and evaluates a
+candidate as one 4x4 product L . R (R . L^T for Bob) and a 3x3 SVD.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from scipy.optimize import minimize
 from .correlations import chsh_max, f3_max
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
-from .states import DensityMatrix, RMatrix, to_r_picture, validate_state
+from .states import SIGMA, DensityMatrix, RMatrix, to_r_picture, validate_state
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -207,36 +210,21 @@ def hidden_f3(r: RMatrix) -> float:
     return hidden_values(r)[1]
 
 
-def _filter_from_params(x: np.ndarray) -> np.ndarray:
-    """diag(d, 1) . V with V in SU(2); largest singular value is already 1.
+def _direction(th: float, ph: float) -> tuple[float, float, float]:
+    st = math.sin(th)
+    return st * math.cos(ph), st * math.sin(ph), math.cos(th)
 
-    The left polar unitary of a general filter is dropped because the
-    correlation maxima are invariant under local unitaries on the filtered
-    state, and the overall scale cancels in the normalisation.
-    """
-    d, th, phi, psi = x
-    ct, st = math.cos(th), math.sin(th)
-    v = np.array(
-        [
-            [ct * complex(math.cos(phi), math.sin(phi)), st * complex(math.cos(psi), math.sin(psi))],
-            [-st * complex(math.cos(psi), -math.sin(psi)), ct * complex(math.cos(phi), -math.sin(phi))],
-        ]
-    )
-    return np.diag([d, 1.0]) @ v
+
+def _filter_from_params(x: np.ndarray) -> np.ndarray:
+    """The Hermitian filter h(d, n) = d P_n + P_-n = ((1 + d) 1 + (d - 1) n . sigma) / 2."""
+    d, th, ph = x
+    return 0.5 * ((1.0 + d) * SIGMA[0] + (d - 1.0) * np.tensordot(_direction(th, ph), SIGMA[1:], 1))
 
 
 def _boost(x: np.ndarray) -> np.ndarray:
-    """Lorentz boost L(d, n) of the filter diag(d, 1) . V(theta, phi, psi).
-
-    With V = w - i (qx sigma_x + qy sigma_y + qz sigma_z), the filter acts
-    on R as O(V) . L(d, n), where n is the third row of the rotation O(V);
-    L is symmetric and the rotation is dropped (see the module docstring).
-    """
-    d, th, phi, psi = x
-    ct, st = math.cos(th), math.sin(th)
-    w, qz = ct * math.cos(phi), -ct * math.sin(phi)
-    qy, qx = -st * math.cos(psi), -st * math.sin(psi)
-    n1, n2, n3 = 2.0 * (qx * qz - qy * w), 2.0 * (qy * qz + qx * w), 1.0 - 2.0 * (qx * qx + qy * qy)
+    """Lorentz boost L(d, n) of the filter h(d, n), n at polar angle theta and azimuth phi."""
+    d, th, ph = x
+    n1, n2, n3 = _direction(th, ph)
     c, s = 0.5 * (d * d + 1.0), 0.5 * (d * d - 1.0)
     e = c - d
     return np.array(
@@ -275,14 +263,16 @@ def optimize_one_sided(
 ) -> OneSidedResult:
     """Maximise the filtered CHSH/F3 optimum over one party's filters.
 
-    Multi-start Nelder-Mead over the 4-parameter chart x = (d, theta, phi,
-    psi) of filters diag(d, 1) . V, with the scale d in [SCALE_FLOOR, 1]
-    and three SU(2) angles; start 0 is the identity filter, so the result
-    never falls below the unfiltered value. Start seeds are deterministic
-    in (seed, start index) and ties resolve to the lowest start index. The
-    search stops early once a start reaches the quantum maximum;
-    ``starts_used`` counts the starts run and ``evaluations`` their
-    objective evaluations.
+    Multi-start Nelder-Mead over x = (d, theta, phi): the Hermitian filter
+    h(d, n) of the module docstring, with d in [SCALE_FLOOR, 1] and n at
+    polar angle theta and azimuth phi. Every filter is a unitary times
+    such an h, and the unitary cannot change the maximum, so the three
+    parameters reach every one-sided value. Start 0 is the identity
+    filter, so the result never falls below the unfiltered value. Start
+    seeds are deterministic in (seed, start index) and ties resolve to the
+    lowest start index. The search stops early once a start reaches the
+    quantum maximum; ``starts_used`` counts the starts run and
+    ``evaluations`` their objective evaluations.
 
     Each evaluation works on rho's correlation picture R, computed once:
     the candidate's boost L(d, n) (see the module docstring) is applied to
@@ -296,9 +286,7 @@ def optimize_one_sided(
     recomputed from that state; this is the value reported, alongside
     that filtered state and its success probability. If it differs
     from the search's value by more than 1e-9, ``OptimumMismatch`` is
-    raised. The boost depends on the angles only through theta and
-    phi - psi, so the chart has a flat direction, and roundoff decides
-    where along it the returned filter ends.
+    raised.
     """
     if starts < 1:
         raise DomainError(f"starts must be >= 1, got {starts}")
@@ -308,24 +296,20 @@ def optimize_one_sided(
     def value_of(x: np.ndarray) -> float:
         return _filtered_value(r0, _boost(x), party, objective)
 
-    bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None), (None, None)]
-    best_x = np.array([1.0, 0.0, 0.0, 0.0])
+    bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
+    best_x = np.array([1.0, 0.0, 0.0])
     best_val = value_of(best_x)
     converged = False
     evaluations = 0
     for start in range(starts):
         if start == 0:
-            x0 = np.array([1.0, 0.0, 0.0, 0.0])
+            x0 = np.array([1.0, 0.0, 0.0])
         else:
             gen = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(start,)))
-            x0 = np.array(
-                [
-                    gen.uniform(0.05, 1.0),
-                    gen.uniform(0.0, math.pi / 2),
-                    gen.uniform(-math.pi, math.pi),
-                    gen.uniform(-math.pi, math.pi),
-                ]
-            )
+            d, th = gen.uniform(0.05, 1.0), gen.uniform(0.0, math.pi / 2)
+            ph, ps = gen.uniform(-math.pi, math.pi), gen.uniform(-math.pi, math.pi)
+            # the former chart diag(d, 1) . V(th, ph, ps) boosts along (2 th, ph - ps): each start keeps its point
+            x0 = np.array([d, 2.0 * th, ph - ps])
         res = minimize(
             lambda x: -value_of(x),
             x0,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,19 +222,11 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     vs_cb = _empty_side(config.bins)
     vs_ca = _empty_side(config.bins)
     violations: list[Violation] = []
-    if n_chunks > 0:
-        if config.workers == 1:
-            results = map(lambda c: _run_chunk(config, c), range(n_chunks))
-            for side_b, side_a, viol in results:
-                vs_cb = _merge_sides(vs_cb, side_b)
-                vs_ca = _merge_sides(vs_ca, side_a)
-                violations.extend(viol)
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                for side_b, side_a, viol in pool.map(lambda c: _run_chunk(config, c), range(n_chunks)):
-                    vs_cb = _merge_sides(vs_cb, side_b)
-                    vs_ca = _merge_sides(vs_ca, side_a)
-                    violations.extend(viol)
+    with ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else nullcontext() as pool:
+        for side_b, side_a, viol in (pool.map if pool else map)(lambda c: _run_chunk(config, c), range(n_chunks)):
+            vs_cb = _merge_sides(vs_cb, side_b)
+            vs_ca = _merge_sides(vs_ca, side_a)
+            violations.extend(viol)
     violations.sort(key=lambda v: v.index)
     metadata = {
         "ensemble": "ginibre",

@@ -91,9 +91,6 @@ class SeededRng:
         """Fresh numpy generator for this (seed, stream) pair."""
         return np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,)))
 
-    def with_stream(self, stream: int) -> "SeededRng":
-        return SeededRng(self.seed, stream)
-
 
 def validate_state(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Check the three density-matrix invariants and wrap the input.
@@ -183,13 +180,6 @@ def sample_state(rng: SeededRng, rank: int = 4) -> DensityMatrix:
     return validate_state(ginibre_states(rng.generator(), 1, rank)[0])
 
 
-def sample_states(rng: SeededRng, count: int, rank: int = 4) -> np.ndarray:
-    """(count, 4, 4) batch of Ginibre states from a single stream."""
-    if rank not in (1, 2, 3, 4):
-        raise DomainError(f"rank must be in 1..4, got {rank}")
-    return ginibre_states(rng.generator(), count, rank)
-
-
 def steered_bloch(r: RMatrix, gamma: np.ndarray) -> tuple[np.ndarray, float]:
     """Bob's conditional Bloch vector when Alice applies the POVM effect
     (1 + gamma . sigma)/2.
@@ -208,17 +198,3 @@ def steered_bloch(r: RMatrix, gamma: np.ndarray) -> tuple[np.ndarray, float]:
     bloch = (r.b + r.t.T @ gamma) / (2.0 * p)
     return bloch, float(p)
 
-
-def bloch_of_qubit(rho2: np.ndarray) -> np.ndarray:
-    """Bloch vector of a single-qubit density matrix."""
-    return np.array([2 * rho2[0, 1].real, -2 * rho2[0, 1].imag, (rho2[0, 0] - rho2[1, 1]).real])
-
-
-def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:
-    """2x2 reduced state of qubit ``"A"`` or ``"B"``."""
-    m = rho.matrix.reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("ikjk->ij", m)
-    if keep == "B":
-        return np.einsum("kikj->ij", m)
-    raise DomainError(f"keep must be 'A' or 'B', got {keep!r}")

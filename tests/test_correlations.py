@@ -19,11 +19,11 @@ from hqc import (
     rho_mm,
     rho_qd,
     sample_state,
-    sample_states,
     t_contract,
     to_r_picture,
     validate_state,
 )
+from hqc.states import ginibre_states
 
 from conftest import haar_unitary_2, werner_matrix
 
@@ -84,7 +84,7 @@ class TestClosedFormMaxima:
         assert f3_max(to_r_picture(ket00)) == pytest.approx(1.0, abs=1e-12)
 
     def test_ordering_and_range(self):
-        for i, m in enumerate(sample_states(SeededRng(17, 0), 100)):
+        for i, m in enumerate(ginibre_states(SeededRng(17, 0).generator(), 100, 4)):
             r = to_r_picture(validate_state(m))
             b = chsh_max(r)[0]
             f3 = f3_max(r)
@@ -187,7 +187,7 @@ class TestBruteForceOracles:
         assert abs(brute_force_f3(to_r_picture(maximally_mixed))) <= 1e-9
 
     def test_matches_closed_forms_on_random_states(self):
-        for m in sample_states(SeededRng(23, 0), 20):
+        for m in ginibre_states(SeededRng(23, 0).generator(), 20, 4):
             r = to_r_picture(validate_state(m))
             b = chsh_max(r)[0]
             bf = brute_force_chsh(r)

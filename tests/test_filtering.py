@@ -12,6 +12,7 @@ from hqc import (
     OptimumMismatch,
     Party,
     RMatrix,
+    SIGMA,
     SeededRng,
     ZeroSuccessProbability,
     apply_filters,
@@ -296,6 +297,11 @@ def _ginibre(rank):
     return sample_state(SeededRng(1, rank), rank=rank)
 
 
+def _lorentz_of(f):
+    """Lambda_ij = Tr(sigma_j f^dag sigma_i f) / 2, the filter's action on R."""
+    return np.array([[0.5 * np.trace(SIGMA[j] @ f.conj().T @ SIGMA[i] @ f).real for j in range(4)] for i in range(4)])
+
+
 def _density_value_of_filter(rho, f, party, objective):
     filtered, _ = apply_one_sided(rho, f, party)
     r = to_r_picture(filtered)
@@ -313,14 +319,8 @@ class TestBoostEvaluation:
             rho = sample_state(SeededRng(59, i), rank=1 + i % 4)
             r0 = to_r_picture(rho).r
             for party in (Party.A, Party.B):
-                x = np.array(
-                    [
-                        SCALE_FLOOR ** gen.uniform(0.0, 1.0),
-                        gen.uniform(0.0, math.pi / 2),
-                        gen.uniform(-math.pi, math.pi),
-                        gen.uniform(-math.pi, math.pi),
-                    ]
-                )
+                d = SCALE_FLOOR ** gen.uniform(0.0, 1.0)
+                x = np.array([d, gen.uniform(0.0, math.pi), gen.uniform(-math.pi, math.pi)])
                 f = LocalFilter(_filter_from_params(x))
                 for objective in (Objective.CHSH, Objective.F3):
                     boosted = _filtered_value(r0, _boost(x), party, objective)
@@ -328,14 +328,14 @@ class TestBoostEvaluation:
         assert worst <= 1e-13
 
     def test_success_probability_at_scale_floor_on_pure_product_state(self):
-        # |11><11|: Alice's Bloch vector a is -z, and theta = pi/2 turns the
+        # |11><11|: Alice's Bloch vector a is -z, and polar angle pi puts the
         # direction n the filter attenuates by d onto it, so the success
         # probability takes its least value c + s (n . a) = d^2.
         ket11 = np.zeros((4, 4), dtype=complex)
         ket11[3, 3] = 1.0
         rho = validate_state(ket11)
         r0 = to_r_picture(rho).r
-        x = np.array([SCALE_FLOOR, math.pi / 2, 0.0, 0.0])
+        x = np.array([SCALE_FLOOR, math.pi, 0.0])
         prob = (_boost(x) @ r0)[0, 0]
         assert abs(prob - SCALE_FLOOR**2) <= 1e-15
         _, density_prob = apply_one_sided(rho, LocalFilter(_filter_from_params(x)), Party.A)
@@ -349,7 +349,7 @@ class TestBoostEvaluation:
         ket11[3, 3] = 1.0
         r0 = to_r_picture(validate_state(ket11)).r
         with pytest.raises(ZeroSuccessProbability):
-            _filtered_value(r0, _boost(np.array([1e-7, math.pi / 2, 0.0, 0.0])), Party.A, Objective.CHSH)
+            _filtered_value(r0, _boost(np.array([1e-7, math.pi, 0.0])), Party.A, Objective.CHSH)
 
     def test_search_value_not_reproduced_raises(self, monkeypatch):
         boosted = filtering._filtered_value
@@ -380,9 +380,10 @@ class TestBoostEvaluation:
         ("maximal", lambda: rho_qd(1.0), Party.A, Objective.CHSH, 1.4142135623730951, False, 1),
     ]
 
-    def test_parity_with_density_route_optimiser(self):
-        # Filter entries are not pinned: the chart's redundant angle is a flat
-        # direction, so roundoff may end the search elsewhere on it.
+    def test_parity_with_density_route_optimiser(self, monkeypatch):
+        winners = []  # the optimiser builds its filter once, from the winning x
+        build = filtering._filter_from_params
+        monkeypatch.setattr(filtering, "_filter_from_params", lambda x: winners.append(np.copy(x)) or build(x))
         for label, state, party, objective, value, at_floor, starts_used in self.PARITY:
             rho = state()
             res = optimize_one_sided(rho, party, objective, starts=2, seed=0)
@@ -390,3 +391,7 @@ class TestBoostEvaluation:
             assert res.at_scale_floor is at_floor, label
             assert res.starts_used == starts_used, label
             assert abs(_density_value_of_filter(rho, res.filter, party, objective) - res.value) <= 1e-9, label
+            x, f = winners[-1], res.filter.f
+            assert np.abs(f - f.conj().T).max() <= 1e-15, label
+            np.testing.assert_allclose(np.linalg.eigvalsh(f), [x[0], 1.0], rtol=0, atol=1e-15, err_msg=label)
+            np.testing.assert_allclose(_lorentz_of(f), _boost(x), rtol=0, atol=1e-15, err_msg=label)

@@ -17,14 +17,24 @@ from hqc import (
     from_r_picture,
     rho_qd,
     sample_state,
-    sample_states,
     steered_bloch,
     to_r_picture,
     validate_state,
 )
-from hqc.states import bloch_of_qubit, ginibre_states, partial_trace, r_pictures
+from hqc.states import ginibre_states, r_pictures
 
 from conftest import haar_unitary_2, ket00_matrix, rotation_of_unitary, singlet_matrix
+
+
+def bloch_of_qubit(rho2: np.ndarray) -> np.ndarray:
+    """Bloch vector of a single-qubit density matrix."""
+    return np.array([2 * rho2[0, 1].real, -2 * rho2[0, 1].imag, (rho2[0, 0] - rho2[1, 1]).real])
+
+
+def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:
+    """2x2 reduced state of qubit ``"A"`` or ``"B"``."""
+    m = rho.matrix.reshape(2, 2, 2, 2)
+    return np.einsum("ikjk->ij", m) if keep == "A" else np.einsum("kikj->ij", m)
 
 
 class TestPauliBasis:
@@ -134,7 +144,7 @@ class TestFromRPicture:
             from_r_picture(RMatrix(np.diag([0.9, 0.0, 0.0, 0.0])))
 
     def test_round_trip_random_states(self):
-        batch = sample_states(SeededRng(11, 0), 1000)
+        batch = ginibre_states(SeededRng(11, 0).generator(), 1000, 4)
         for m in batch:
             rho = validate_state(m)
             back = from_r_picture(to_r_picture(rho))
@@ -173,8 +183,8 @@ class TestSampling:
         assert np.abs(a.matrix - b.matrix).max() > 1e-3
 
     def test_batch_deterministic(self):
-        a = sample_states(SeededRng(7, 0), 3)
-        b = sample_states(SeededRng(7, 0), 3)
+        a = ginibre_states(SeededRng(7, 0).generator(), 3, 4)
+        b = ginibre_states(SeededRng(7, 0).generator(), 3, 4)
         np.testing.assert_array_equal(a, b)
         for m in a:
             validate_state(m)
@@ -190,7 +200,7 @@ class TestSampling:
 
     def test_hilbert_schmidt_mean_purity(self):
         # mean Tr rho^2 over the rank-4 ensemble is (d + k) / (d k + 1) = 8/17
-        batch = sample_states(SeededRng(42, 0), 100_000)
+        batch = ginibre_states(SeededRng(42, 0).generator(), 100_000, 4)
         purity = np.einsum("nij,nji->n", batch, batch).real
         se = purity.std(ddof=1) / math.sqrt(len(purity))
         assert abs(purity.mean() - 8.0 / 17.0) <= 3 * se
