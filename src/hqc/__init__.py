@@ -23,9 +23,10 @@ from .criteria import (
     Thresholds,
     certify_inaccessible,
     classify,
+    classify_batch,
     conjecture_bound_chsh,
 )
-from .ellipsoid import Party, SteeringEllipsoid, centre_magnitude, compute_ellipsoid, surface_residual
+from .ellipsoid import Party, SteeringEllipsoid, centre_magnitude, compute_ellipsoid
 from .errors import (
     ComplexSpectrum,
     DegenerateEllipsoid,
@@ -51,7 +52,6 @@ from .filtering import (
     hidden_chsh,
     hidden_f3,
     identity_filter,
-    normal_form_r,
     normal_form_spectrum,
     optimize_one_sided,
 )

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import serde
-from .criteria import OptimizerBudget, Thresholds, certify_inaccessible, classify
+from .criteria import Thresholds, certify_inaccessible, classify
 from .ellipsoid import Party, centre_magnitude, compute_ellipsoid
 from .errors import DomainError, HqcError
 from .families import Family, qd_centre_boundary, scan_family
@@ -215,10 +215,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         party = Party[party_name]
         objective = Objective[objective_name.upper()]
         seed, seed_source = _resolve_seed(args)
-        budget = OptimizerBudget(starts=args.starts, max_iters=args.max_iters, seed=seed)
-        res = optimize_one_sided(
-            rho, party, objective, starts=budget.starts, max_iters=budget.max_iters, seed=budget.seed
-        )
+        res = optimize_one_sided(rho, party, objective, starts=args.starts, max_iters=args.max_iters, seed=seed)
         filtered, prob = res.filtered_state, res.success_probability
         payload["optimizer"] = serde.one_sided_result_to_dict(res)
         payload["seed_source"] = seed_source

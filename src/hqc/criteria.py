@@ -14,18 +14,22 @@ Certification is one-sided evidence: ``True`` means "certified
 inaccessible (modulo the conjecture)", ``False`` means "not certified",
 never "accessible". Accessibility claims require an explicit optimiser
 witness.
+
+:func:`classify_batch` reports on a (n, 4, 4) stack of pictures with one
+batched call per quantity; :func:`classify` is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from itertools import compress
 
 import numpy as np
 
-from .correlations import chsh_max, f3_from_singular, ppt_entangled
+from .correlations import ppt_entangled, ppt_test, svd_maxima  # noqa: F401 (ppt_entangled: a span target in hqcbench)
 from .ellipsoid import Party, centre_magnitude, compute_ellipsoid, ellipsoid_centres
-from .errors import DegenerateNormalForm, DomainError
+from .errors import DomainError
 from .filtering import Objective, hidden_values, optimize_one_sided
 from .states import RMatrix, from_r_picture
 
@@ -60,7 +64,7 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class OptimizerBudget:
-    """Search budget for optional one-sided accessibility witnesses."""
+    """Search budget for optional one-sided accessibility witnesses: optimize_one_sided's keywords."""
 
     starts: int = 32
     max_iters: int = 500
@@ -139,6 +143,39 @@ def certify_inaccessible(r: RMatrix, target_party: Party, objective: Objective, 
     return centre_magnitude(witness) > th.cutoff(objective)
 
 
+def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[InaccessibilityReport]:
+    """Reports for a (n, 4, 4) stack of pictures of validated states, one per row.
+
+    Each quantity comes from one batched call for the whole stack: one SVD for
+    B and F3, one normal-form eigensolve for both hidden values (NaN rows where
+    the normal form vanishes), one eigensolve for PPT and one call per party
+    for the centres. An unphysical spectrum in any row raises ComplexSpectrum.
+    """
+    th = th or Thresholds()
+    b, f3, _ = svd_maxima(r[:, 1:, 1:])
+    hb, hf3 = hidden_values(r)
+    c_a, c_b = (np.linalg.norm(ellipsoid_centres(r, party)[0], axis=-1) for party in (Party.A, Party.B))
+    entangled, _ = ppt_test(r)
+
+    columns = {}
+    for name, value, hidden, maxval, cutoff in (
+        ("CHSH", b, hb, SQRT2, th.c_chsh),
+        ("F3", f3, hf3, SQRT3, th.c_f3),
+    ):
+        no_violation = value <= 1.0 + CLASSICAL_MARGIN
+        hidden_flag = no_violation & (hidden > 1.0 + VIOLATION_MARGIN)  # False on NaN rows
+        a_inacc, b_inacc = c_b > cutoff, c_a > cutoff  # filters by Alice leave Bob's ellipsoid fixed
+        columns[f"NO_{name}_VIOLATION"] = no_violation
+        columns[f"HIDDEN_{name}"] = hidden_flag
+        columns[f"MAXIMAL_HIDDEN_{name}"] = hidden_flag & (hidden >= maxval - MAXIMAL_MARGIN)
+        columns[f"A_INACCESSIBLE_{name}"] = a_inacc
+        columns[f"B_INACCESSIBLE_{name}"] = b_inacc
+        columns[f"AB_INACCESSIBLE_{name}"] = a_inacc & b_inacc
+    flag_rows = np.stack(list(columns.values()), axis=1).tolist()
+    values = zip(*(x.tolist() for x in (b, f3, hb, hf3, c_a, c_b, entangled)), flag_rows)
+    return [InaccessibilityReport(*v, frozenset(compress(columns, row)), th, math.isnan(v[2])) for *v, row in values]
+
+
 def classify(
     r: RMatrix,
     th: Thresholds | None = None,
@@ -147,68 +184,18 @@ def classify(
     """Full per-state report: values, certificates, and case flags.
 
     ``r`` must be the picture of a validated state; it is not re-checked.
-    Each quantity is read once from R, PPT included; only the
-    ``one_sided_budget`` branch rebuilds rho, for the optimiser.
+    The report is :func:`classify_batch` of a batch of one; only the
+    ``one_sided_budget`` branch rebuilds rho, for the optimiser, and adds
+    its witness flags.
     """
-    th = th or Thresholds()
-    b, singulars = chsh_max(r)
-    f3 = f3_from_singular(singulars)
-    try:
-        hb, hf3 = hidden_values(r)
-    except DegenerateNormalForm:
-        hb = hf3 = math.nan
-    # Alice's ellipsoid of R is Bob's of R^T, so one batch of two gives both centres
-    centres, _ = ellipsoid_centres(np.stack([r.r.T, r.r]), Party.B)
-    c_a, c_b = (float(np.linalg.norm(c)) for c in centres)
-    entangled, _ = ppt_entangled(r)
-
-    flags: set[str] = set()
-    for name, value, hidden, maxval, cutoff in (
-        ("CHSH", b, hb, SQRT2, th.c_chsh),
-        ("F3", f3, hf3, SQRT3, th.c_f3),
-    ):
-        no_violation = value <= 1.0 + CLASSICAL_MARGIN
-        if no_violation:
-            flags.add(f"NO_{name}_VIOLATION")
-        hidden_flag = no_violation and not math.isnan(hidden) and hidden > 1.0 + VIOLATION_MARGIN
-        if hidden_flag:
-            flags.add(f"HIDDEN_{name}")
-            if hidden >= maxval - MAXIMAL_MARGIN:
-                flags.add(f"MAXIMAL_HIDDEN_{name}")
-        a_inacc = c_b > cutoff  # filters by Alice leave Bob's ellipsoid fixed
-        b_inacc = c_a > cutoff
-        if a_inacc:
-            flags.add(f"A_INACCESSIBLE_{name}")
-        if b_inacc:
-            flags.add(f"B_INACCESSIBLE_{name}")
-        if a_inacc and b_inacc:
-            flags.add(f"AB_INACCESSIBLE_{name}")
-
-    if one_sided_budget is not None:
-        rho = from_r_picture(r)
-        for party in (Party.A, Party.B):
-            for objective in (Objective.CHSH, Objective.F3):
-                res = optimize_one_sided(
-                    rho,
-                    party,
-                    objective,
-                    starts=one_sided_budget.starts,
-                    max_iters=one_sided_budget.max_iters,
-                    tol=one_sided_budget.tol,
-                    seed=one_sided_budget.seed,
-                )
-                if res.value > 1.0 + 1e-6:
-                    flags.add(f"{party.value}_ACCESSIBLE_WITNESSED_{objective.value}")
-
-    return InaccessibilityReport(
-        b=b,
-        f3=f3,
-        hb_star=hb,
-        hf3_star=hf3,
-        c_a=c_a,
-        c_b=c_b,
-        entangled=entangled,
-        flags=frozenset(flags),
-        thresholds=th,
-        degenerate_normal_form=math.isnan(hb),
-    )
+    report = classify_batch(r.r[None], th)[0]
+    if one_sided_budget is None:
+        return report
+    rho = from_r_picture(r)
+    witnessed = {
+        f"{party.value}_ACCESSIBLE_WITNESSED_{objective.value}"
+        for party in (Party.A, Party.B)
+        for objective in (Objective.CHSH, Objective.F3)
+        if optimize_one_sided(rho, party, objective, **asdict(one_sided_budget)).value > 1.0 + 1e-6
+    }
+    return replace(report, flags=report.flags | witnessed)

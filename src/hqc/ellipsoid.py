@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateEllipsoid, DomainError
+from .errors import DomainError
 from .states import RMatrix
 
 DEGENERACY_TOL = 1e-9  # threshold on 1 - |steering Bloch|^2 below which the marginal counts as pure
@@ -54,10 +54,13 @@ def _steering(r: np.ndarray, party: Party, tol: float) -> tuple[np.ndarray, ...]
     if party is Party.A:
         r = r.transpose(0, 2, 1)  # Alice's ellipsoid of R is Bob's ellipsoid of R^T
     steer, steered, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
-    denom = 1.0 - np.einsum("ni,ni->n", steer, steer)
+    # sum_i steer_i R[i + 1, :] = (|steer|^2, T^T steer), added term by term because the roundoff
+    # of einsum and matmul can depend on a row's batch, strides or memory alignment
+    weighted = sum(steer[:, i, None] * r[:, i + 1] for i in range(3))
+    denom = 1.0 - weighted[:, 0]
     ok = denom > tol
     gamma_sq = 1.0 / np.where(ok, denom, 1.0)
-    centres = gamma_sq[:, None] * (steered - np.einsum("nij,ni->nj", t, steer))
+    centres = gamma_sq[:, None] * (steered - weighted[:, 1:])
     return steer, steered, t, gamma_sq, np.where(ok[:, None], centres, steered), ok
 
 
@@ -99,20 +102,5 @@ def compute_ellipsoid(r: RMatrix, party: Party, tol: float = DEGENERACY_TOL) -> 
 
 
 def centre_magnitude(e: SteeringEllipsoid) -> float:
-    """Euclidean norm of the ellipsoid centre."""
-    return float(np.linalg.norm(e.centre))
-
-
-def surface_residual(e: SteeringEllipsoid, point: np.ndarray) -> float:
-    """(point - centre)^T Q^-1 (point - centre) - 1.
-
-    Zero (within tolerance) iff the point lies on the ellipsoid surface;
-    negative inside, positive outside. Requires an invertible Q.
-    """
-    if e.degenerate:
-        raise DegenerateEllipsoid("ellipsoid is a point; surface residual undefined")
-    eigs = np.linalg.eigvalsh(e.q)
-    if eigs.min() <= 1e-10:
-        raise DegenerateEllipsoid(f"ellipsoid matrix not invertible (min eigenvalue {eigs.min():.3e})")
-    d = np.asarray(point, dtype=float) - e.centre
-    return float(d @ np.linalg.solve(e.q, d) - 1.0)
+    """Euclidean norm of the centre, by the batched callers' ``norm(centres, axis=-1)``: equal to the bit."""
+    return float(np.linalg.norm(e.centre, axis=-1))

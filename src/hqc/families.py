@@ -7,10 +7,13 @@ Three families built from the partially entangled pure state
 * ``rho_mm``: p |phi><phi| + (1-p) rho_A(theta) (x) rho_B(theta)
 * ``rho_qd``: p |Psi-><Psi-| + (1-p) |00><00|   (quasi-distillable; no theta)
 
+Each is p signal(theta) + (1-p) noise(theta), one row of a shared table.
 For ``rho_m`` the optimal filtering to the Bell-diagonal normal form is
 known in closed form: f_A = sin(theta) diag(1/cos(theta), 1/sin(theta)),
-f_B = identity. Scans classify every grid point and are the plot-ready
-data for the families' region structure.
+f_B = identity. Scans are the plot-ready data for the families' region
+structure: a scan checks the whole grid once, validates each theta row's
+two endpoints (the row's states are their convex combinations), and
+classifies the row as one batch over p.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from enum import Enum
 
 import numpy as np
 
-from .criteria import Thresholds, classify
+from .criteria import Thresholds, classify_batch
 from .ellipsoid import Party, ellipsoid_centres
 from .errors import DomainError
 from .filtering import LocalFilter, identity_filter
-from .states import DensityMatrix, to_r_picture, validate_state
+from .states import DensityMatrix, r_pictures, to_r_picture, validate_state
 
 
 class Family(Enum):
@@ -50,53 +53,55 @@ class ScanRow:
     flags: frozenset[str]
 
 
-def _phi_plus(theta: float) -> np.ndarray:
-    v = np.zeros(4, dtype=complex)
-    v[0] = math.cos(theta)
-    v[3] = math.sin(theta)
+_REPORT_FIELDS = tuple(f.name for f in fields(ScanRow)[2:])
+
+
+def _projector(*amplitudes: float) -> np.ndarray:
+    v = np.array(amplitudes, dtype=complex)
     return np.outer(v, v.conj())
 
 
-def _check_params(theta: float, p: float) -> None:
-    if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-        raise DomainError(f"theta must be in [0, pi/4], got {theta}")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
+def _rho_a(theta: float) -> np.ndarray:
+    return np.diag([math.cos(theta) ** 2, math.sin(theta) ** 2]).astype(complex)
+
+
+# (signal, noise) of each family at theta; its state at (theta, p) is p signal + (1 - p) noise.
+# The identity factor of rho_m's noise is normalised to the maximally mixed state.
+_ENDPOINTS = {
+    Family.M: lambda t: (_projector(math.cos(t), 0, 0, math.sin(t)), np.kron(_rho_a(t), np.eye(2) / 2.0)),
+    Family.MM: lambda t: (_projector(math.cos(t), 0, 0, math.sin(t)), np.kron(_rho_a(t), _rho_a(t))),
+    Family.QD: lambda _: (_projector(0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0), _projector(1, 0, 0, 0)),
+}
+
+
+def _check_params(family: Family, theta: float | np.ndarray, p: float | np.ndarray) -> None:
+    """Raise DomainError unless every theta is in [0, pi/4] (QD has none) and every p in [0, 1]."""
+    for name, values, hi in (("theta", theta if family is not Family.QD else 0.0, math.pi / 4 + 1e-12), ("p", p, 1.0)):
+        values = np.asarray(values, dtype=float)
+        outside = values[~((values >= 0.0) & (values <= hi))]
+        if outside.size:
+            raise DomainError(f"{name} must be in [0, {'pi/4' if name == 'theta' else 1}], got {outside[0]}")
+
+
+def _state(family: Family, theta: float, p: float) -> DensityMatrix:
+    _check_params(family, theta, p)
+    signal, noise = _ENDPOINTS[family](theta)
+    return validate_state(p * signal + (1.0 - p) * noise)
 
 
 def rho_m(theta: float, p: float) -> DensityMatrix:
-    """Partially entangled state with one-sided coloured noise.
-
-    The noise term is rho_A(theta) (x) 1/2; the identity factor is
-    normalised to the maximally mixed state so the total has unit trace.
-    """
-    _check_params(theta, p)
-    phi = _phi_plus(theta)
-    rho_a = np.diag([math.cos(theta) ** 2, math.sin(theta) ** 2]).astype(complex)
-    m = p * phi + (1.0 - p) * np.kron(rho_a, np.eye(2, dtype=complex) / 2.0)
-    return validate_state(m)
+    """Partially entangled state with one-sided coloured noise rho_A(theta) (x) 1/2."""
+    return _state(Family.M, theta, p)
 
 
 def rho_mm(theta: float, p: float) -> DensityMatrix:
     """Partially entangled state with symmetric coloured noise."""
-    _check_params(theta, p)
-    phi = _phi_plus(theta)
-    rho_a = np.diag([math.cos(theta) ** 2, math.sin(theta) ** 2]).astype(complex)
-    m = p * phi + (1.0 - p) * np.kron(rho_a, rho_a)
-    return validate_state(m)
+    return _state(Family.MM, theta, p)
 
 
 def rho_qd(p: float) -> DensityMatrix:
     """Quasi-distillable state p |Psi-><Psi-| + (1-p) |00><00|."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    psi_minus = np.zeros(4, dtype=complex)
-    psi_minus[1] = 1.0 / math.sqrt(2.0)
-    psi_minus[2] = -1.0 / math.sqrt(2.0)
-    v00 = np.zeros(4, dtype=complex)
-    v00[0] = 1.0
-    m = p * np.outer(psi_minus, psi_minus.conj()) + (1.0 - p) * np.outer(v00, v00.conj())
-    return validate_state(m)
+    return _state(Family.QD, 0.0, p)
 
 
 def paper_filter_rho_m(theta: float) -> tuple[LocalFilter, LocalFilter]:
@@ -118,23 +123,24 @@ def scan_family(
     p_grid: np.ndarray,
     th: Thresholds | None = None,
 ) -> list[ScanRow]:
-    """classify() every grid point; rows ordered theta-major, then p.
+    """Classify every grid point; rows ordered theta-major, then p.
 
-    Degenerate points (pure marginals, vanishing normal form) carry flags
-    and NaN hidden measures rather than aborting the scan.
+    The whole grid is checked before anything is classified. Degenerate
+    points (pure marginals, vanishing normal form) carry flags and NaN
+    hidden measures rather than aborting the scan.
     """
     th = th or Thresholds()
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
     if theta_grid.size == 0 or p_grid.size == 0:
         raise DomainError("scan grids must be non-empty")
-    make = {Family.M: rho_m, Family.MM: rho_mm, Family.QD: lambda _, p_: rho_qd(p_)}[family]
+    _check_params(family, theta_grid, p_grid)
     rows = []
-    for theta in theta_grid:
-        for p in p_grid:
-            report = classify(to_r_picture(make(float(theta), float(p))), th)
-            values = {f.name: getattr(report, f.name) for f in fields(ScanRow)[2:]}
-            rows.append(ScanRow(theta=float(theta), p=float(p), **values))
+    for theta in theta_grid.tolist():
+        signal, noise = (validate_state(m).matrix for m in _ENDPOINTS[family](theta))
+        rho = p_grid[:, None, None] * signal + (1.0 - p_grid)[:, None, None] * noise
+        for p, report in zip(p_grid.tolist(), classify_batch(r_pictures(rho), th)):
+            rows.append(ScanRow(theta, p, *(getattr(report, name) for name in _REPORT_FIELDS)))
     return rows
 
 
@@ -149,8 +155,7 @@ def qd_centre_boundary(threshold: float, tol: float = 1e-10) -> float:
         raise DomainError(f"threshold must be in (0, 1), got {threshold}")
 
     def centre(p: float) -> float:
-        centres, _ = ellipsoid_centres(to_r_picture(rho_qd(p)).r[None], Party.B)
-        return float(np.linalg.norm(centres[0]))
+        return float(np.linalg.norm(ellipsoid_centres(to_r_picture(rho_qd(p)).r[None], Party.B)[0], axis=-1)[0])
 
     lo, hi = 1e-6, 1.0 - 1e-12
     if centre(lo) <= threshold:

@@ -14,6 +14,10 @@ correlation maxima are
     hidden CHSH = sqrt((nu_1 + nu_2) / nu_0),
     hidden F3   = sqrt((nu_1 + nu_2 + nu_3) / nu_0).
 
+Both are computed for whole (..., 4, 4) stacks of pictures, one batched
+eigensolve per stack (:func:`hidden_values`, NaN where the normal form
+vanishes); the single-picture functions are those on a batch of one.
+
 The normal-form CHSH value is the supremum of CHSH over two-sided
 filtering when it is at least the classical bound 1; below 1 the
 supremum is 1, approached by filters tending to rank one, which drive
@@ -39,7 +43,8 @@ vector, and
 
 is d times a Lorentz boost of rapidity |ln d| along n. The one-sided
 optimiser therefore searches the three parameters (d, n) and evaluates a
-candidate as one 4x4 product L . R (R . L^T for Bob) and a 3x3 SVD.
+candidate as one 4x4 product L . R (R . L^T for Bob) and the SVD route of
+:func:`hqc.correlations.svd_maxima` on one 3x3 matrix.
 """
 
 from __future__ import annotations
@@ -52,12 +57,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .correlations import chsh_max, f3_max
+from .correlations import svd_maxima
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
 from .states import SIGMA, DensityMatrix, RMatrix, to_r_picture, validate_state
 
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+_ETA_SIGNS = np.outer([1, -1, -1, -1], [1, -1, -1, -1])  # eta R eta = R * _ETA_SIGNS for eta = diag(1, -1, -1, -1)
 
 SCALE_FLOOR = 1e-4  # lower bound on the filter's small singular value during optimisation
 
@@ -138,60 +143,61 @@ def apply_one_sided(rho: DensityMatrix, f: LocalFilter, party: Party) -> tuple[D
     return apply_filters(rho, identity_filter(), f)
 
 
-def normal_form_spectrum(r: RMatrix) -> NormalFormSpectrum:
-    """Spectrum of eta R eta R^T, sorted decreasing.
+def normal_form_spectra(r: np.ndarray) -> np.ndarray:
+    """Spectra of eta R eta R^T for a (..., 4, 4) stack of pictures, each sorted decreasing.
 
     The matrix is not symmetric, and on some families (the
     quasi-distillable line in particular) it is defective: exact
     eigenvalue multiplicities split numerically by ~sqrt(machine eps),
     in a random direction in the complex plane. Small residues are
-    therefore cleaned up in two scale-aware steps: imaginary parts below
-    max(1e-8, 2e-7 |nu_max|) are truncated, and real values closer than
-    2e-7 |nu_max| are merged to their cluster mean (which is accurate to
-    second order for a defective pair). Larger imaginary parts or
-    negative values signal an unphysical input and raise ComplexSpectrum.
+    therefore cleaned up per row in two scale-aware steps: imaginary
+    parts below max(1e-8, 5e-7 ||M||) are truncated, and runs of sorted
+    real values whose neighbours lie within that tolerance are merged to
+    their cluster mean (which is accurate to second order for a defective
+    pair). A larger imaginary part or a negative value in any row signals
+    an unphysical input and raises ComplexSpectrum.
     """
-    m = ETA @ r.r @ ETA @ r.r.T
+    m = (r * _ETA_SIGNS) @ r.swapaxes(-1, -2)
     w = np.linalg.eigvals(m)
     # Defective splits scale with sqrt(eps * ||M||), not with the eigenvalues.
-    residue_tol = max(1e-8, 5e-7 * float(np.linalg.norm(m)))
-    max_imag = float(np.abs(w.imag).max())
-    if max_imag > residue_tol:
-        raise ComplexSpectrum(f"max |Im eigenvalue| = {max_imag:.3e}; input unphysical")
-    nu = np.sort(w.real)[::-1]
-    if nu[-1] < -residue_tol:
-        raise ComplexSpectrum(f"eigenvalue {nu[-1]:.3e} too negative; input unphysical")
+    tol = np.maximum(1e-8, 5e-7 * np.linalg.norm(m, axis=(-2, -1)))
+    nu = np.sort(w.real, axis=-1)[..., ::-1]
+    imag, low = np.abs(w.imag).max(axis=-1), nu[..., -1]
+    bad = (imag > tol) | (low < -tol)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ComplexSpectrum(f"row {i}: |Im eigenvalue| {imag.flat[i]:.3e}, min {low.flat[i]:.3e}; input unphysical")
     nu = np.clip(nu, 0.0, None)
-    cluster_tol = residue_tol
-    i = 0
-    out = np.empty(4)
-    while i < 4:
-        j = i
-        while j + 1 < 4 and nu[j] - nu[j + 1] <= cluster_tol:
-            j += 1
-        out[i : j + 1] = nu[i : j + 1].mean()
-        i = j + 1
-    return NormalFormSpectrum(*map(float, out))
+    # a cluster is a run of sorted values whose neighbours lie within tol; number the runs
+    breaks = nu[..., :-1] - nu[..., 1:] > tol[..., None]
+    run = np.cumsum(np.concatenate([np.zeros_like(breaks[..., :1]), breaks], axis=-1), axis=-1)
+    same = run[..., :, None] == run[..., None, :]
+    return np.where(same, nu[..., None, :], 0.0).sum(axis=-1) / same.sum(axis=-1)
 
 
-def _nondegenerate_spectrum(r: RMatrix) -> NormalFormSpectrum:
-    nu = normal_form_spectrum(r)
-    if nu.nu0 <= 1e-12:
-        raise DegenerateNormalForm(f"leading eigenvalue {nu.nu0:.3e} <= 1e-12")
-    return nu
+def normal_form_spectrum(r: RMatrix) -> NormalFormSpectrum:
+    """:func:`normal_form_spectra` of one picture."""
+    return NormalFormSpectrum(*normal_form_spectra(r.r).tolist())
 
 
-def normal_form_r(r: RMatrix) -> RMatrix:
-    """Correlation picture of the Bell-diagonal normal form."""
-    nu = _nondegenerate_spectrum(r)
-    d = np.array([1.0, -math.sqrt(nu.nu1 / nu.nu0), -math.sqrt(nu.nu2 / nu.nu0), -math.sqrt(nu.nu3 / nu.nu0)])
-    return RMatrix(np.diag(d))
+def hidden_values(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden CHSH and hidden F3 of a (..., 4, 4) stack, from one solve of the normal-form spectra.
+
+    Rows whose leading eigenvalue is at most 1e-12 (a vanishing normal
+    form, e.g. a pure product state) get NaN for both.
+    """
+    nu = normal_form_spectra(r)
+    ok = nu[..., 0] > 1e-12
+    nu0 = np.where(ok, nu[..., 0], 1.0)
+    pair = nu[..., 1] + nu[..., 2]
+    return np.where(ok, np.sqrt(pair / nu0), np.nan), np.where(ok, np.sqrt((pair + nu[..., 3]) / nu0), np.nan)
 
 
-def hidden_values(r: RMatrix) -> tuple[float, float]:
-    """Hidden CHSH and hidden F3 from one solve of the normal-form spectrum."""
-    nu = _nondegenerate_spectrum(r)
-    return math.sqrt((nu.nu1 + nu.nu2) / nu.nu0), math.sqrt((nu.nu1 + nu.nu2 + nu.nu3) / nu.nu0)
+def _hidden(r: RMatrix) -> tuple[float, float]:
+    hb, hf3 = hidden_values(r.r)
+    if np.isnan(hb):
+        raise DegenerateNormalForm("leading normal-form eigenvalue <= 1e-12; hidden measures undefined")
+    return float(hb), float(hf3)
 
 
 def hidden_chsh(r: RMatrix) -> float:
@@ -200,14 +206,15 @@ def hidden_chsh(r: RMatrix) -> float:
     This is the supremum of CHSH over two-sided local filtering when it
     is at least 1; when it is below 1 the supremum is 1 instead (see the
     module docstring), so the two-sided supremum is max(1, hidden_chsh).
+    Raises DegenerateNormalForm where :func:`hidden_values` gives NaN.
     """
-    return hidden_values(r)[0]
+    return _hidden(r)[0]
 
 
 def hidden_f3(r: RMatrix) -> float:
     """F3 value of the Bell-diagonal normal form (a lower bound on the
     two-sided filtered optimum, which is not known to be attained here)."""
-    return hidden_values(r)[1]
+    return _hidden(r)[1]
 
 
 def _direction(th: float, ph: float) -> tuple[float, float, float]:
@@ -223,7 +230,7 @@ def _filter_from_params(x: np.ndarray) -> np.ndarray:
 
 def _boost(x: np.ndarray) -> np.ndarray:
     """Lorentz boost L(d, n) of the filter h(d, n), n at polar angle theta and azimuth phi."""
-    d, th, ph = x
+    d, th, ph = x.tolist()  # Python floats: the same bits as numpy scalars, at half the cost of this call
     n1, n2, n3 = _direction(th, ph)
     c, s = 0.5 * (d * d + 1.0), 0.5 * (d * d - 1.0)
     e = c - d
@@ -237,8 +244,10 @@ def _boost(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _maximum(r: RMatrix, objective: Objective) -> float:
-    return chsh_max(r)[0] if objective is Objective.CHSH else f3_max(r)
+def _maximum(t: np.ndarray, objective: Objective) -> float:
+    """CHSH or F3 maximum of the correlation matrix t, by :func:`svd_maxima` as in chsh_max/f3_max."""
+    b, f3, _ = svd_maxima(t)
+    return float(b if objective is Objective.CHSH else f3)
 
 
 def _filtered_value(r0: np.ndarray, boost: np.ndarray, party: Party, objective: Objective) -> float:
@@ -249,7 +258,7 @@ def _filtered_value(r0: np.ndarray, boost: np.ndarray, party: Party, objective: 
     prob = rf[0, 0]
     if prob <= 1e-12:
         raise ZeroSuccessProbability(f"success probability {prob:.3e} <= 1e-12")
-    return _maximum(RMatrix(rf / prob), objective)
+    return _maximum(rf[1:, 1:] / prob, objective)
 
 
 def optimize_one_sided(
@@ -325,7 +334,7 @@ def optimize_one_sided(
             break  # cannot improve on the quantum maximum
     best = LocalFilter(_filter_from_params(best_x))
     filtered, prob = apply_one_sided(rho, best, party)
-    value = _maximum(to_r_picture(filtered), objective)
+    value = _maximum(to_r_picture(filtered).t, objective)
     if abs(value - best_val) > 1e-9:
         raise OptimumMismatch(f"boost value {best_val!r} but the filtered state gives {value!r}")
     return OneSidedResult(

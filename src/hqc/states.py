@@ -140,8 +140,9 @@ def from_r_picture(r: RMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 
 def pauli_expansion(r: np.ndarray) -> np.ndarray:
-    """The 4x4 operator (1/4) sum_ij r[i, j] sigma_i (x) sigma_j, unvalidated."""
-    return 0.25 * np.einsum("ij,ijkl->kl", r, PAULI_KRON)
+    """The operators (1/4) sum_ij r[..., i, j] sigma_i (x) sigma_j of a (..., 4, 4) stack, unvalidated;
+    each is its own (1, 16) x (16, 16) product, so its bits do not depend on the rest of the stack."""
+    return 0.25 * (r.reshape(-1, 1, 16) @ PAULI_KRON.reshape(16, 16)).reshape(r.shape)
 
 
 def ginibre_factors(gen: np.random.Generator, ranks: np.ndarray) -> np.ndarray:

@@ -153,6 +153,13 @@ class TestScan:
         assert code == 2
         assert doc["error"]["type"] == "DomainError"
 
+    def test_out_of_range_p_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, doc = run_cli(capsys, "scan", "mm", "--p", "0:1.5:4", "--out", str(out))
+        assert code == 2
+        assert doc["error"]["type"] == "DomainError"
+        assert not out.exists()
+
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "scan", "qd", "--p", "0.1:0.9:9", "--out", str(a))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,24 +9,26 @@ from hypothesis import strategies as st
 import hqc.criteria as criteria_mod
 import hqc.filtering as filtering_mod
 from hqc import (
+    ComplexSpectrum,
     DegenerateNormalForm,
     DomainError,
     Objective,
     OptimizerBudget,
     Party,
+    RMatrix,
     SeededRng,
     Thresholds,
     centre_magnitude,
     certify_inaccessible,
     chsh_max,
     classify,
+    classify_batch,
     compute_ellipsoid,
     conjecture_bound_chsh,
     f3_max,
     from_r_picture,
     hidden_chsh,
     hidden_f3,
-    normal_form_spectrum,
     optimize_one_sided,
     ppt_entangled,
     rho_m,
@@ -172,8 +175,9 @@ class TestClassify:
         assert degenerate >= 1  # |00> at least takes the NaN branch
 
     def test_reads_each_quantity_once(self, monkeypatch):
-        # one spectrum solve, one SVD of T, and no rebuilt density matrix
-        calls = {"spectrum": 0, "svd": 0, "from_r_picture": 0}
+        # a batch of n, like a batch of one, takes one normal-form spectrum solve, one SVD of T,
+        # one PPT eigensolve, and no rebuilt density matrix
+        calls = {"spectra": 0, "svd": 0, "eigvalsh": 0, "from_r_picture": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -183,11 +187,17 @@ class TestClassify:
             return wrapped
 
         r = to_r_picture(rho_mm(0.3, 0.6))
-        monkeypatch.setattr(filtering_mod, "normal_form_spectrum", counting("spectrum", normal_form_spectrum))
+        batch = np.stack([to_r_picture(rho_mm(0.3, p)).r for p in (0.2, 0.6, 0.9)] + [to_r_picture(rho_qd(0.4)).r])
+        spectra = filtering_mod.normal_form_spectra
+        monkeypatch.setattr(filtering_mod, "normal_form_spectra", counting("spectra", spectra))
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(criteria_mod, "from_r_picture", counting("from_r_picture", from_r_picture))
         classify(r)
-        assert calls == {"spectrum": 1, "svd": 1, "from_r_picture": 0}
+        assert calls == {"spectra": 1, "svd": 1, "eigvalsh": 1, "from_r_picture": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        assert len(classify_batch(batch)) == len(batch)
+        assert calls == {"spectra": 1, "svd": 1, "eigvalsh": 1, "from_r_picture": 0}
 
     def test_degenerate_normal_form_reported_not_raised(self, ket00):
         report = classify(to_r_picture(ket00))
@@ -204,6 +214,39 @@ class TestClassify:
         report = classify(to_r_picture(rho_m(math.pi / 12, 0.75)), one_sided_budget=budget)
         assert "A_ACCESSIBLE_WITNESSED_CHSH" in report.flags
         assert "B_ACCESSIBLE_WITNESSED_CHSH" not in report.flags
+
+
+def report_bits(report) -> dict:
+    """Every field of a report, floats by repr so that NaN equals NaN and the last bit counts."""
+    return {f.name: repr(v) if isinstance(v, float) else v for f in fields(report) for v in [getattr(report, f.name)]}
+
+
+class TestClassifyBatch:
+    def test_rows_equal_scalar_classify_to_the_bit(self, ket00):
+        pictures = [to_r_picture(sample_state(SeededRng(64, i), rank=k)) for k in (1, 2, 3, 4) for i in range(3)]
+        pictures.insert(5, to_r_picture(ket00))  # degenerate normal form, between finite rows
+        pictures += [to_r_picture(rho_mm(0.0, p)) for p in (0.0, 0.3, 0.6, 1.0)]  # pure marginals
+        pictures += [to_r_picture(rho_qd(p)) for p in (0.1, 0.4, 0.7, 0.95)]  # defective spectrum
+        pictures += [to_r_picture(sample_state(SeededRng(65, i), rank=4)) for i in range(3)]
+        reports = classify_batch(np.stack([r.r for r in pictures]))
+        assert len(reports) == len(pictures)
+        for r, report in zip(pictures, reports):
+            assert report_bits(report) == report_bits(classify(r))
+        nan_rows = [i for i, report in enumerate(reports) if math.isnan(report.hb_star)]
+        assert 5 in nan_rows and 4 not in nan_rows and 6 not in nan_rows
+        assert all(reports[i].degenerate_normal_form for i in nan_rows)
+
+    def test_one_unphysical_row_raises(self):
+        # a strongly non-physical correlation picture with rotational T
+        bad = np.eye(4)
+        bad[1, 1] = bad[2, 2] = 0.0
+        bad[1, 2], bad[2, 1] = -1.0, 1.0
+        bad[0, 3], bad[3, 0], bad[3, 3] = 0.9, -0.9, 0.1
+        good = to_r_picture(rho_mm(0.3, 0.6)).r
+        with pytest.raises(ComplexSpectrum):
+            classify(RMatrix(bad))
+        with pytest.raises(ComplexSpectrum):
+            classify_batch(np.stack([good, bad, good]))
 
 
 class TestCertificationSoundness:

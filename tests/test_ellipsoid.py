@@ -15,11 +15,27 @@ from hqc import (
     rho_qd,
     sample_state,
     steered_bloch,
-    surface_residual,
     to_r_picture,
 )
 
+from hqc.ellipsoid import ellipsoid_centres
+
 from conftest import bounded_random_filter
+
+
+def surface_residual(e, point: np.ndarray) -> float:
+    """(point - centre)^T Q^-1 (point - centre) - 1.
+
+    Zero (within tolerance) iff the point lies on the ellipsoid surface;
+    negative inside, positive outside. Requires an invertible Q.
+    """
+    if e.degenerate:
+        raise DegenerateEllipsoid("ellipsoid is a point; surface residual undefined")
+    eigs = np.linalg.eigvalsh(e.q)
+    if eigs.min() <= 1e-10:
+        raise DegenerateEllipsoid(f"ellipsoid matrix not invertible (min eigenvalue {eigs.min():.3e})")
+    d = np.asarray(point, dtype=float) - e.centre
+    return float(d @ np.linalg.solve(e.q, d) - 1.0)
 
 
 def max_norm_on_ellipsoid(e) -> float:
@@ -121,6 +137,20 @@ class TestCentreMagnitude:
                 for party in (Party.A, Party.B):
                     e = compute_ellipsoid(r, party)
                     assert centre_magnitude(e) == pytest.approx((1 - p) * math.cos(2 * theta), abs=1e-10)
+
+
+    def test_batch_centres_independent_of_batch_and_layout(self):
+        # a row's centre is the same to the bit alone as inside a batch, for the strided view
+        # to_r_picture returns and for contiguous copies at any 8-byte offset
+        pictures = [to_r_picture(sample_state(SeededRng(66, i), rank=k)).r for i in range(50) for k in (1, 2, 3, 4)]
+        for party in Party:
+            centres, _ = ellipsoid_centres(np.stack(pictures), party)
+            for k, r in enumerate(pictures):
+                rows = [r[None]] + [np.empty(16 + offset)[offset:].reshape(1, 4, 4) for offset in range(4)]
+                for row in rows[1:]:
+                    row[...] = r
+                for row in rows:
+                    np.testing.assert_array_equal(ellipsoid_centres(row, party)[0][0], centres[k])
 
 
 class TestSurfaceResidual:

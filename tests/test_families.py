@@ -23,6 +23,8 @@ from hqc import (
     validate_state,
 )
 
+import hqc.families as families_mod
+
 from conftest import singlet_matrix
 
 F3_BOUNDARY_AT_066 = 0.5074626865671642  # root of 2(1-p)/(2-p) = 0.66
@@ -140,6 +142,21 @@ class TestScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             scan_family(Family.QD, [0.0], [])
+
+    def test_out_of_range_grid_fails_before_classifying(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an out-of-range grid reached classify_batch")
+
+        monkeypatch.setattr(families_mod, "classify_batch", never)
+        for family, thetas, ps in (
+            (Family.MM, [0.1, 0.2], [0.0, 0.5, 1.5]),
+            (Family.M, [0.1], [-0.1, 0.5]),
+            (Family.QD, [0.0], [0.2, 1.01]),
+            (Family.M, [0.2, math.pi / 4 + 0.01], [0.5]),
+            (Family.MM, [0.1, math.pi / 2], [0.5]),
+        ):
+            with pytest.raises(DomainError):
+                scan_family(family, thetas, ps)
 
     def test_degenerate_points_carry_flags(self):
         rows = scan_family(Family.MM, [0.0], [0.5])

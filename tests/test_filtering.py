@@ -23,7 +23,6 @@ from hqc import (
     hidden_chsh,
     hidden_f3,
     identity_filter,
-    normal_form_r,
     normal_form_spectrum,
     optimize_one_sided,
     paper_filter_rho_m,
@@ -35,9 +34,38 @@ from hqc import (
 )
 
 from hqc import filtering
-from hqc.filtering import SCALE_FLOOR, _boost, _filter_from_params, _filtered_value
+from hqc.filtering import SCALE_FLOOR, _boost, _filter_from_params, _filtered_value, normal_form_spectra
 
 from conftest import bounded_random_filter, singlet_matrix, werner_matrix
+
+
+def normal_form_r(r: RMatrix) -> RMatrix:
+    """Correlation picture of the Bell-diagonal normal form."""
+    nu = normal_form_spectrum(r)
+    if nu.nu0 <= 1e-12:
+        raise DegenerateNormalForm(f"leading eigenvalue {nu.nu0:.3e} <= 1e-12")
+    d = np.array([1.0, -math.sqrt(nu.nu1 / nu.nu0), -math.sqrt(nu.nu2 / nu.nu0), -math.sqrt(nu.nu3 / nu.nu0)])
+    return RMatrix(np.diag(d))
+
+
+def spectrum_reference(r: np.ndarray) -> np.ndarray:
+    """One state's normal-form spectrum with an explicit cluster-merge loop: the reference for normal_form_spectra."""
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    m = eta @ r @ eta @ r.T
+    w = np.linalg.eigvals(m)
+    tol = max(1e-8, 5e-7 * float(np.linalg.norm(m)))
+    assert np.abs(w.imag).max() <= tol
+    nu = np.clip(np.sort(w.real)[::-1], 0.0, None)
+    out = np.empty(4)
+    i = 0
+    while i < 4:
+        j = i
+        while j + 1 < 4 and nu[j] - nu[j + 1] <= tol:
+            j += 1
+        out[i : j + 1] = nu[i : j + 1].mean()
+        i = j + 1
+    return out
+
 
 BELL_VECTORS = np.array(
     [
@@ -134,6 +162,17 @@ class TestNormalFormSpectrum:
         for i in range(30):
             nu = normal_form_spectrum(to_r_picture(sample_state(SeededRng(53, i))))
             assert nu.nu0 >= nu.nu1 >= nu.nu2 >= nu.nu3 >= 0.0
+
+    def test_batch_equals_per_state_loop_reference(self, ket00):
+        from hqc import rho_mm, rho_qd
+
+        pictures = [to_r_picture(sample_state(SeededRng(67, i), rank=k)).r for i in range(10) for k in (1, 2, 3, 4)]
+        pictures += [to_r_picture(rho_qd(float(p))).r for p in np.linspace(0.05, 1.0, 8)]  # one cluster of 4
+        pictures += [to_r_picture(validate_state(werner_matrix(w))).r for w in (0.0, 0.3, 0.9)]  # a cluster of 3
+        pictures += [to_r_picture(rho_mm(t, p)).r for t in (0.0, 0.2, math.pi / 4) for p in (0.0, 0.5, 1.0)]
+        pictures.append(to_r_picture(ket00).r)
+        expected = [spectrum_reference(r) for r in pictures]
+        np.testing.assert_array_equal(normal_form_spectra(np.stack(pictures)), expected)
 
     def test_unphysical_input_raises(self):
         # a strongly non-physical correlation picture with rotational T
