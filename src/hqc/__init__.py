@@ -41,7 +41,7 @@ from .errors import (
     ZeroProbability,
     ZeroSuccessProbability,
 )
-from .families import Family, ScanRow, paper_filter_rho_m, qd_centre_boundary, rho_m, rho_mm, rho_qd, scan_family
+from .families import Family, paper_filter_rho_m, qd_centre_boundary, rho_m, rho_mm, rho_qd, scan_family
 from .filtering import (
     LocalFilter,
     NormalFormSpectrum,

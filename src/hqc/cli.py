@@ -202,6 +202,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
+    if args.optimize and (args.filter_a or args.filter_b):
+        raise DomainError("--optimize excludes --filter-a/--filter-b")
     rho = _load_state(args.state_file, args.format, args.tol)
     r_before = to_r_picture(rho)
     before = classify(r_before, _thresholds(args))
@@ -307,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "optimize", None) and (args.filter_a or args.filter_b):
-        print(json.dumps({"error": {"type": "DomainError", "message": "--optimize excludes --filter-a/--filter-b"}}))
-        return 2
     try:
         return args.func(args)
     except (HqcError, OSError) as exc:

@@ -13,47 +13,33 @@ known in closed form: f_A = sin(theta) diag(1/cos(theta), 1/sin(theta)),
 f_B = identity. Scans are the plot-ready data for the families' region
 structure: a scan checks the whole grid once, validates each theta row's
 two endpoints (the row's states are their convex combinations), and
-classifies the row as one batch over p.
+classifies the row as one batch over p, returning ``classify_batch``'s
+reports as they are, one (theta, p, report) triple per point.
+
+On the quasi-distillable line the regions end where the steering-ellipsoid
+centre crosses a threshold t. With a = b = (0, 0, 1 - p) and
+T = diag(-p, -p, 1 - 2p), the centre c = gamma^2 (b - T^T a) has magnitude
+2 (1 - p) / (2 - p) for both parties, so :func:`qd_centre_boundary`
+returns the exact inverse p* = 2 (1 - t) / (2 - t).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .criteria import Thresholds, classify_batch
-from .ellipsoid import Party, ellipsoid_centres
+from .criteria import InaccessibilityReport, Thresholds, classify_batch
 from .errors import DomainError
 from .filtering import LocalFilter, identity_filter
-from .states import DensityMatrix, r_pictures, to_r_picture, validate_state
+from .states import DensityMatrix, r_pictures, validate_state
 
 
 class Family(Enum):
     M = "m"
     MM = "mm"
     QD = "qd"
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """classify() output at one grid point: after theta and p, report fields of the same names."""
-
-    theta: float
-    p: float
-    b: float
-    f3: float
-    hb_star: float
-    hf3_star: float
-    c_a: float
-    c_b: float
-    entangled: bool
-    flags: frozenset[str]
-
-
-_REPORT_FIELDS = tuple(f.name for f in fields(ScanRow)[2:])
 
 
 def _projector(*amplitudes: float) -> np.ndarray:
@@ -122,8 +108,8 @@ def scan_family(
     theta_grid: np.ndarray,
     p_grid: np.ndarray,
     th: Thresholds | None = None,
-) -> list[ScanRow]:
-    """Classify every grid point; rows ordered theta-major, then p.
+) -> list[tuple[float, float, InaccessibilityReport]]:
+    """Classify every grid point into (theta, p, report) triples, theta-major, then p.
 
     The whole grid is checked before anything is classified. Degenerate
     points (pure marginals, vanishing normal form) carry flags and NaN
@@ -139,31 +125,20 @@ def scan_family(
     for theta in theta_grid.tolist():
         signal, noise = (validate_state(m).matrix for m in _ENDPOINTS[family](theta))
         rho = p_grid[:, None, None] * signal + (1.0 - p_grid)[:, None, None] * noise
-        for p, report in zip(p_grid.tolist(), classify_batch(r_pictures(rho), th)):
-            rows.append(ScanRow(theta, p, *(getattr(report, name) for name in _REPORT_FIELDS)))
+        rows.extend((theta, p, report) for p, report in zip(p_grid.tolist(), classify_batch(r_pictures(rho), th)))
     return rows
 
 
-def qd_centre_boundary(threshold: float, tol: float = 1e-10) -> float:
-    """p at which the quasi-distillable centre magnitude crosses ``threshold``.
+def qd_centre_boundary(threshold: float) -> float:
+    """p at which the quasi-distillable centre magnitude equals ``threshold``.
 
-    The centre magnitude decreases monotonically from 1 (p -> 0) to 0
-    (p = 1); the root is found by bisection on the numerically computed
-    ellipsoid centre, not on a closed form.
+    rho_qd(p) has a = b = (0, 0, 1 - p) and T = diag(-p, -p, 1 - 2p), so
+    gamma^2 = 1 / (1 - |a|^2) = 1 / (p (2 - p)) and Bob's steering centre
+    c_B = gamma^2 (b - T^T a) = gamma^2 (0, 0, 2p (1 - p)) has magnitude
+    2 (1 - p) / (2 - p) (Alice's is the same by symmetry). It falls
+    monotonically from 1 (p -> 0) to 0 (p = 1), and its inverse at
+    threshold t is p* = 2 (1 - t) / (2 - t).
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold must be in (0, 1), got {threshold}")
-
-    def centre(p: float) -> float:
-        return float(np.linalg.norm(ellipsoid_centres(to_r_picture(rho_qd(p)).r[None], Party.B)[0], axis=-1)[0])
-
-    lo, hi = 1e-6, 1.0 - 1e-12
-    if centre(lo) <= threshold:
-        raise DomainError(f"centre magnitude never exceeds threshold {threshold}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if centre(mid) > threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 2.0 * (1.0 - threshold) / (2.0 - threshold)

@@ -244,13 +244,12 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     )
 
 
-def bin_envelope(summary: SweepSummary, side: str = "B") -> list[EnvelopeRow]:
-    """Envelope table (c_mid, max_B, max_F3, count) for occupied bins.
-
-    ``side`` selects which centre magnitude the bins refer to ("B" is the
-    conventional choice). Rows come out in ascending centre order.
+def bin_envelope(summary: SweepSummary) -> list[EnvelopeRow]:
+    """Envelope table (c_mid, max_B, max_F3, count) for the occupied bins of
+    Bob's centre magnitude, in ascending centre order; the bins against
+    Alice's centre magnitude stay on ``summary.vs_ca``.
     """
-    bins_data = summary.vs_cb if side == "B" else summary.vs_ca
+    bins_data = summary.vs_cb
     bins = summary.config.bins
     rows = []
     for k in range(bins):

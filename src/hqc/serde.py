@@ -24,7 +24,6 @@ import numpy as np
 from .criteria import InaccessibilityReport
 from .ellipsoid import SteeringEllipsoid
 from .errors import ParseError
-from .families import ScanRow
 from .filtering import LocalFilter, OneSidedResult
 from .montecarlo import EnvelopeRow
 from .states import DensityMatrix, RMatrix, validate_state
@@ -172,22 +171,22 @@ def one_sided_result_to_dict(res: OneSidedResult) -> dict:
 SCAN_CSV_HEADER = "theta,p,B,F3,HBstar,HF3star,cA,cB,entangled,flags"
 
 
-def scan_rows_to_csv(rows: list[ScanRow]) -> str:
+def scan_rows_to_csv(rows: list[tuple[float, float, InaccessibilityReport]]) -> str:
     lines = [SCAN_CSV_HEADER]
-    for row in rows:
+    for theta, p, report in rows:
         lines.append(
             ",".join(
                 [
-                    _fmt(row.theta),
-                    _fmt(row.p),
-                    _fmt(row.b),
-                    _fmt(row.f3),
-                    _fmt(row.hb_star),
-                    _fmt(row.hf3_star),
-                    _fmt(row.c_a),
-                    _fmt(row.c_b),
-                    "true" if row.entangled else "false",
-                    ";".join(sorted(row.flags)),
+                    _fmt(theta),
+                    _fmt(p),
+                    _fmt(report.b),
+                    _fmt(report.f3),
+                    _fmt(report.hb_star),
+                    _fmt(report.hf3_star),
+                    _fmt(report.c_a),
+                    _fmt(report.c_b),
+                    "true" if report.entangled else "false",
+                    ";".join(sorted(report.flags)),
                 ]
             )
         )

@@ -118,8 +118,9 @@ def validate_state(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 def r_pictures(rho: np.ndarray) -> np.ndarray:
     """Pictures R[n, i, j] = Tr[(sigma_i (x) sigma_j) rho[n]] of a (n, 4, 4) batch
-    of unit-trace states, as one (n, 16) x (16, 16) product; R[n, 0, 0] is exactly 1."""
-    r = (rho.reshape(-1, 16) @ _PAULI_TABLE).real.reshape(-1, 4, 4)
+    of unit-trace states, as one (n, 16) x (16, 16) product; R[n, 0, 0] is exactly 1.
+    The result is a C-contiguous real array, not a view into the complex product."""
+    r = np.ascontiguousarray((rho.reshape(-1, 16) @ _PAULI_TABLE).real).reshape(-1, 4, 4)
     r[:, 0, 0] = 1.0
     return r
 

@@ -175,16 +175,16 @@ def test_c08_region_existence_and_centre_formula():
 
     rows_m = scan_family(Family.M, thetas, ps)
     case3 = [
-        row
-        for row in rows_m
-        if "HIDDEN_CHSH" in row.flags
-        and "B_INACCESSIBLE_CHSH" in row.flags
-        and "A_INACCESSIBLE_CHSH" not in row.flags
+        report
+        for _, _, report in rows_m
+        if "HIDDEN_CHSH" in report.flags
+        and "B_INACCESSIBLE_CHSH" in report.flags
+        and "A_INACCESSIBLE_CHSH" not in report.flags
     ]
     assert case3, "no one-party-inaccessible hidden-CHSH cells found"
 
     rows_mm = scan_family(Family.MM, thetas, ps)
-    case4 = [row for row in rows_mm if "HIDDEN_CHSH" in row.flags and "AB_INACCESSIBLE_CHSH" in row.flags]
+    case4 = [report for _, _, report in rows_mm if "HIDDEN_CHSH" in report.flags and "AB_INACCESSIBLE_CHSH" in report.flags]
     assert case4, "no both-party-inaccessible hidden-CHSH cells found"
 
     worst = 0.0

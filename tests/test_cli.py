@@ -160,6 +160,14 @@ class TestScan:
         assert doc["error"]["type"] == "DomainError"
         assert not out.exists()
 
+    def test_boundary_near_threshold_one(self, capsys, tmp_path):
+        # the centre magnitude exceeds 1 - 1e-7 only for p below about 2e-7
+        code, doc = run_cli(
+            capsys, "scan", "qd", "--p", "0.1:0.9:3", "--c-f3", "0.9999999", "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 0
+        assert 0.0 < doc["boundaries"]["f3_inaccessible_below_p"] < 1e-6
+
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "scan", "qd", "--p", "0.1:0.9:9", "--out", str(a))
@@ -310,6 +318,7 @@ class TestFilter:
             capsys, "filter", str(path), "--optimize", "A", "chsh", "--filter-a", str(path)
         )
         assert code == 2
+        assert doc["error"]["type"] == "DomainError"
 
     def test_filtered_state_written(self, capsys, tmp_path):
         path = tmp_path / "w.json"

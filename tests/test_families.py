@@ -24,6 +24,7 @@ from hqc import (
 )
 
 import hqc.families as families_mod
+from hqc.ellipsoid import ellipsoid_centres
 
 from conftest import singlet_matrix
 
@@ -126,13 +127,13 @@ class TestScan:
         ps = np.linspace(0.01, 0.99, 99)
         rows = scan_family(Family.QD, [0.0], ps)
         assert len(rows) == 99
-        for row in rows:
-            expected = 2 * (1 - row.p) / (2 - row.p) > 0.5
-            assert ("AB_INACCESSIBLE_CHSH" in row.flags) == expected
+        for _, p, report in rows:
+            expected = 2 * (1 - p) / (2 - p) > 0.5
+            assert ("AB_INACCESSIBLE_CHSH" in report.flags) == expected
 
     def test_row_ordering_theta_major(self):
         rows = scan_family(Family.MM, [0.1, 0.2], [0.3, 0.6])
-        assert [(round(r.theta, 3), round(r.p, 3)) for r in rows] == [
+        assert [(round(theta, 3), round(p, 3)) for theta, p, _ in rows] == [
             (0.1, 0.3),
             (0.1, 0.6),
             (0.2, 0.3),
@@ -160,7 +161,8 @@ class TestScan:
 
     def test_degenerate_points_carry_flags(self):
         rows = scan_family(Family.MM, [0.0], [0.5])
-        assert math.isnan(rows[0].hb_star)
+        _, _, report = rows[0]
+        assert math.isnan(report.hb_star)
 
 
 class TestBoundaries:
@@ -175,6 +177,19 @@ class TestBoundaries:
         below = centre_magnitude(compute_ellipsoid(to_r_picture(rho_qd(root - 1e-6)), Party.B))
         above = centre_magnitude(compute_ellipsoid(to_r_picture(rho_qd(root + 1e-6)), Party.B))
         assert below > 0.5 > above
+
+    @pytest.mark.parametrize(
+        "threshold, tol",
+        [(0.05, 1e-14), (0.3, 1e-14), (0.5, 1e-14), (0.66, 1e-14), (0.9, 1e-14), (0.99, 1e-14), (1 - 1e-7, 1e-9)],
+    )
+    def test_boundary_against_numeric_centres(self, threshold, tol):
+        # the closed form checked against the centres computed from the state, for both parties;
+        # near threshold 1, gamma^2 ~ 1 / (2 p*) ~ 2.5e6 amplifies the roundoff of the picture
+        r = to_r_picture(rho_qd(qd_centre_boundary(threshold))).r[None]
+        for party in Party:
+            centres, ok = ellipsoid_centres(r, party)
+            assert ok[0]
+            assert abs(float(np.linalg.norm(centres[0])) - threshold) <= tol
 
     def test_domain_checked(self):
         with pytest.raises(DomainError):

@@ -125,6 +125,15 @@ class TestRPicture:
         for k, m in enumerate(batch):
             np.testing.assert_array_equal(r[k], to_r_picture(DensityMatrix(m)).r)
 
+    def test_pictures_are_contiguous_real_arrays(self):
+        # not a strided .real view that keeps the complex product alive
+        batch = ginibre_states(SeededRng(5, 5).generator(), 8, 4)
+        r = r_pictures(batch)
+        assert r.flags["C_CONTIGUOUS"] and r.dtype == np.float64 and r.strides == (128, 32, 8)
+        assert r.base is None or r.base.dtype == np.float64
+        single = to_r_picture(DensityMatrix(batch[0])).r
+        assert single.flags["C_CONTIGUOUS"] and single.strides == (32, 8)
+
 
 class TestFromRPicture:
     def test_singlet_roundtrip(self, singlet):
