@@ -16,7 +16,6 @@ used.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -31,12 +30,11 @@ from .families import Family, qd_centre_boundary, scan_family
 from .filtering import Objective, apply_filters, identity_filter, optimize_one_sided
 from .kernels import ACTIVE_KERNEL
 from .montecarlo import DEFAULT_RANK_MIX, SweepConfig, bin_envelope, run_sweep
-from .states import DensityMatrix, from_r_picture, to_r_picture
+from .states import DEFAULT_TOL, DensityMatrix, from_r_picture, to_r_picture
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    serde.write_json(payload, sys.stdout)
 
 
 def _load_state(path: str, fmt: str, tol: float) -> DensityMatrix:
@@ -167,21 +165,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if summary.violations:
         states_dir = os.path.join(os.path.dirname(args.out_prefix) or ".", "states")
         os.makedirs(states_dir, exist_ok=True)
-        for v in summary.violations:
-            path = os.path.join(states_dir, f"violation_{v.index}.json")
-            doc = serde.state_to_dict(DensityMatrix(v.state))
-            doc["violation"] = {
-                "index": v.index,
-                "b": v.b,
-                "f3": v.f3,
-                "c_a": v.c_a,
-                "c_b": v.c_b,
-                "reasons": list(v.reasons),
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
-                fh.write("\n")
-            dump_paths.append(path)
+        dump_paths = [serde.dump_violation_json(v, states_dir) for v in summary.violations]
     _emit(
         {
             "n": config.n,
@@ -241,7 +225,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 def _add_state_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("state_file", help="input state file")
     p.add_argument("--format", choices=["json", "rcsv"], default="json", help="state file format")
-    p.add_argument("--tol", type=float, default=1e-10, help="state validation tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="state validation tolerance (positive, finite)")
 
 
 def _add_threshold_options(p: argparse.ArgumentParser) -> None:

@@ -20,6 +20,9 @@ from scipy.optimize import minimize
 from .errors import DomainError
 from .states import RMatrix, pauli_expansion
 
+GRID_DENSITY = 24  # Fibonacci-sphere points seeding the brute-force oracles
+REFINE_ITERS = 200  # Nelder-Mead iterations refining the oracles' best seed
+
 
 class SingularTriple(NamedTuple):
     """Singular values of the correlation matrix, decreasing."""
@@ -149,7 +152,7 @@ def _chsh_given_alphas(t: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray) ->
     return 0.5 * (np.linalg.norm(t.T @ (alpha1 + alpha2)) + np.linalg.norm(t.T @ (alpha1 - alpha2)))
 
 
-def brute_force_chsh(r: RMatrix, grid_density: int = 24, refine_iters: int = 200) -> float:
+def brute_force_chsh(r: RMatrix) -> float:
     """Maximise :func:`chsh_value` over the four measurement directions.
 
     Deterministic pipeline: Fibonacci-sphere seeding of Alice's pair, a
@@ -159,20 +162,17 @@ def brute_force_chsh(r: RMatrix, grid_density: int = 24, refine_iters: int = 200
     explicit unit vectors, so it can never exceed the true maximum by more
     than roundoff.
     """
-    if grid_density < 8:
-        raise DomainError(f"grid_density must be >= 8, got {grid_density}")
     t = r.t
-    pts = fibonacci_sphere(grid_density)
+    pts = fibonacci_sphere(GRID_DENSITY)
     # score every seed pair with the beta-optimised objective
     tp = pts @ t  # row k = pts[k]^T T
-    best_pairs = []
-    scores = np.empty((grid_density, grid_density))
-    for i in range(grid_density):
+    scores = np.empty((GRID_DENSITY, GRID_DENSITY))
+    for i in range(GRID_DENSITY):
         sums = np.linalg.norm(tp[i] + tp, axis=1)
         diffs = np.linalg.norm(tp[i] - tp, axis=1)
         scores[i] = 0.5 * (sums + diffs)
     flat = np.argsort(scores, axis=None)[::-1][:8]
-    best_pairs = [(pts[k // grid_density], pts[k % grid_density]) for k in flat]
+    best_pairs = [(pts[k // GRID_DENSITY], pts[k % GRID_DENSITY]) for k in flat]
 
     def seesaw(a1, a2):
         val = _chsh_given_alphas(t, a1, a2)
@@ -199,7 +199,7 @@ def brute_force_chsh(r: RMatrix, grid_density: int = 24, refine_iters: int = 200
         lambda x: -_chsh_given_alphas(t, _sph(x[:2]), _sph(x[2:])),
         x0,
         method="Nelder-Mead",
-        options={"maxiter": refine_iters, "xatol": 1e-12, "fatol": 1e-14},
+        options={"maxiter": REFINE_ITERS, "xatol": 1e-12, "fatol": 1e-14},
     )
     if -res.fun > best_val:
         best_a1, best_a2 = _sph(res.x[:2]), _sph(res.x[2:])
@@ -217,7 +217,7 @@ def _rotation_from_rotvec(p: np.ndarray) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * kx + (1.0 - math.cos(theta)) * (kx @ kx)
 
 
-def brute_force_f3(r: RMatrix, grid_density: int = 24, refine_iters: int = 200) -> float:
+def brute_force_f3(r: RMatrix) -> float:
     """Maximise the three-setting steering expression over all measurements.
 
     The expression (1/sqrt(3)) sum_k alpha_k^T T beta_k is maximised over
@@ -229,8 +229,6 @@ def brute_force_f3(r: RMatrix, grid_density: int = 24, refine_iters: int = 200) 
     problem), then Nelder-Mead refinement on a rotation-vector chart. The
     returned value is the expression evaluated at explicit unit vectors.
     """
-    if grid_density < 8:
-        raise DomainError(f"grid_density must be >= 8, got {grid_density}")
     t = r.t
     sqrt3 = math.sqrt(3.0)
 
@@ -252,7 +250,7 @@ def brute_force_f3(r: RMatrix, grid_density: int = 24, refine_iters: int = 200) 
         return val, o
 
     seeds = [np.eye(3)]
-    for axis in fibonacci_sphere(grid_density):
+    for axis in fibonacci_sphere(GRID_DENSITY):
         for angle in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
             seeds.append(_rotation_from_rotvec(axis * angle))
     ranked = sorted(seeds, key=frame_value, reverse=True)[:6]
@@ -266,7 +264,7 @@ def brute_force_f3(r: RMatrix, grid_density: int = 24, refine_iters: int = 200) 
         lambda x: -frame_value(_rotation_from_rotvec(x) @ best_o),
         np.zeros(3),
         method="Nelder-Mead",
-        options={"maxiter": refine_iters, "xatol": 1e-12, "fatol": 1e-14},
+        options={"maxiter": REFINE_ITERS, "xatol": 1e-12, "fatol": 1e-14},
     )
     if -res.fun > best_val:
         best_o = _rotation_from_rotvec(res.x) @ best_o

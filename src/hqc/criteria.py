@@ -68,7 +68,6 @@ class OptimizerBudget:
 
     starts: int = 32
     max_iters: int = 500
-    tol: float = 1e-8
     seed: int = 0
 
 

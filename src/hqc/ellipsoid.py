@@ -21,7 +21,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
 from .states import RMatrix
 
 DEGENERACY_TOL = 1e-9  # threshold on 1 - |steering Bloch|^2 below which the marginal counts as pure
@@ -46,7 +45,7 @@ class SteeringEllipsoid:
     degenerate: bool
 
 
-def _steering(r: np.ndarray, party: Party, tol: float) -> tuple[np.ndarray, ...]:
+def _steering(r: np.ndarray, party: Party) -> tuple[np.ndarray, ...]:
     """(steer, steered, t, gamma_sq, centres, ok) for ``party``'s ellipsoids of a
     (n, 4, 4) batch: the steering and steered Bloch vectors, T with the steering
     index first, gamma^2 (1 where ``ok`` is False) and the output of
@@ -58,32 +57,30 @@ def _steering(r: np.ndarray, party: Party, tol: float) -> tuple[np.ndarray, ...]
     # of einsum and matmul can depend on a row's batch, strides or memory alignment
     weighted = sum(steer[:, i, None] * r[:, i + 1] for i in range(3))
     denom = 1.0 - weighted[:, 0]
-    ok = denom > tol
+    ok = denom > DEGENERACY_TOL
     gamma_sq = 1.0 / np.where(ok, denom, 1.0)
     centres = gamma_sq[:, None] * (steered - weighted[:, 1:])
     return steer, steered, t, gamma_sq, np.where(ok[:, None], centres, steered), ok
 
 
-def ellipsoid_centres(r: np.ndarray, party: Party, tol: float = DEGENERACY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def ellipsoid_centres(r: np.ndarray, party: Party) -> tuple[np.ndarray, np.ndarray]:
     """Centres of ``party``'s ellipsoids for a (n, 4, 4) batch of pictures.
 
     Returns ``(centres, ok)``: ``ok`` marks the samples whose steering
-    marginal is not pure (1 - |steering Bloch|^2 > ``tol``); where it is
+    marginal is not pure (1 - |steering Bloch|^2 > DEGENERACY_TOL); where it is
     pure, the centre is the steered party's Bloch vector, the
     point-ellipsoid convention.
     """
-    return _steering(r, party, tol)[4:]
+    return _steering(r, party)[4:]
 
 
-def compute_ellipsoid(r: RMatrix, party: Party, tol: float = DEGENERACY_TOL) -> SteeringEllipsoid:
+def compute_ellipsoid(r: RMatrix, party: Party) -> SteeringEllipsoid:
     """Steering ellipsoid of ``party`` for the state with picture ``r``.
 
-    ``tol`` is the degeneracy threshold on 1 - |steering Bloch|^2; below
-    it the point-ellipsoid convention applies (flag, never an error).
+    Where 1 - |steering Bloch|^2 is at most DEGENERACY_TOL the
+    point-ellipsoid convention applies (flag, never an error).
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    steer, steered, t, gamma_sq, centre, ok = (v[0] for v in _steering(r.r[None], party, tol))
+    steer, steered, t, gamma_sq, centre, ok = (v[0] for v in _steering(r.r[None], party))
     if not ok:
         return SteeringEllipsoid(
             centre=centre,

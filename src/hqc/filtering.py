@@ -60,11 +60,12 @@ from scipy.optimize import minimize
 from .correlations import svd_maxima
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
-from .states import SIGMA, DensityMatrix, RMatrix, to_r_picture, validate_state
+from .states import SIGMA, DensityMatrix, RMatrix, SeededRng, to_r_picture, validate_state
 
 _ETA_SIGNS = np.outer([1, -1, -1, -1], [1, -1, -1, -1])  # eta R eta = R * _ETA_SIGNS for eta = diag(1, -1, -1, -1)
 
 SCALE_FLOOR = 1e-4  # lower bound on the filter's small singular value during optimisation
+FATOL = 1e-11  # Nelder-Mead's stopping tolerance on the objective, per start
 
 
 class Objective(Enum):
@@ -267,7 +268,6 @@ def optimize_one_sided(
     objective: Objective,
     starts: int = 32,
     max_iters: int = 500,
-    tol: float = 1e-8,
     seed: int = 0,
 ) -> OneSidedResult:
     """Maximise the filtered CHSH/F3 optimum over one party's filters.
@@ -278,10 +278,10 @@ def optimize_one_sided(
     such an h, and the unitary cannot change the maximum, so the three
     parameters reach every one-sided value. Start 0 is the identity
     filter, so the result never falls below the unfiltered value. Start
-    seeds are deterministic in (seed, start index) and ties resolve to the
-    lowest start index. The search stops early once a start reaches the
-    quantum maximum; ``starts_used`` counts the starts run and
-    ``evaluations`` their objective evaluations.
+    k draws from ``SeededRng(seed, k)``, so a seed must be non-negative,
+    and ties resolve to the lowest start index. The search stops early
+    once a start reaches the quantum maximum; ``starts_used`` counts the
+    starts run and ``evaluations`` their objective evaluations.
 
     Each evaluation works on rho's correlation picture R, computed once:
     the candidate's boost L(d, n) (see the module docstring) is applied to
@@ -299,6 +299,7 @@ def optimize_one_sided(
     """
     if starts < 1:
         raise DomainError(f"starts must be >= 1, got {starts}")
+    SeededRng(seed)  # rejects a negative seed, even when no start draws from it
     maxval = math.sqrt(2.0) if objective is Objective.CHSH else math.sqrt(3.0)
     r0 = to_r_picture(rho).r
 
@@ -314,7 +315,7 @@ def optimize_one_sided(
         if start == 0:
             x0 = np.array([1.0, 0.0, 0.0])
         else:
-            gen = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(start,)))
+            gen = SeededRng(seed, start).generator()
             d, th = gen.uniform(0.05, 1.0), gen.uniform(0.0, math.pi / 2)
             ph, ps = gen.uniform(-math.pi, math.pi), gen.uniform(-math.pi, math.pi)
             # the former chart diag(d, 1) . V(th, ph, ps) boosts along (2 th, ph - ps): each start keeps its point
@@ -324,7 +325,7 @@ def optimize_one_sided(
             x0,
             method="Nelder-Mead",
             bounds=bounds,
-            options={"maxiter": max_iters, "xatol": 1e-9, "fatol": tol * 1e-3},
+            options={"maxiter": max_iters, "xatol": 1e-9, "fatol": FATOL},
         )
         converged = converged or bool(res.success)
         evaluations += int(res.nfev)

@@ -58,9 +58,10 @@ class SweepConfig:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
         if self.chunk_size < 1:
             raise DomainError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        SeededRng(self.seed)  # rejects a negative seed, even when no chunk draws from it
         mix = np.asarray(self.rank_mix, dtype=float)
-        if mix.shape != (4,) or mix.min() < 0 or mix.sum() <= 0:
-            raise DomainError(f"rank_mix must be 4 nonnegative weights with positive sum, got {self.rank_mix}")
+        if mix.shape != (4,) or not np.isfinite(mix).all() or mix.min() < 0 or mix.sum() <= 0:
+            raise DomainError(f"rank_mix must be 4 finite nonnegative weights with positive sum, got {self.rank_mix}")
 
 
 @dataclass(frozen=True)
@@ -168,18 +169,12 @@ def _violations_in_chunk(
 ) -> list[Violation]:
     tol = VIOLATION_TOL
     th = config.thresholds
-    checks = {
-        "chsh_bound_cB": ok_b & (b > conjecture_bound_chsh(c_b) + tol),
-        "chsh_bound_cA": ok_a & (b > conjecture_bound_chsh(c_a) + tol),
-        "chsh_above_threshold_cB": ok_b & (b > 1.0 + tol) & (c_b > th.c_chsh),
-        "chsh_above_threshold_cA": ok_a & (b > 1.0 + tol) & (c_a > th.c_chsh),
-        "f3_above_threshold_cB": ok_b & (f3 > 1.0 + tol) & (c_b > th.c_f3),
-        "f3_above_threshold_cA": ok_a & (f3 > 1.0 + tol) & (c_a > th.c_f3),
-    }
-    any_bad = np.zeros(len(b), dtype=bool)
-    for mask in checks.values():
-        any_bad |= mask
-    bad = np.nonzero(any_bad)[0]
+    checks = {}
+    for side, c, ok in (("cB", c_b, ok_b), ("cA", c_a, ok_a)):
+        checks[f"chsh_bound_{side}"] = ok & (b > conjecture_bound_chsh(c) + tol)
+        checks[f"chsh_above_threshold_{side}"] = ok & (b > 1.0 + tol) & (c > th.c_chsh)
+        checks[f"f3_above_threshold_{side}"] = ok & (f3 > 1.0 + tol) & (c > th.c_f3)
+    bad = np.nonzero(np.logical_or.reduce(list(checks.values())))[0]
     out = []
     for local, rho in zip(bad, states_from_factors(g[bad])):
         out.append(

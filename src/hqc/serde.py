@@ -3,6 +3,9 @@
 Formats:
 
 * State JSON: ``{"dim": [2, 2], "matrix": [[{"re": x, "im": y}, ...4], ...4]}``
+* Violation dump ``states/violation_<index>.json``: the state JSON of a
+  sweep's would-be counterexample plus a ``violation`` block
+  ``{"index", "b", "f3", "c_a", "c_b", "reasons"}``.
 * Correlation-picture CSV ("rcsv"): 4 rows of 4 comma-separated reals.
 * Filter JSON: ``{"f": [[{"re": x, "im": y}, ...2], ...2]}``
 * Scan CSV header: ``theta,p,B,F3,HBstar,HF3star,cA,cB,entangled,flags``
@@ -10,14 +13,16 @@ Formats:
 * Envelope CSV header: ``c_mid,max_B,max_F3,count``.
 
 All floats are written with :func:`repr`, which preserves the full 17
-significant digits of information needed for exact round-tripping.
+significant digits of information needed for exact round-tripping; every
+JSON document, stdout included, goes through :func:`write_json`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+import os
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -25,8 +30,8 @@ from .criteria import InaccessibilityReport
 from .ellipsoid import SteeringEllipsoid
 from .errors import ParseError
 from .filtering import LocalFilter, OneSidedResult
-from .montecarlo import EnvelopeRow
-from .states import DensityMatrix, RMatrix, validate_state
+from .montecarlo import EnvelopeRow, Violation
+from .states import DEFAULT_TOL, DensityMatrix, RMatrix, validate_state
 
 
 def _fmt(x: float) -> str:
@@ -53,7 +58,7 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     }
 
 
-def state_from_dict(obj: Any, tol: float = 1e-10) -> DensityMatrix:
+def state_from_dict(obj: Any, tol: float = DEFAULT_TOL) -> DensityMatrix:
     if not isinstance(obj, dict):
         raise ParseError(f"state document must be an object, got {type(obj).__name__}")
     if obj.get("dim") != [2, 2]:
@@ -73,14 +78,29 @@ def _read_json(path: str) -> Any:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def load_state_json(path: str, tol: float = 1e-10) -> DensityMatrix:
+def load_state_json(path: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return state_from_dict(_read_json(path), tol)
+
+
+def write_json(doc: dict, fh: TextIO) -> None:
+    """``doc`` as JSON with one-space indents and a final newline."""
+    json.dump(doc, fh, indent=1)
+    fh.write("\n")
 
 
 def dump_state_json(rho: DensityMatrix, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(rho), fh, indent=1)
-        fh.write("\n")
+        write_json(state_to_dict(rho), fh)
+
+
+def dump_violation_json(v: Violation, directory: str) -> str:
+    """Write ``v`` to ``directory/violation_<index>.json`` and return that path."""
+    doc = state_to_dict(DensityMatrix(v.state))
+    doc["violation"] = {"index": v.index, "b": v.b, "f3": v.f3, "c_a": v.c_a, "c_b": v.c_b, "reasons": list(v.reasons)}
+    path = os.path.join(directory, f"violation_{v.index}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(doc, fh)
+    return path
 
 
 def rmatrix_to_csv(r: RMatrix) -> str:

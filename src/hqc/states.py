@@ -87,6 +87,10 @@ class SeededRng:
     seed: int
     stream: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0 or self.stream < 0:
+            raise DomainError(f"seed and stream must be >= 0, got {self.seed}, {self.stream}")
+
     def generator(self) -> np.random.Generator:
         """Fresh numpy generator for this (seed, stream) pair."""
         return np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,)))
@@ -99,8 +103,8 @@ def validate_state(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
     that fails Hermiticity, unit trace, or positivity raises the matching
     error with the measured deviation.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise DomainError(f"state must be a 4x4 matrix, got shape {m.shape}")

@@ -85,6 +85,17 @@ class TestAnalyze:
         code, doc = run_cli(capsys, "analyze", "/nonexistent/state.json")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, capsys, tmp_path, tol):
+        # a NaN or infinite tolerance would accept this unphysical matrix (b = 2 > sqrt(2))
+        bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+        path = tmp_path / "bad_state.json"
+        doc = {"dim": [2, 2], "matrix": [[{"re": z.real, "im": z.imag} for z in row] for row in bad]}
+        path.write_text(json.dumps(doc))
+        code, doc = run_cli(capsys, "analyze", str(path), "--tol", tol)
+        assert code == 2
+        assert doc["error"]["type"] == "DomainError"
+
 
 class TestCertify:
     def test_quasi_distillable(self, capsys, tmp_path):
@@ -224,6 +235,36 @@ class TestSweep:
         assert code == 0
         assert doc["metadata"]["rank_mix"]["1"] == 0.25
 
+    @pytest.mark.parametrize("mix", ["1:nan,2:1", "2:inf"])
+    def test_non_finite_rank_mix_exits_2(self, capsys, tmp_path, mix):
+        code, doc = run_cli(capsys, "sweep", "--n", "10", "--rank-mix", mix, "--out-prefix", str(tmp_path / "x_"))
+        assert code == 2
+        assert doc["error"]["type"] == "DomainError"
+
+
+class TestNegativeSeed:
+    # rejected before any work, including the calls that draw nothing from the seed
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["sweep", "--n", "10", "--seed", "-1"], None),
+            (["sweep", "--n", "10"], "-3"),
+            (["sweep", "--n", "0", "--seed", "-1"], None),
+            (["filter", "STATE", "--optimize", "A", "chsh", "--starts", "2", "--seed", "-1"], None),
+            (["filter", "STATE", "--optimize", "A", "chsh", "--starts", "1", "--seed", "-1"], None),
+        ],
+        ids=["sweep", "sweep-env", "sweep-n0", "filter", "filter-one-start"],
+    )
+    def test_exits_2(self, capsys, tmp_path, monkeypatch, singlet_file, argv, env):
+        if env is not None:
+            monkeypatch.setenv("HQC_SEED", env)
+        argv = [singlet_file if a == "STATE" else a for a in argv]
+        if argv[0] == "sweep":
+            argv += ["--out-prefix", str(tmp_path / "neg_")]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert doc["error"]["type"] == "DomainError"
+
 
 class TestSweepCounterexamplePath:
     def test_exit_3_and_dump_on_violation(self, capsys, tmp_path, monkeypatch):
@@ -250,10 +291,13 @@ class TestSweepCounterexamplePath:
         assert doc["violations"] == 1
         dump_path = os.path.join(str(tmp_path), "states", "violation_5.json")
         assert os.path.exists(dump_path)
+        assert doc["violation_dumps"] == [dump_path]
         with open(dump_path) as fh:
             dumped = json.load(fh)
-        assert dumped["violation"]["reasons"] == ["chsh_bound_cB"]
-        assert dumped["matrix"][0][0]["re"] == pytest.approx(0.25)
+        assert dumped["violation"] == {
+            "index": 5, "b": 1.5, "f3": 1.6, "c_a": 0.7, "c_b": 0.7, "reasons": ["chsh_bound_cB"],
+        }
+        assert serde.load_state_json(dump_path).matrix.tobytes() == state.tobytes()
 
 
 class TestFilter:

@@ -198,12 +198,6 @@ class TestBruteForceOracles:
             assert bf3 <= f3 + 1e-9
             assert bf3 == pytest.approx(f3, abs=1e-6)
 
-    def test_grid_density_check(self, singlet):
-        with pytest.raises(DomainError):
-            brute_force_chsh(to_r_picture(singlet), grid_density=4)
-        with pytest.raises(DomainError):
-            brute_force_f3(to_r_picture(singlet), grid_density=4)
-
 
 @st.composite
 def unit_vectors(draw):

@@ -5,7 +5,6 @@ import pytest
 
 from hqc import (
     DegenerateEllipsoid,
-    DomainError,
     Party,
     SeededRng,
     apply_one_sided,
@@ -104,10 +103,6 @@ class TestComputeEllipsoid:
             assert np.abs(e.q - e.q.T).max() <= 1e-10
             assert np.linalg.eigvalsh(e.q).min() >= -1e-10
             assert e.semiaxes[0] >= e.semiaxes[1] >= e.semiaxes[2] >= 0
-
-    def test_bad_tolerance(self, singlet):
-        with pytest.raises(DomainError):
-            compute_ellipsoid(to_r_picture(singlet), Party.B, tol=-1.0)
 
     def test_bloch_ball_containment(self):
         # the whole ellipsoid must fit inside the unit ball; note that

@@ -19,8 +19,11 @@ class TestConfig:
             SweepConfig(n=10, bins=0)
         with pytest.raises(DomainError):
             SweepConfig(n=10, workers=0)
+        for mix in [(0, 0, 0, 0), (math.nan, 1, 0, 0), (0, math.inf, 0, 0)]:
+            with pytest.raises(DomainError):
+                SweepConfig(n=10, rank_mix=mix)
         with pytest.raises(DomainError):
-            SweepConfig(n=10, rank_mix=(0, 0, 0, 0))
+            SweepConfig(n=0, seed=-1)
 
 
 class TestRunSweep:

@@ -81,8 +81,9 @@ class TestValidateState:
             validate_state(np.eye(3) / 3)
 
     def test_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            validate_state(np.eye(4) / 4, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                validate_state(np.eye(4) / 4, tol=tol)
 
 
 class TestRPicture:
@@ -190,6 +191,11 @@ class TestSampling:
         a = sample_state(SeededRng(7, 0))
         b = sample_state(SeededRng(7, 1))
         assert np.abs(a.matrix - b.matrix).max() > 1e-3
+
+    def test_negative_seed_or_stream_rejected(self):
+        for seed, stream in ((-1, 0), (0, -1)):
+            with pytest.raises(DomainError):
+                SeededRng(seed, stream)
 
     def test_batch_deterministic(self):
         a = ginibre_states(SeededRng(7, 0).generator(), 3, 4)
