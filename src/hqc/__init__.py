@@ -19,7 +19,6 @@ from .correlations import (
 )
 from .criteria import (
     InaccessibilityReport,
-    OptimizerBudget,
     Thresholds,
     certify_inaccessible,
     classify,

@@ -229,8 +229,8 @@ def _add_state_input_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_threshold_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c-chsh", type=float, default=0.5, help="CHSH centre threshold")
-    p.add_argument("--c-f3", type=float, default=0.66, help="F3 centre threshold")
+    p.add_argument("--c-chsh", type=float, default=Thresholds.c_chsh, help="CHSH centre threshold")
+    p.add_argument("--c-f3", type=float, default=Thresholds.c_f3, help="F3 centre threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:

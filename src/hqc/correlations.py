@@ -4,7 +4,9 @@ The CHSH expression is normalised so the classical bound is 1 and the
 quantum maximum is sqrt(2); the F3 steering expression (Bob measuring the
 three Pauli operators) has classical bound 1 and quantum maximum sqrt(3).
 The closed-form maxima are functions of the singular values of the
-correlation matrix T; the brute-force routines maximise the raw
+correlation matrix T, and :func:`chsh_f3_maxima` is their one expression:
+the sweep, ``classify_batch``, the one-sided optimiser, :func:`chsh_max`
+and :func:`f3_max` all read it. The brute-force routines maximise the raw
 expressions over explicit measurement directions and exist to cross-check
 the closed forms independently.
 """
@@ -20,6 +22,8 @@ from scipy.optimize import minimize
 from .errors import DomainError
 from .states import RMatrix, pauli_expansion
 
+SQRT2 = math.sqrt(2.0)  # quantum maximum of CHSH
+SQRT3 = math.sqrt(3.0)  # quantum maximum of F3, and its normalisation
 GRID_DENSITY = 24  # Fibonacci-sphere points seeding the brute-force oracles
 REFINE_ITERS = 200  # Nelder-Mead iterations refining the oracles' best seed
 
@@ -60,35 +64,29 @@ def chsh_value(r: RMatrix, a1, a2, b1, b2) -> float:
     )
 
 
-def svd_maxima(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CHSH and F3 maxima and the singular values of a (..., 3, 3) stack of correlation matrices.
+def chsh_f3_maxima(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CHSH and F3 maxima of a (..., 3, 3) stack of correlation matrices.
 
-    From one batched SVD, B = sqrt(s1^2 + s2^2) with ``float_power`` squares and F3 = sqrt(s . s). This is
-    the expression chsh_max, f3_max, the one-sided optimiser and ``classify_batch`` read. Its roundoff is
-    pinned because the optimiser's Nelder-Mead path, and the filter it reports, follow every last bit.
+    The squared singular values of T are the eigenvalues w1 <= w2 <= w3 of
+    T T^T, so B = sqrt(w2 + w3) (Horodecki, Horodecki & Horodecki, PLA 200,
+    340, 1995) and F3 = sqrt(w1 + w2 + w3) (Costa & Angelo, PRA 93,
+    020103(R), 2016), from one batched symmetric eigensolve. Each row's bits
+    do not depend on the rest of the stack. The optimiser's Nelder-Mead path,
+    and the filter it reports, follow every last bit of this expression.
     """
-    s = np.linalg.svd(t, compute_uv=False)
-    sq = np.float_power(s, 2)
-    return np.sqrt(sq[..., 0] + sq[..., 1]), np.sqrt(np.vecdot(s, s)), s
+    w = np.maximum(np.linalg.eigvalsh(t @ t.mT), 0.0)
+    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+    return np.sqrt(w3 + w2), np.sqrt(w1 + w2 + w3)
 
 
 def chsh_max(r: RMatrix) -> tuple[float, SingularTriple]:
-    """Closed-form CHSH maximum sqrt(s1^2 + s2^2) over all measurements, with T's singular values."""
-    b, _, s = svd_maxima(r.t)
-    return float(b), SingularTriple(*s.tolist())
+    """Closed-form CHSH maximum sqrt(s1^2 + s2^2) over all measurements, with T's singular values.
 
-
-def chsh_f3_maxima(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CHSH and F3 maxima for a (n, 3, 3) batch of correlation matrices, by the Gram route.
-
-    The squared singular values are the eigenvalues w1 <= w2 <= w3 of T T^T,
-    so B = sqrt(w2 + w3) and F3 = sqrt(w1 + w2 + w3). The sweep kernel keeps
-    this route rather than :func:`svd_maxima`: on a 65,536-state chunk (2
-    cores) it took 80-96 ms and the SVD route 159-170 ms. The two routes
-    agree to roundoff, not to the bit.
+    B comes from :func:`chsh_f3_maxima`; the singular values come from an SVD
+    of T, which keeps the small ones to roundoff (the Gram eigenvalues lose
+    them to about 1e-8 on product states).
     """
-    w = np.clip(np.linalg.eigvalsh(t @ t.transpose(0, 2, 1)), 0.0, None)
-    return np.sqrt(w[:, 2] + w[:, 1]), np.sqrt(w.sum(axis=1))
+    return float(chsh_f3_maxima(r.t)[0]), SingularTriple(*np.linalg.svd(r.t, compute_uv=False).tolist())
 
 
 def f3_value(r: RMatrix, a1, a2, a3) -> float:
@@ -98,12 +96,12 @@ def f3_value(r: RMatrix, a1, a2, a3) -> float:
     for k, alpha in enumerate((a1, a2, a3)):
         alpha = _unit(alpha, f"a{k + 1}")
         total += float(alpha @ r.t[:, k])
-    return total / math.sqrt(3.0)
+    return total / SQRT3
 
 
 def f3_max(r: RMatrix) -> float:
     """Closed-form F3 maximum sqrt(s1^2 + s2^2 + s3^2) (= ||T||_F)."""
-    return float(svd_maxima(r.t)[1])
+    return float(chsh_f3_maxima(r.t)[1])
 
 
 def ppt_test(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,10 +228,9 @@ def brute_force_f3(r: RMatrix) -> float:
     returned value is the expression evaluated at explicit unit vectors.
     """
     t = r.t
-    sqrt3 = math.sqrt(3.0)
 
     def frame_value(o: np.ndarray) -> float:
-        return float(np.linalg.norm(t @ o, axis=0).sum()) / sqrt3
+        return float(np.linalg.norm(t @ o, axis=0).sum()) / SQRT3
 
     def seesaw(o: np.ndarray) -> tuple[float, np.ndarray]:
         val = frame_value(o)
@@ -274,4 +271,4 @@ def brute_force_f3(r: RMatrix) -> float:
         beta = _unit(best_o[:, k], f"b{k + 1}")
         alpha = _unit(_safe_normalize(t @ beta, beta), f"a{k + 1}")
         total += float(alpha @ t @ beta)
-    return total / sqrt3
+    return total / SQRT3

@@ -13,7 +13,7 @@ numerically (see the montecarlo module) but unproven; reports carry a
 Certification is one-sided evidence: ``True`` means "certified
 inaccessible (modulo the conjecture)", ``False`` means "not certified",
 never "accessible". Accessibility claims require an explicit optimiser
-witness.
+witness (:func:`hqc.filtering.optimize_one_sided`).
 
 :func:`classify_batch` reports on a (n, 4, 4) stack of pictures with one
 batched call per quantity; :func:`classify` is a batch of one.
@@ -22,19 +22,17 @@ batched call per quantity; :func:`classify` is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-from .correlations import ppt_entangled, ppt_test, svd_maxima  # noqa: F401 (ppt_entangled: a span target in hqcbench)
+from .correlations import SQRT2, SQRT3, chsh_f3_maxima, ppt_test
+from .correlations import ppt_entangled  # noqa: F401 (a span target in hqcbench)
 from .ellipsoid import Party, centre_magnitude, compute_ellipsoid, ellipsoid_centres
 from .errors import DomainError
-from .filtering import Objective, hidden_values, optimize_one_sided
-from .states import RMatrix, from_r_picture
-
-SQRT2 = math.sqrt(2.0)
-SQRT3 = math.sqrt(3.0)
+from .filtering import Objective, hidden_values
+from .states import RMatrix, from_r_picture  # noqa: F401 (from_r_picture: a span target in hqcbench)
 
 # strict margin above the classical bound, to avoid flag flapping at 1
 VIOLATION_MARGIN = 1e-8
@@ -63,15 +61,6 @@ class Thresholds:
 
 
 @dataclass(frozen=True)
-class OptimizerBudget:
-    """Search budget for optional one-sided accessibility witnesses: optimize_one_sided's keywords."""
-
-    starts: int = 32
-    max_iters: int = 500
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class InaccessibilityReport:
     """Per-state correlation values, centre magnitudes, and case flags.
 
@@ -86,9 +75,6 @@ class InaccessibilityReport:
       certified unable to reveal any violation alone (cases 3-4 evidence).
     * ``AB_INACCESSIBLE_CHSH``: both certificates hold (case 4; case 5
       when combined with MAXIMAL).
-    * ``A_ACCESSIBLE_WITNESSED_CHSH`` etc. (only with an optimiser
-      budget): the named party's one-sided optimiser exceeded the
-      classical bound, witnessing accessibility.
 
     Normalisation note: some summaries quote the maximal hidden CHSH value
     as "2", which refers to the unnormalised Bell operator whose classical
@@ -145,13 +131,13 @@ def certify_inaccessible(r: RMatrix, target_party: Party, objective: Objective, 
 def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[InaccessibilityReport]:
     """Reports for a (n, 4, 4) stack of pictures of validated states, one per row.
 
-    Each quantity comes from one batched call for the whole stack: one SVD for
-    B and F3, one normal-form eigensolve for both hidden values (NaN rows where
-    the normal form vanishes), one eigensolve for PPT and one call per party
-    for the centres. An unphysical spectrum in any row raises ComplexSpectrum.
+    Each quantity comes from one batched call for the whole stack: one T T^T
+    eigensolve for B and F3, one normal-form eigensolve for both hidden
+    values (NaN rows where the normal form vanishes), one eigensolve for PPT
+    and one call per party for the centres. An unphysical spectrum in any row raises ComplexSpectrum.
     """
     th = th or Thresholds()
-    b, f3, _ = svd_maxima(r[:, 1:, 1:])
+    b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
     hb, hf3 = hidden_values(r)
     c_a, c_b = (np.linalg.norm(ellipsoid_centres(r, party)[0], axis=-1) for party in (Party.A, Party.B))
     entangled, _ = ppt_test(r)
@@ -175,26 +161,10 @@ def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[Inaccess
     return [InaccessibilityReport(*v, frozenset(compress(columns, row)), th, math.isnan(v[2])) for *v, row in values]
 
 
-def classify(
-    r: RMatrix,
-    th: Thresholds | None = None,
-    one_sided_budget: OptimizerBudget | None = None,
-) -> InaccessibilityReport:
+def classify(r: RMatrix, th: Thresholds | None = None) -> InaccessibilityReport:
     """Full per-state report: values, certificates, and case flags.
 
     ``r`` must be the picture of a validated state; it is not re-checked.
-    The report is :func:`classify_batch` of a batch of one; only the
-    ``one_sided_budget`` branch rebuilds rho, for the optimiser, and adds
-    its witness flags.
+    The report is :func:`classify_batch` of a batch of one.
     """
-    report = classify_batch(r.r[None], th)[0]
-    if one_sided_budget is None:
-        return report
-    rho = from_r_picture(r)
-    witnessed = {
-        f"{party.value}_ACCESSIBLE_WITNESSED_{objective.value}"
-        for party in (Party.A, Party.B)
-        for objective in (Objective.CHSH, Objective.F3)
-        if optimize_one_sided(rho, party, objective, **asdict(one_sided_budget)).value > 1.0 + 1e-6
-    }
-    return replace(report, flags=report.flags | witnessed)
+    return classify_batch(r.r[None], th)[0]

@@ -43,8 +43,8 @@ vector, and
 
 is d times a Lorentz boost of rapidity |ln d| along n. The one-sided
 optimiser therefore searches the three parameters (d, n) and evaluates a
-candidate as one 4x4 product L . R (R . L^T for Bob) and the SVD route of
-:func:`hqc.correlations.svd_maxima` on one 3x3 matrix.
+candidate as one 4x4 product L . R (R . L^T for Bob) and the T T^T
+eigensolve of :func:`hqc.correlations.chsh_f3_maxima` on one 3x3 matrix.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .correlations import svd_maxima
+from .correlations import SQRT2, SQRT3, chsh_f3_maxima
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
 from .states import SIGMA, DensityMatrix, RMatrix, SeededRng, to_r_picture, validate_state
@@ -88,6 +88,8 @@ class LocalFilter:
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"filter must be 2x2, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise DomainError("filter has non-finite entries")
         smax = float(np.linalg.svd(m, compute_uv=False)[0])
         if smax <= 0.0:
             raise DomainError("filter is the zero matrix")
@@ -246,8 +248,8 @@ def _boost(x: np.ndarray) -> np.ndarray:
 
 
 def _maximum(t: np.ndarray, objective: Objective) -> float:
-    """CHSH or F3 maximum of the correlation matrix t, by :func:`svd_maxima` as in chsh_max/f3_max."""
-    b, f3, _ = svd_maxima(t)
+    """CHSH or F3 maximum of the correlation matrix t, by :func:`chsh_f3_maxima`, the one B/F3 formula."""
+    b, f3 = chsh_f3_maxima(t)
     return float(b if objective is Objective.CHSH else f3)
 
 
@@ -286,9 +288,9 @@ def optimize_one_sided(
     Each evaluation works on rho's correlation picture R, computed once:
     the candidate's boost L(d, n) (see the module docstring) is applied to
     R, the success probability is read off its [0, 0] entry, and the
-    maximum comes from the singular values of the normalised T. No density
-    matrix is formed during the search; positivity needs no check there,
-    because a filter is a congruence of the already validated rho.
+    maximum comes from the eigenvalues of T T^T for the normalised T. No
+    density matrix is formed during the search; positivity needs no check
+    there, because a filter is a congruence of the already validated rho.
 
     The winning filter is then applied once through ``apply_one_sided``,
     whose ``validate_state`` checks the filtered state, and the value is
@@ -300,7 +302,7 @@ def optimize_one_sided(
     if starts < 1:
         raise DomainError(f"starts must be >= 1, got {starts}")
     SeededRng(seed)  # rejects a negative seed, even when no start draws from it
-    maxval = math.sqrt(2.0) if objective is Objective.CHSH else math.sqrt(3.0)
+    maxval = SQRT2 if objective is Objective.CHSH else SQRT3
     r0 = to_r_picture(rho).r
 
     def value_of(x: np.ndarray) -> float:

@@ -117,6 +117,8 @@ def rmatrix_from_csv(text: str) -> RMatrix:
         raise ParseError(f"R-matrix CSV has non-numeric entries: {exc}") from exc
     if arr.shape != (4, 4):
         raise ParseError(f"R-matrix CSV must be 4x4, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParseError("R-matrix CSV has non-finite entries")
     if abs(arr[0, 0] - 1.0) > 1e-9:
         raise ParseError(f"R[0,0] must be 1, got {arr[0, 0]!r}")
     arr[0, 0] = 1.0

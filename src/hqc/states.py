@@ -101,13 +101,16 @@ def validate_state(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
     The matrix is returned unchanged (no projection or repair): a state
     that fails Hermiticity, unit trace, or positivity raises the matching
-    error with the measured deviation.
+    error with the measured deviation; a NaN or infinite entry raises
+    DomainError.
     """
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise DomainError(f"state must be a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError("state has non-finite entries")
     herm_dev = np.abs(m - m.conj().T).max()
     if herm_dev > tol:
         raise NotHermitian(f"max |rho - rho^dag| = {herm_dev:.3e} exceeds {tol:.1e}")

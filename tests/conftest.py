@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hqc import DensityMatrix, LocalFilter, validate_state
+from hqc.states import ginibre_factors
 
 
 def singlet_matrix() -> np.ndarray:
@@ -36,6 +37,20 @@ def ket00() -> DensityMatrix:
 @pytest.fixture
 def maximally_mixed() -> DensityMatrix:
     return validate_state(np.eye(4, dtype=complex) / 4.0)
+
+
+def ginibre_and_pure_marginal_factors(gen: np.random.Generator) -> np.ndarray:
+    """Ginibre factors of 2,000 states of ranks 1-4, then of four states with pure marginals:
+    |00>, a random pure product, a pure A marginal with B mixed, and A mixed with a pure B marginal."""
+    g = ginibre_factors(gen, np.repeat(np.arange(1, 5), 500))
+    ket0 = np.array([1.0, 0.0])
+    u, v = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
+    pure = np.zeros((4, 4, 4), dtype=complex)
+    pure[0, :, 0] = np.kron(ket0, ket0)
+    pure[1, :, 0] = np.kron(u, v)
+    pure[2, :, 0], pure[2, :, 1] = np.kron(ket0, u), np.kron(ket0, v)
+    pure[3, :, 0], pure[3, :, 1] = np.kron(u, ket0), np.kron(v, ket0)
+    return np.concatenate([g, pure])
 
 
 def haar_unitary_2(gen: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,7 @@ from hqc import (
     certify_inaccessible,
     classify,
     compute_ellipsoid,
+    identity_filter,
     optimize_one_sided,
     serde,
     to_r_picture,
@@ -95,6 +96,26 @@ class TestAnalyze:
         code, doc = run_cli(capsys, "analyze", str(path), "--tol", tol)
         assert code == 2
         assert doc["error"]["type"] == "DomainError"
+
+    def test_non_finite_state_json_exits_2(self, capsys, tmp_path):
+        doc = serde.state_to_dict(rho_m(0.5, 0.8))
+        doc["matrix"][0][1]["re"] = doc["matrix"][1][0]["re"] = math.nan
+        path = tmp_path / "nan_state.json"
+        path.write_text(json.dumps(doc))  # json writes and reads NaN as a bare literal
+        code, out = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert out["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("row, col", [(1, 1), (0, 0)])
+    def test_non_finite_rcsv_exits_2(self, capsys, tmp_path, row, col):
+        # a NaN at R[0][0] passes the corner check's comparison, so it is rejected before it
+        r = to_r_picture(rho_m(0.5, 0.8)).r.copy()
+        r[row, col] = math.nan
+        path = tmp_path / "nan_state.rcsv"
+        path.write_text("\n".join(",".join(repr(float(x)) for x in line) for line in r) + "\n")
+        code, out = run_cli(capsys, "analyze", str(path), "--format", "rcsv")
+        assert code == 2
+        assert out["error"]["type"] == "ParseError"
 
 
 class TestCertify:
@@ -319,6 +340,17 @@ class TestFilter:
         code, doc = run_cli(capsys, "filter", str(state_path), "--filter-a", str(filter_path))
         assert code == 0
         assert doc["after"]["b"] == pytest.approx(doc["before"]["hb_star"], abs=1e-8)
+
+    def test_non_finite_filter_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        serde.dump_state_json(validate_state(werner_matrix(0.5)), str(path))
+        doc = serde.filter_to_dict(identity_filter())
+        doc["f"][0][1]["re"] = math.inf
+        filter_path = tmp_path / "inf_filter.json"
+        filter_path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "filter", str(path), "--filter-a", str(filter_path))
+        assert code == 2
+        assert out["error"]["type"] == "DomainError"
 
     def test_optimize_werner_pinned(self, capsys, tmp_path):
         path = tmp_path / "w.json"

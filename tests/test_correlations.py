@@ -23,9 +23,10 @@ from hqc import (
     to_r_picture,
     validate_state,
 )
-from hqc.states import ginibre_states
+from hqc.correlations import chsh_f3_maxima
+from hqc.states import RMatrix, ginibre_states, r_pictures, states_from_factors
 
-from conftest import haar_unitary_2, werner_matrix
+from conftest import ginibre_and_pure_marginal_factors, haar_unitary_2, werner_matrix
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -101,6 +102,30 @@ class TestClosedFormMaxima:
                 chsh_max(to_r_picture(rotated))[0], abs=1e-10
             )
             assert f3_max(to_r_picture(rho)) == pytest.approx(f3_max(to_r_picture(rotated)), abs=1e-10)
+
+
+class TestOneFormula:
+    def test_singular_values_of_product_states(self):
+        # T = a b^T has rank one on a pure product state: the SVD keeps the two
+        # zero singular values to roundoff, which T T^T's eigenvalues would not
+        gen = SeededRng(31, 0).generator()
+        worst = 0.0
+        for _ in range(200):
+            u, v = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
+            psi = np.kron(u / np.linalg.norm(u), v / np.linalg.norm(v))
+            r = to_r_picture(validate_state(np.outer(psi, psi.conj())))
+            s = chsh_max(r)[1]
+            expected = (np.linalg.norm(r.a) * np.linalg.norm(r.b), 0.0, 0.0)
+            worst = max(worst, *(abs(x - y) for x, y in zip(s, expected)))
+        assert worst <= 1e-15
+
+    def test_batch_rows_equal_single_calls_to_the_bit(self):
+        r = r_pictures(states_from_factors(ginibre_and_pure_marginal_factors(SeededRng(32, 0).generator())))
+        b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
+        for i, ri in enumerate(r):
+            bi, f3i = chsh_f3_maxima(ri[1:, 1:])
+            assert (b[i].tobytes(), f3[i].tobytes()) == (bi.tobytes(), f3i.tobytes()), i
+            assert (chsh_max(RMatrix(ri))[0], f3_max(RMatrix(ri))) == (float(b[i]), float(f3[i])), i
 
 
 class TestF3Value:

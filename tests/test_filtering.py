@@ -105,6 +105,13 @@ class TestLocalFilter:
         with pytest.raises(DomainError):
             LocalFilter.from_matrix(np.eye(3))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_entry_rejected(self, entry):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = entry
+        with pytest.raises(DomainError, match="non-finite"):
+            LocalFilter.from_matrix(m)
+
 
 class TestApplyFilters:
     def test_identity_filters_do_nothing(self, singlet):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hqc import Party, SweepConfig, Thresholds, bin_envelope, chsh_max, compute_ellipsoid, f3_max, run_sweep
+from hqc import Party, SweepConfig, Thresholds, bin_envelope, chsh_max, compute_ellipsoid, run_sweep
 from hqc.criteria import conjecture_bound_chsh
 from hqc.errors import DomainError
 from hqc.kernels import sweep_stats
 from hqc.montecarlo import _violations_in_chunk
-from hqc.states import DensityMatrix, SeededRng, ginibre_factors, states_from_factors, to_r_picture
+from hqc.states import DensityMatrix, SeededRng, states_from_factors, to_r_picture
+
+from conftest import ginibre_and_pure_marginal_factors
 
 
 class TestConfig:
@@ -106,27 +108,20 @@ class TestViolationMachinery:
 
 class TestKernelAgreement:
     def test_kernel_matches_scalar_api(self):
-        # The kernel's Gram-spectrum B/F3 against the per-state SVD of
-        # chsh_max/f3_max, and its centres and ok masks against
-        # compute_ellipsoid, on 2,000 Ginibre states of ranks 1-4 plus four
-        # states with pure marginals. Required 1e-12; measured 6.7e-16.
-        gen = SeededRng(1234, 0).generator()
-        g = ginibre_factors(gen, np.repeat(np.arange(1, 5), 500))
-        ket0 = np.array([1.0, 0.0])
-        u, v = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
-        pure = np.zeros((4, 4, 4), dtype=complex)
-        pure[0, :, 0] = np.kron(ket0, ket0)  # |00>
-        pure[1, :, 0] = np.kron(u, v)  # random pure product
-        pure[2, :, 0], pure[2, :, 1] = np.kron(ket0, u), np.kron(ket0, v)  # pure A marginal, mixed B
-        pure[3, :, 0], pure[3, :, 1] = np.kron(u, ket0), np.kron(v, ket0)  # mixed A, pure B marginal
-        g = np.concatenate([g, pure])
+        # The kernel's Gram-spectrum B/F3 against sqrt(s1^2 + s2^2) and
+        # sqrt(s . s) from the SVD singular values that chsh_max reports, and
+        # its centres and ok masks against compute_ellipsoid, on 2,000
+        # Ginibre states of ranks 1-4 plus four states with pure marginals.
+        # Required 1e-12; measured 6.7e-16.
+        g = ginibre_and_pure_marginal_factors(SeededRng(1234, 0).generator())
         b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g)
         assert list(ok_a[-4:]) == [False, False, True, False]
         assert list(ok_b[-4:]) == [False, False, False, True]
         for i, rho in enumerate(states_from_factors(g)):
             r = to_r_picture(DensityMatrix(rho))
-            assert b[i] == pytest.approx(chsh_max(r)[0], abs=1e-12)
-            assert f3[i] == pytest.approx(f3_max(r), abs=1e-12)
+            s = np.array(chsh_max(r)[1])
+            assert b[i] == pytest.approx(math.sqrt(s[0] ** 2 + s[1] ** 2), abs=1e-12)
+            assert f3[i] == pytest.approx(math.sqrt(s @ s), abs=1e-12)
             for c, ok, party in ((c_a, ok_a, Party.A), (c_b, ok_b, Party.B)):
                 e = compute_ellipsoid(r, party)
                 assert ok[i] == (not e.degenerate)

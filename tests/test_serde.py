@@ -68,6 +68,12 @@ class TestRMatrixCsv:
         with pytest.raises(ParseError):
             serde.rmatrix_from_csv("1,0,0,0\n0,0,0,0\n")
 
+    @pytest.mark.parametrize("corner,entry", [("nan", "0"), ("1", "nan"), ("1", "inf"), ("1", "-inf")])
+    def test_non_finite_entry_rejected(self, corner, entry):
+        # abs(nan - 1) > 1e-9 is False, so a NaN corner would otherwise pass the corner check
+        with pytest.raises(ParseError, match="non-finite"):
+            serde.rmatrix_from_csv(f"{corner},0,0,0\n0,{entry},0,0\n0,0,0,0\n0,0,0,0\n")
+
 
 class TestFilterJson:
     def test_round_trip(self):

@@ -85,6 +85,14 @@ class TestValidateState:
             with pytest.raises(DomainError):
                 validate_state(np.eye(4) / 4, tol=tol)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entry_rejected(self, entry):
+        # a NaN off the diagonal passes the Hermiticity and trace checks, so it must be caught before the eigensolve
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = entry
+        with pytest.raises(DomainError, match="non-finite"):
+            validate_state(m)
+
 
 class TestRPicture:
     def test_singlet(self, singlet):
