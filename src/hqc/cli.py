@@ -16,6 +16,7 @@ used.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -233,6 +234,7 @@ def _add_threshold_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-f3", type=float, default=Thresholds.c_f3, help="F3 centre threshold")
 
 
+@functools.cache  # built once per process; --seed still reads HQC_SEED at each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hqc",
@@ -291,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (HqcError, OSError) as exc:

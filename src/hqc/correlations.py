@@ -8,7 +8,8 @@ correlation matrix T, and :func:`chsh_f3_maxima` is their one expression:
 the sweep, ``classify_batch``, the one-sided optimiser, :func:`chsh_max`
 and :func:`f3_max` all read it. The brute-force routines maximise the raw
 expressions over explicit measurement directions and exist to cross-check
-the closed forms independently.
+the closed forms independently; their last refinement step is the package's
+own Nelder-Mead, :func:`hqc.neldermead.minimize`.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError
+from .neldermead import minimize
 from .states import RMatrix, pauli_expansion
 
 SQRT2 = math.sqrt(2.0)  # quantum maximum of CHSH
@@ -194,10 +195,7 @@ def brute_force_chsh(r: RMatrix) -> float:
 
     x0 = np.concatenate([_angles_of(best_a1), _angles_of(best_a2)])
     res = minimize(
-        lambda x: -_chsh_given_alphas(t, _sph(x[:2]), _sph(x[2:])),
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": REFINE_ITERS, "xatol": 1e-12, "fatol": 1e-14},
+        lambda x: -_chsh_given_alphas(t, _sph(x[:2]), _sph(x[2:])), x0, max_iters=REFINE_ITERS, xatol=1e-12, fatol=1e-14
     )
     if -res.fun > best_val:
         best_a1, best_a2 = _sph(res.x[:2]), _sph(res.x[2:])
@@ -206,7 +204,8 @@ def brute_force_chsh(r: RMatrix) -> float:
     return chsh_value(r, best_a1, best_a2, b1, b2)
 
 
-def _rotation_from_rotvec(p: np.ndarray) -> np.ndarray:
+def _rotation_from_rotvec(p: np.ndarray | tuple[float, float, float]) -> np.ndarray:
+    p = np.asarray(p)
     theta = np.linalg.norm(p)
     if theta < 1e-14:
         return np.eye(3)
@@ -259,9 +258,10 @@ def brute_force_f3(r: RMatrix) -> float:
 
     res = minimize(
         lambda x: -frame_value(_rotation_from_rotvec(x) @ best_o),
-        np.zeros(3),
-        method="Nelder-Mead",
-        options={"maxiter": REFINE_ITERS, "xatol": 1e-12, "fatol": 1e-14},
+        (0.0, 0.0, 0.0),
+        max_iters=REFINE_ITERS,
+        xatol=1e-12,
+        fatol=1e-14,
     )
     if -res.fun > best_val:
         best_o = _rotation_from_rotvec(res.x) @ best_o

@@ -45,6 +45,8 @@ is d times a Lorentz boost of rapidity |ln d| along n. The one-sided
 optimiser therefore searches the three parameters (d, n) and evaluates a
 candidate as one 4x4 product L . R (R . L^T for Bob) and the T T^T
 eigensolve of :func:`hqc.correlations.chsh_f3_maxima` on one 3x3 matrix.
+Its search is the package's own bounded Nelder-Mead,
+:func:`hqc.neldermead.minimize`, bound here as ``minimize``.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .correlations import SQRT2, SQRT3, chsh_f3_maxima
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
+from .neldermead import minimize
 from .states import SIGMA, DensityMatrix, RMatrix, SeededRng, to_r_picture, validate_state
 
 _ETA_SIGNS = np.outer([1, -1, -1, -1], [1, -1, -1, -1])  # eta R eta = R * _ETA_SIGNS for eta = diag(1, -1, -1, -1)
@@ -225,15 +227,15 @@ def _direction(th: float, ph: float) -> tuple[float, float, float]:
     return st * math.cos(ph), st * math.sin(ph), math.cos(th)
 
 
-def _filter_from_params(x: np.ndarray) -> np.ndarray:
+def _filter_from_params(x: tuple[float, float, float]) -> np.ndarray:
     """The Hermitian filter h(d, n) = d P_n + P_-n = ((1 + d) 1 + (d - 1) n . sigma) / 2."""
     d, th, ph = x
     return 0.5 * ((1.0 + d) * SIGMA[0] + (d - 1.0) * np.tensordot(_direction(th, ph), SIGMA[1:], 1))
 
 
-def _boost(x: np.ndarray) -> np.ndarray:
+def _boost(x: tuple[float, float, float]) -> np.ndarray:
     """Lorentz boost L(d, n) of the filter h(d, n), n at polar angle theta and azimuth phi."""
-    d, th, ph = x.tolist()  # Python floats: the same bits as numpy scalars, at half the cost of this call
+    d, th, ph = x
     n1, n2, n3 = _direction(th, ph)
     c, s = 0.5 * (d * d + 1.0), 0.5 * (d * d - 1.0)
     e = c - d
@@ -274,14 +276,15 @@ def optimize_one_sided(
 ) -> OneSidedResult:
     """Maximise the filtered CHSH/F3 optimum over one party's filters.
 
-    Multi-start Nelder-Mead over x = (d, theta, phi): the Hermitian filter
-    h(d, n) of the module docstring, with d in [SCALE_FLOOR, 1] and n at
-    polar angle theta and azimuth phi. Every filter is a unitary times
-    such an h, and the unitary cannot change the maximum, so the three
-    parameters reach every one-sided value. Start 0 is the identity
-    filter, so the result never falls below the unfiltered value. Start
-    k draws from ``SeededRng(seed, k)``, so a seed must be non-negative,
-    and ties resolve to the lowest start index. The search stops early
+    Multi-start Nelder-Mead (:func:`hqc.neldermead.minimize`, at most
+    ``max_iters >= 1`` iterations a start) over x = (d, theta, phi): the
+    Hermitian filter h(d, n) of the module docstring, with d in
+    [SCALE_FLOOR, 1] and n at polar angle theta and azimuth phi. Every
+    filter is a unitary times such an h, and the unitary cannot change
+    the maximum, so the three parameters reach every one-sided value.
+    Start 0 is the identity filter, so the result never falls below the
+    unfiltered value. Start k draws from ``SeededRng(seed, k)``, so a seed
+    must be non-negative, and ties resolve to the lowest start index. The search stops early
     once a start reaches the quantum maximum; ``starts_used`` counts the
     starts run and ``evaluations`` their objective evaluations.
 
@@ -301,36 +304,32 @@ def optimize_one_sided(
     """
     if starts < 1:
         raise DomainError(f"starts must be >= 1, got {starts}")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     SeededRng(seed)  # rejects a negative seed, even when no start draws from it
     maxval = SQRT2 if objective is Objective.CHSH else SQRT3
     r0 = to_r_picture(rho).r
 
-    def value_of(x: np.ndarray) -> float:
+    def value_of(x: tuple[float, float, float]) -> float:
         return _filtered_value(r0, _boost(x), party, objective)
 
     bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
-    best_x = np.array([1.0, 0.0, 0.0])
-    best_val = value_of(best_x)
+    identity = (1.0, 0.0, 0.0)  # d = 1
+    best_x, best_val = identity, value_of(identity)
     converged = False
     evaluations = 0
     for start in range(starts):
         if start == 0:
-            x0 = np.array([1.0, 0.0, 0.0])
+            x0 = identity
         else:
             gen = SeededRng(seed, start).generator()
             d, th = gen.uniform(0.05, 1.0), gen.uniform(0.0, math.pi / 2)
             ph, ps = gen.uniform(-math.pi, math.pi), gen.uniform(-math.pi, math.pi)
             # the former chart diag(d, 1) . V(th, ph, ps) boosts along (2 th, ph - ps): each start keeps its point
-            x0 = np.array([d, 2.0 * th, ph - ps])
-        res = minimize(
-            lambda x: -value_of(x),
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxiter": max_iters, "xatol": 1e-9, "fatol": FATOL},
-        )
-        converged = converged or bool(res.success)
-        evaluations += int(res.nfev)
+            x0 = (d, 2.0 * th, ph - ps)
+        res = minimize(lambda x: -value_of(x), x0, bounds=bounds, max_iters=max_iters, xatol=1e-9, fatol=FATOL)
+        converged = converged or res.success
+        evaluations += res.nfev
         if -res.fun > best_val + 1e-15:
             best_val, best_x = -res.fun, res.x
         if best_val >= maxval - 1e-12:

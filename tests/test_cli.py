@@ -410,3 +410,13 @@ class TestFilter:
         code, doc = run_cli(capsys, "filter", str(path), "--optimize", "C", "chsh")
         assert code == 2
         assert doc["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("max_iters", ["0", "-5"])
+    def test_optimize_rejects_max_iters_below_one(self, capsys, tmp_path, max_iters):
+        path = tmp_path / "m.json"
+        serde.dump_state_json(rho_m(0.5, 0.8), str(path))
+        code, doc = run_cli(
+            capsys, "filter", str(path), "--optimize", "A", "chsh", "--starts", "2", "--max-iters", max_iters
+        )
+        assert code == 2
+        assert doc["error"]["type"] == "DomainError"
