@@ -20,12 +20,11 @@ from .correlations import (
 from .criteria import (
     InaccessibilityReport,
     Thresholds,
-    certify_inaccessible,
     classify,
     classify_batch,
     conjecture_bound_chsh,
 )
-from .ellipsoid import Party, SteeringEllipsoid, centre_magnitude, compute_ellipsoid
+from .ellipsoid import Party, SteeringEllipsoid, compute_ellipsoid
 from .errors import (
     ComplexSpectrum,
     DegenerateEllipsoid,

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: ``analyze`` (full report for one state), ``certify``
-(one-sided inaccessibility certificate), ``scan`` (family grid scan to
+(one-sided inaccessibility certificate: one ``{A,B}_INACCESSIBLE_*`` flag
+of :func:`hqc.criteria.classify`), ``scan`` (family grid scan to
 CSV), ``sweep`` (random-state conjecture sweep to envelope CSV), and
 ``filter`` (apply or optimise local filters).
 
 Conventions: JSON results on stdout, CSV data to files, diagnostics on
-stderr. Exit codes: 0 success, 2 input error, 3 a sweep found a
-conjecture counterexample. Every run is determined by its argument
+stderr. Exit codes: 0 success, 2 input or output error (a stdout closed
+by its reader reports on stderr), 3 a sweep found a conjecture
+counterexample. Every run is determined by its argument
 vector; the only environment input is the optional HQC_SEED seed default
 (overridden by --seed), and the output metadata records which source was
 used.
@@ -24,8 +26,8 @@ import sys
 import numpy as np
 
 from . import serde
-from .criteria import Thresholds, certify_inaccessible, classify
-from .ellipsoid import Party, centre_magnitude, compute_ellipsoid
+from .criteria import Thresholds, classify
+from .ellipsoid import Party, compute_ellipsoid, ellipsoid_centres
 from .errors import DomainError, HqcError
 from .families import Family, qd_centre_boundary, scan_family
 from .filtering import Objective, apply_filters, identity_filter, optimize_one_sided
@@ -108,16 +110,17 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     th = _thresholds(args)
     party = Party[args.party]
     objective = Objective[args.objective.upper()]
-    witness = compute_ellipsoid(r, party.other())
+    report = classify(r, th)
+    _, witness_ok = ellipsoid_centres(r.r[None], party.other())
     _emit(
         {
             "party": party.value,
             "objective": objective.value,
-            "certified_inaccessible": certify_inaccessible(r, party, objective, th),
+            "certified_inaccessible": f"{party.value}_INACCESSIBLE_{objective.value}" in report.flags,
             "witness_centre": f"c_{party.other().value.lower()}",
-            "witness_centre_magnitude": centre_magnitude(witness),
+            "witness_centre_magnitude": report.c_b if party is Party.A else report.c_a,
             "threshold": th.cutoff(objective),
-            "witness_degenerate": bool(witness.degenerate),
+            "witness_degenerate": not witness_ok[0],
             "conjecture_conditional": True,
         }
     )
@@ -295,9 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (HqcError, OSError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        try:
+            code = args.func(args)
+        except (HqcError, OSError) as exc:
+            _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+            code = 2
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is still buffered to devnull, so exiting cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("hqc: stdout was closed before the output was written", file=sys.stderr)
         return 2
 
 

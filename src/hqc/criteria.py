@@ -5,7 +5,9 @@ The working conjecture: a state's maximal CHSH value is bounded by
 steering-ellipsoid centre, and no CHSH (F3) violation is possible at all
 once ``c > 0.5`` (``c > 0.66``). Because a filter on one side leaves the
 other side's ellipsoid invariant, a centre beyond threshold certifies that
-the opposite party cannot reveal any violation by filtering alone. Every
+the opposite party cannot reveal any violation by filtering alone. These
+certificates are the ``{A,B}_INACCESSIBLE_{CHSH,F3}`` flags of
+:func:`classify_batch`, and ``hqc certify`` reports one of them. Every
 such certificate is conditional on the conjecture, which is supported
 numerically (see the montecarlo module) but unproven; reports carry a
 ``conjecture_conditional`` marker for that reason.
@@ -29,7 +31,8 @@ import numpy as np
 
 from .correlations import SQRT2, SQRT3, chsh_f3_maxima, ppt_test
 from .correlations import ppt_entangled  # noqa: F401 (a span target in hqcbench)
-from .ellipsoid import Party, centre_magnitude, compute_ellipsoid, ellipsoid_centres
+from .ellipsoid import Party, ellipsoid_centres
+from .ellipsoid import compute_ellipsoid  # noqa: F401 (a span target in hqcbench)
 from .errors import DomainError
 from .filtering import Objective, hidden_values
 from .states import RMatrix, from_r_picture  # noqa: F401 (from_r_picture: a span target in hqcbench)
@@ -113,19 +116,6 @@ def conjecture_bound_chsh(c: float | np.ndarray) -> float | np.ndarray:
         raise DomainError(f"centre magnitude must be in [0, 1], got {arr[~inside].flat[0]}")
     bound = np.maximum(np.sqrt(2.0 * (1.0 - arr)), 1.0)
     return float(bound) if bound.ndim == 0 else bound
-
-
-def certify_inaccessible(r: RMatrix, target_party: Party, objective: Objective, th: Thresholds | None = None) -> bool:
-    """Certify that ``target_party`` cannot reveal any hidden violation.
-
-    A filter by the target leaves the *other* party's ellipsoid invariant,
-    so the certificate compares the opposite ellipsoid's centre magnitude
-    against the objective's threshold. True means certified (modulo the
-    conjecture); False means unknown, never accessible.
-    """
-    th = th or Thresholds()
-    witness = compute_ellipsoid(r, target_party.other())
-    return centre_magnitude(witness) > th.cutoff(objective)
 
 
 def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[InaccessibilityReport]:

@@ -15,7 +15,6 @@ ellipsoid with q = 0 and centre at the steered party's Bloch vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,7 +39,6 @@ class SteeringEllipsoid:
 
     centre: np.ndarray
     q: np.ndarray
-    gamma_sq: float
     semiaxes: np.ndarray  # decreasing
     degenerate: bool
 
@@ -85,7 +83,6 @@ def compute_ellipsoid(r: RMatrix, party: Party) -> SteeringEllipsoid:
         return SteeringEllipsoid(
             centre=centre,
             q=np.zeros((3, 3)),
-            gamma_sq=math.inf,
             semiaxes=np.zeros(3),
             degenerate=True,
         )
@@ -95,9 +92,4 @@ def compute_ellipsoid(r: RMatrix, party: Party) -> SteeringEllipsoid:
     q = 0.5 * (q + q.T)  # kill roundoff asymmetry before eigensolving
     eigs = np.linalg.eigvalsh(q)
     semiaxes = np.sqrt(np.clip(eigs, 0.0, None))[::-1]
-    return SteeringEllipsoid(centre=centre, q=q, gamma_sq=float(gamma_sq), semiaxes=semiaxes, degenerate=False)
-
-
-def centre_magnitude(e: SteeringEllipsoid) -> float:
-    """Euclidean norm of the centre, by the batched callers' ``norm(centres, axis=-1)``: equal to the bit."""
-    return float(np.linalg.norm(e.centre, axis=-1))
+    return SteeringEllipsoid(centre=centre, q=q, semiaxes=semiaxes, degenerate=False)

@@ -1,11 +1,11 @@
 """Random-state sweeps testing the centre-bound conjecture at desk scale.
 
 A sweep samples Ginibre random states (mixed ranks), computes per state
-the CHSH/F3 maxima and both ellipsoid centre magnitudes via the hot
-kernels, bins running maxima against centre magnitude, and records any
-sample that violates the conjectured bounds. A violation would falsify
-the conjecture, so it is first-class data: the full state is serialised
-rather than discarded.
+the CHSH/F3 maxima and both ellipsoid centre magnitudes with
+:func:`sweep_stats`, bins running maxima against centre magnitude, and
+records any sample that violates the conjectured bounds. A violation
+would falsify the conjecture, so it is first-class data: the full state
+is serialised rather than discarded.
 
 Sampling is partitioned into fixed-size chunks, one deterministic RNG
 stream per chunk; merging uses only associative max/sum reductions, so
@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .correlations import chsh_f3_maxima
 from .criteria import Thresholds, conjecture_bound_chsh
+from .ellipsoid import Party, ellipsoid_centres
 from .errors import DomainError
-from .kernels import sweep_stats
-from .states import SeededRng, ginibre_factors, states_from_factors
+from .states import SeededRng, ginibre_factors, r_pictures, states_from_factors
 
 VIOLATION_TOL = 1e-9  # margin a sample must exceed a bound by to count as a violation
 
@@ -131,6 +132,25 @@ class EnvelopeRow:
     max_b: float
     max_f3: float
     count: int
+
+
+def sweep_stats(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Correlation statistics for a batch of Ginibre factors.
+
+    ``g`` is (n, 4, 4) complex; state i is ``g[i] g[i]^dag`` normalised to
+    unit trace. Returns ``(b, f3, c_a, c_b, ok_a, ok_b)`` where ``ok_W``
+    marks samples whose steering party has a non-pure marginal (centre
+    well defined); ``c_W`` is 0 where not ok. It composes the package's
+    batched R-picture functions, so the sweep evaluates the same formulas
+    as the scalar API.
+    """
+    r = r_pictures(states_from_factors(g))
+    b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
+    centre_a, ok_a = ellipsoid_centres(r, Party.A)
+    centre_b, ok_b = ellipsoid_centres(r, Party.B)
+    c_a = np.where(ok_a, np.linalg.norm(centre_a, axis=1), 0.0)
+    c_b = np.where(ok_b, np.linalg.norm(centre_b, axis=1), 0.0)
+    return b, f3, c_a, c_b, ok_a, ok_b
 
 
 def _empty_side(bins: int) -> SideBins:

@@ -1,17 +1,19 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hqc
 from hqc import (
     Objective,
     Party,
     Thresholds,
     apply_one_sided,
-    centre_magnitude,
-    certify_inaccessible,
     classify,
     compute_ellipsoid,
     identity_filter,
@@ -147,6 +149,7 @@ class TestCertify:
             path = tmp_path / f"{name}.json"
             serde.dump_state_json(rho, str(path))
             r = to_r_picture(rho)
+            _, analysis = run_cli(capsys, "analyze", str(path), *extra)
             for party in (Party.A, Party.B):
                 for objective in (Objective.CHSH, Objective.F3):
                     code, doc = run_cli(
@@ -154,9 +157,12 @@ class TestCertify:
                         "--objective", objective.value.lower(), *extra,
                     )
                     assert code == 0
-                    assert doc["certified_inaccessible"] is certify_inaccessible(r, party, objective, th), name
                     witness = compute_ellipsoid(r, party.other())
-                    assert doc["witness_centre_magnitude"] == centre_magnitude(witness)
+                    magnitude = float(np.linalg.norm(witness.centre, axis=-1))
+                    assert doc["certified_inaccessible"] is (magnitude > th.cutoff(objective)), name
+                    flag = f"{party.value}_INACCESSIBLE_{objective.value}"
+                    assert doc["certified_inaccessible"] is (flag in analysis["report"]["flags"]), name
+                    assert doc["witness_centre_magnitude"] == magnitude
                     assert doc["witness_degenerate"] is witness.degenerate
                     assert doc["threshold"] == (th.c_chsh if objective is Objective.CHSH else th.c_f3)
         code, doc = run_cli(capsys, "certify", str(tmp_path / "ket00.json"), "--party", "A", "--objective", "chsh")
@@ -420,3 +426,40 @@ class TestFilter:
         )
         assert code == 2
         assert doc["error"]["type"] == "DomainError"
+
+
+SRC = str(Path(hqc.__file__).resolve().parents[1])
+
+
+class TestProcess:
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_2_without_traceback(self, tmp_path, unbuffered):
+        # unbuffered, the JSON write itself fails; buffered, only the flush does
+        path = tmp_path / "m.json"
+        serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hqc.cli", "analyze", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    def test_benchmark_couplings_after_importing_the_cli(self):
+        # the benchmark records hqc.kernels.ACTIVE_KERNEL and traces hqc.montecarlo.sweep_stats
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r}); import hqc.cli, inspect; "
+            "f = hqc.montecarlo.sweep_stats; "
+            "print(hqc.kernels.ACTIVE_KERNEL, inspect.isfunction(f), f.__module__)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.split() == ["numpy", "True", "hqc.montecarlo"]

@@ -17,8 +17,6 @@ from hqc import (
     RMatrix,
     SeededRng,
     Thresholds,
-    centre_magnitude,
-    certify_inaccessible,
     chsh_max,
     classify,
     classify_batch,
@@ -78,27 +76,25 @@ class TestThresholds:
 class TestCertify:
     def test_quasi_distillable_certifies_both_objectives(self):
         # centre magnitude 2/3 > 0.66 > 0.5
-        r = to_r_picture(rho_qd(0.5))
-        assert certify_inaccessible(r, Party.A, Objective.CHSH)
-        assert certify_inaccessible(r, Party.A, Objective.F3)
-        assert certify_inaccessible(r, Party.B, Objective.CHSH)
+        flags = classify(to_r_picture(rho_qd(0.5))).flags
+        assert {"A_INACCESSIBLE_CHSH", "A_INACCESSIBLE_F3", "B_INACCESSIBLE_CHSH"} <= flags
 
     def test_singlet_not_certified(self, singlet):
-        r = to_r_picture(singlet)
-        assert not certify_inaccessible(r, Party.A, Objective.CHSH)
-        assert not certify_inaccessible(r, Party.B, Objective.F3)
+        flags = classify(to_r_picture(singlet)).flags
+        assert "A_INACCESSIBLE_CHSH" not in flags
+        assert "B_INACCESSIBLE_F3" not in flags
 
     def test_uses_opposite_party_centre(self):
         # rho_m has c_B = 0 but c_A > 0.5 at these parameters, so only
         # Bob's filters are certified useless
-        r = to_r_picture(rho_m(math.pi / 12, 0.75))
-        assert certify_inaccessible(r, Party.B, Objective.CHSH)
-        assert not certify_inaccessible(r, Party.A, Objective.CHSH)
+        flags = classify(to_r_picture(rho_m(math.pi / 12, 0.75))).flags
+        assert "B_INACCESSIBLE_CHSH" in flags
+        assert "A_INACCESSIBLE_CHSH" not in flags
 
     def test_threshold_override(self):
         r = to_r_picture(rho_qd(0.8))  # centre magnitude = 1/3
-        assert not certify_inaccessible(r, Party.A, Objective.CHSH)
-        assert certify_inaccessible(r, Party.A, Objective.CHSH, Thresholds(c_chsh=0.25, c_f3=0.66))
+        assert "A_INACCESSIBLE_CHSH" not in classify(r).flags
+        assert "A_INACCESSIBLE_CHSH" in classify(r, Thresholds(c_chsh=0.25, c_f3=0.66)).flags
 
 
 class TestClassify:
@@ -152,8 +148,8 @@ class TestClassify:
             # classify reads each value once; every one equals its scalar API, to the bit
             assert report.b == chsh_max(r)[0]
             assert report.f3 == f3_max(r)
-            assert report.c_a == centre_magnitude(compute_ellipsoid(r, Party.A))
-            assert report.c_b == centre_magnitude(compute_ellipsoid(r, Party.B))
+            assert report.c_a == np.linalg.norm(compute_ellipsoid(r, Party.A).centre, axis=-1)
+            assert report.c_b == np.linalg.norm(compute_ellipsoid(r, Party.B).centre, axis=-1)
             assert report.entangled == ppt_entangled(r)[0]
             try:
                 hidden = (hidden_chsh(r), hidden_f3(r))
@@ -259,14 +255,15 @@ class TestCertificationSoundness:
         for theta in np.linspace(0.02, math.pi / 12, 10):
             for p in (0.6, 0.75, 0.85):
                 r = to_r_picture(rho_m(float(theta), p))
-                if certify_inaccessible(r, Party.B, Objective.CHSH):
+                if "B_INACCESSIBLE_CHSH" in classify(r).flags:
                     certified.append((r, Party.B))
         i = 0
         while len(certified) < 100:
             r = to_r_picture(sample_state(SeededRng(62, i)))
             i += 1
+            flags = classify(r).flags
             for party in (Party.A, Party.B):
-                if certify_inaccessible(r, party, Objective.CHSH):
+                if f"{party.value}_INACCESSIBLE_CHSH" in flags:
                     certified.append((r, party))
         exceedances = []
         for r, party in certified[:100]:

@@ -8,7 +8,6 @@ from hqc import (
     Party,
     SeededRng,
     apply_one_sided,
-    centre_magnitude,
     compute_ellipsoid,
     rho_mm,
     rho_qd,
@@ -79,7 +78,6 @@ class TestComputeEllipsoid:
         np.testing.assert_allclose(e.q, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(e.semiaxes, [1, 1, 1], atol=1e-12)
         assert not e.degenerate
-        assert e.gamma_sq == pytest.approx(1.0)
 
     def test_quasi_distillable_centre_formula(self):
         for p in np.linspace(0.05, 0.95, 19):
@@ -88,7 +86,7 @@ class TestComputeEllipsoid:
 
     def test_quasi_distillable_boundary_value(self):
         e = compute_ellipsoid(to_r_picture(rho_qd(2.0 / 3.0)), Party.B)
-        assert centre_magnitude(e) == pytest.approx(0.5, abs=1e-12)
+        assert float(np.linalg.norm(e.centre)) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state_degenerates_to_point(self, ket00):
         e = compute_ellipsoid(to_r_picture(ket00), Party.B)
@@ -110,7 +108,7 @@ class TestComputeEllipsoid:
         # quasi-distillable ellipsoids exceed it while still fitting,
         # e.g. p = 0.5 gives |c| + s_max = 1.24 with a contained ellipsoid)
         e = compute_ellipsoid(to_r_picture(rho_qd(0.5)), Party.B)
-        assert centre_magnitude(e) + e.semiaxes[0] > 1.1
+        assert float(np.linalg.norm(e.centre)) + e.semiaxes[0] > 1.1
         assert max_norm_on_ellipsoid(e) == pytest.approx(1.0, abs=1e-8)  # touches the ball at the pole
         for i in range(50):
             e = compute_ellipsoid(to_r_picture(sample_state(SeededRng(37, i))), Party.B)
@@ -119,11 +117,12 @@ class TestComputeEllipsoid:
 
 class TestCentreMagnitude:
     def test_singlet(self, singlet):
-        assert centre_magnitude(compute_ellipsoid(to_r_picture(singlet), Party.B)) == pytest.approx(0.0, abs=1e-12)
+        e = compute_ellipsoid(to_r_picture(singlet), Party.B)
+        assert float(np.linalg.norm(e.centre)) == pytest.approx(0.0, abs=1e-12)
 
     def test_quasi_distillable_half(self):
         e = compute_ellipsoid(to_r_picture(rho_qd(0.5)), Party.B)
-        assert centre_magnitude(e) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert float(np.linalg.norm(e.centre)) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_symmetric_noise_family_formula(self):
         for theta in (0.1, math.pi / 8, math.pi / 4):
@@ -131,7 +130,7 @@ class TestCentreMagnitude:
                 r = to_r_picture(rho_mm(theta, p))
                 for party in (Party.A, Party.B):
                     e = compute_ellipsoid(r, party)
-                    assert centre_magnitude(e) == pytest.approx((1 - p) * math.cos(2 * theta), abs=1e-10)
+                    assert float(np.linalg.norm(e.centre)) == pytest.approx((1 - p) * math.cos(2 * theta), abs=1e-10)
 
 
     def test_batch_centres_independent_of_batch_and_layout(self):
@@ -195,5 +194,5 @@ class TestSwapSymmetry:
                 r = to_r_picture(rho_mm(theta, p))
                 ea = compute_ellipsoid(r, Party.A)
                 eb = compute_ellipsoid(r, Party.B)
-                assert centre_magnitude(ea) == pytest.approx(centre_magnitude(eb), abs=1e-10)
+                assert float(np.linalg.norm(ea.centre)) == pytest.approx(float(np.linalg.norm(eb.centre)), abs=1e-10)
                 np.testing.assert_allclose(ea.semiaxes, eb.semiaxes, atol=1e-10)

@@ -8,7 +8,6 @@ from hqc import (
     Family,
     Party,
     apply_filters,
-    centre_magnitude,
     chsh_max,
     compute_ellipsoid,
     hidden_chsh,
@@ -174,8 +173,8 @@ class TestBoundaries:
 
     def test_boundary_is_actual_crossing(self):
         root = qd_centre_boundary(0.5)
-        below = centre_magnitude(compute_ellipsoid(to_r_picture(rho_qd(root - 1e-6)), Party.B))
-        above = centre_magnitude(compute_ellipsoid(to_r_picture(rho_qd(root + 1e-6)), Party.B))
+        below = float(np.linalg.norm(compute_ellipsoid(to_r_picture(rho_qd(root - 1e-6)), Party.B).centre))
+        above = float(np.linalg.norm(compute_ellipsoid(to_r_picture(rho_qd(root + 1e-6)), Party.B).centre))
         assert below > 0.5 > above
 
     @pytest.mark.parametrize(

@@ -6,8 +6,7 @@ import pytest
 from hqc import Party, SweepConfig, Thresholds, bin_envelope, chsh_max, compute_ellipsoid, run_sweep
 from hqc.criteria import conjecture_bound_chsh
 from hqc.errors import DomainError
-from hqc.kernels import sweep_stats
-from hqc.montecarlo import _violations_in_chunk
+from hqc.montecarlo import _violations_in_chunk, sweep_stats
 from hqc.states import DensityMatrix, SeededRng, states_from_factors, to_r_picture
 
 from conftest import ginibre_and_pure_marginal_factors
