@@ -185,7 +185,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "envelope_csv": out_csv,
         }
     )
-    print(f"sweep: {config.n} samples in {summary.runtime_seconds:.2f}s ({ACTIVE_KERNEL} kernel)", file=sys.stderr)
+    stages = "".join(f"; {stage} {s:.2f}s" for stage, s in summary.stage_seconds.items())
+    print(
+        f"sweep: {config.n} samples in {summary.runtime_seconds:.2f}s ({ACTIVE_KERNEL} kernel{stages})", file=sys.stderr
+    )
     return 3 if summary.violations else 0
 
 

@@ -7,16 +7,20 @@ records any sample that violates the conjectured bounds. A violation
 would falsify the conjecture, so it is first-class data: the full state
 is serialised rather than discarded.
 
-Sampling is partitioned into fixed-size chunks, one deterministic RNG
-stream per chunk; merging uses only associative max/sum reductions, so
-results are independent of worker count and scheduling.
+The chunk is the unit of random draws and of merging: sampling is
+partitioned into fixed-size chunks, one deterministic RNG stream per chunk,
+and merging uses only associative max/sum reductions, so results are
+independent of worker count and scheduling. The tile is the unit of
+compute: a chunk's statistics and violation scan run on consecutive tiles
+of ``_TILE`` states, small enough for a core's cache, and each row's bits
+do not depend on the rest of its tile, so tiling changes no output.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +34,10 @@ from .states import SeededRng, ginibre_factors, r_pictures, states_from_factors
 VIOLATION_TOL = 1e-9  # margin a sample must exceed a bound by to count as a violation
 
 DEFAULT_RANK_MIX = (0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+
+STAGES = ("draw", "stats", "bin", "violation_scan")  # the timed stages of a chunk, in order
+
+_TILE = 4096  # states per compute tile; a tile's complex rho is 1 MB, so its intermediates stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,8 @@ class SideBins:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """Merged sweep result. Equality ignores runtime, which is not data."""
+    """Merged sweep result. Equality ignores the runtime and the per-stage
+    wall seconds (summed over chunks, keyed by :data:`STAGES`), which are not data."""
 
     config: SweepConfig
     vs_cb: SideBins
@@ -98,6 +107,7 @@ class SweepSummary:
     violations: tuple[Violation, ...]
     metadata: dict
     runtime_seconds: float = field(compare=False, default=0.0)
+    stage_seconds: dict = field(compare=False, default_factory=dict)
 
     def __eq__(self, other: object) -> bool:  # numpy fields need elementwise comparison
         if not isinstance(other, SweepSummary):
@@ -211,18 +221,37 @@ def _violations_in_chunk(
     return out
 
 
-def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBins, list[Violation]]:
+@contextmanager
+def _timed(seconds: dict, stage: str):
+    started = time.perf_counter()
+    yield
+    seconds[stage] += time.perf_counter() - started
+
+
+def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBins, list[Violation], dict]:
     start = chunk_index * config.chunk_size
     count = min(config.chunk_size, config.n - start)
-    gen = SeededRng(config.seed, chunk_index).generator()
-    mix = np.asarray(config.rank_mix, dtype=float)
-    ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
-    g = ginibre_factors(gen, ranks)
-    b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g)
-    side_b = _bin_side(c_b, ok_b, b, f3, config.bins)
-    side_a = _bin_side(c_a, ok_a, b, f3, config.bins)
-    violations = _violations_in_chunk(config, start, g, b, f3, c_a, c_b, ok_a, ok_b)
-    return side_b, side_a, violations
+    seconds = dict.fromkeys(STAGES, 0.0)
+    with _timed(seconds, "draw"):
+        gen = SeededRng(config.seed, chunk_index).generator()
+        mix = np.asarray(config.rank_mix, dtype=float)
+        ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
+        g = ginibre_factors(gen, ranks)
+    stats = tuple(np.empty(count, dtype=dtype) for dtype in (float, float, float, float, bool, bool))
+    violations = []
+    for lo in range(0, count, _TILE):
+        tile = slice(lo, lo + _TILE)
+        with _timed(seconds, "stats"):
+            tile_stats = sweep_stats(g[tile])
+            for whole, part in zip(stats, tile_stats):
+                whole[tile] = part
+        with _timed(seconds, "violation_scan"):
+            violations += _violations_in_chunk(config, start + lo, g[tile], *tile_stats)
+    b, f3, c_a, c_b, ok_a, ok_b = stats
+    with _timed(seconds, "bin"):
+        side_b = _bin_side(c_b, ok_b, b, f3, config.bins)
+        side_a = _bin_side(c_a, ok_a, b, f3, config.bins)
+    return side_b, side_a, violations, seconds
 
 
 def run_sweep(config: SweepConfig) -> SweepSummary:
@@ -237,17 +266,24 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     vs_cb = _empty_side(config.bins)
     vs_ca = _empty_side(config.bins)
     violations: list[Violation] = []
+    stage_seconds = dict.fromkeys(STAGES, 0.0)
     with ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else nullcontext() as pool:
-        for side_b, side_a, viol in (pool.map if pool else map)(lambda c: _run_chunk(config, c), range(n_chunks)):
+        for side_b, side_a, viol, seconds in (pool.map if pool else map)(
+            lambda c: _run_chunk(config, c), range(n_chunks)
+        ):
             vs_cb = _merge_sides(vs_cb, side_b)
             vs_ca = _merge_sides(vs_ca, side_a)
             violations.extend(viol)
+            for stage in STAGES:
+                stage_seconds[stage] += seconds[stage]
     violations.sort(key=lambda v: v.index)
     metadata = {
         "ensemble": "ginibre",
         "rank_mix": {str(rank): float(w) for rank, w in zip(range(1, 5), config.rank_mix)},
         "note": "sampling measure is the Ginibre rank mix above; rank 4 is the Hilbert-Schmidt measure",
         "chunks": n_chunks,
+        "chunk_size": config.chunk_size,
+        "tile_size": _TILE,
     }
     return SweepSummary(
         config=config,
@@ -256,6 +292,7 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
         violations=tuple(violations),
         metadata=metadata,
         runtime_seconds=time.perf_counter() - started,
+        stage_seconds=stage_seconds,
     )
 
 

@@ -156,9 +156,13 @@ def pauli_expansion(r: np.ndarray) -> np.ndarray:
 def ginibre_factors(gen: np.random.Generator, ranks: np.ndarray) -> np.ndarray:
     """Ginibre factors G, one (4, 4) matrix per entry of ``ranks``, with the columns
     from each rank on zeroed. Every sample consumes 32 standard normals whatever
-    its rank, so mixed-rank streams stay aligned and reproducible."""
+    its rank, so mixed-rank streams stay aligned and reproducible. G is filled in
+    place, all real parts drawn before all imaginary parts, so the only temporary
+    is one real draw."""
     count = len(ranks)
-    g = gen.standard_normal((count, 4, 4)) + 1j * gen.standard_normal((count, 4, 4))
+    g = np.empty((count, 4, 4), dtype=complex)
+    g.real = gen.standard_normal((count, 4, 4))
+    g.imag = gen.standard_normal((count, 4, 4))
     g *= np.arange(4)[None, None, :] < ranks[:, None, None]
     return g
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,22 @@ class TestSweep:
         run_cli(capsys, "sweep", "--n", "3000", "--seed", "7", "--out-prefix", p2)
         with open(p1 + "envelope.csv", "rb") as f1, open(p2 + "envelope.csv", "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_metadata_and_stage_timer(self, capsys, tmp_path):
+        # chunk and tile sizes are deterministic, so they are in the stdout JSON;
+        # the per-stage wall seconds are not data and go to the stderr line only
+        code = main(["sweep", "--n", "5000", "--seed", "1", "--out-prefix", str(tmp_path / "t_")])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 0
+        assert list(doc["metadata"]) == ["ensemble", "rank_mix", "note", "chunks", "chunk_size", "tile_size"]
+        assert (doc["metadata"]["chunk_size"], doc["metadata"]["tile_size"]) == (65536, 4096)
+        assert "draw" not in captured.out and "violation_scan" not in captured.out
+        assert re.fullmatch(
+            r"sweep: 5000 samples in \d+\.\d\ds \(numpy kernel"
+            r"; draw \d+\.\d\ds; stats \d+\.\d\ds; bin \d+\.\d\ds; violation_scan \d+\.\d\ds\)\n",
+            captured.err,
+        ), captured.err
 
     def test_zero_samples(self, capsys, tmp_path):
         prefix = str(tmp_path / "zero_")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from hqc import Party, SweepConfig, Thresholds, bin_envelope, chsh_max, compute_ellipsoid, run_sweep
 from hqc.criteria import conjecture_bound_chsh
 from hqc.errors import DomainError
-from hqc.montecarlo import _violations_in_chunk, sweep_stats
-from hqc.states import DensityMatrix, SeededRng, states_from_factors, to_r_picture
+from hqc.montecarlo import STAGES, _TILE, _bin_side, _run_chunk, _violations_in_chunk, sweep_stats
+from hqc.states import DensityMatrix, SeededRng, ginibre_factors, states_from_factors, to_r_picture
 
 from conftest import ginibre_and_pure_marginal_factors
 
@@ -125,3 +126,74 @@ class TestKernelAgreement:
                 e = compute_ellipsoid(r, party)
                 assert ok[i] == (not e.degenerate)
                 assert c[i] == pytest.approx(np.linalg.norm(e.centre) if ok[i] else 0.0, abs=1e-12)
+
+
+def _whole_chunk_reference(config, chunk_index):
+    """What _run_chunk returned before tiling: every stage on the whole chunk at once."""
+    start = chunk_index * config.chunk_size
+    count = min(config.chunk_size, config.n - start)
+    gen = SeededRng(config.seed, chunk_index).generator()
+    mix = np.asarray(config.rank_mix, dtype=float)
+    ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
+    g = ginibre_factors(gen, ranks)
+    b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g)
+    side_b = _bin_side(c_b, ok_b, b, f3, config.bins)
+    side_a = _bin_side(c_a, ok_a, b, f3, config.bins)
+    return side_b, side_a, _violations_in_chunk(config, start, g, b, f3, c_a, c_b, ok_a, ok_b)
+
+
+def _assert_chunk_bitwise_equal(config, chunk_index):
+    side_b, side_a, violations, seconds = _run_chunk(config, chunk_index)
+    ref_b, ref_a, reference = _whole_chunk_reference(config, chunk_index)
+    assert list(seconds) == list(STAGES)
+    for got, want in ((side_b, ref_b), (side_a, ref_a)):
+        for field in ("max_b", "max_f3", "count"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.degenerate == want.degenerate
+    assert len(violations) == len(reference)
+    for v, w in zip(violations, reference):
+        assert (v.index, v.reasons, v.state.tobytes()) == (w.index, w.reasons, w.state.tobytes())
+        assert np.array([v.b, v.f3, v.c_a, v.c_b]).tobytes() == np.array([w.b, w.f3, w.c_a, w.c_b]).tobytes()
+    return violations
+
+
+class TestTiledChunk:
+    def test_violations_across_tiles_match_whole_chunk(self):
+        # one chunk of 4 full tiles and a partial fifth, with violations in several tiles
+        config = SweepConfig(n=20_000, seed=21, thresholds=Thresholds(c_chsh=0.01, c_f3=0.02))
+        assert config.n < config.chunk_size and config.n % _TILE != 0
+        violations = _assert_chunk_bitwise_equal(config, 0)
+        assert len({v.index // _TILE for v in violations}) >= 2
+
+    def test_partial_chunk_with_rank_one_matches_whole_chunk(self):
+        config = SweepConfig(n=100_000, seed=2, rank_mix=(1, 1, 1, 1))
+        assert config.chunk_size < config.n < 2 * config.chunk_size
+        for chunk_index in (0, 1):
+            _assert_chunk_bitwise_equal(config, chunk_index)
+
+    def test_in_place_ginibre_matches_masked_sum(self):
+        ranks = SeededRng(5, 0).generator().integers(1, 5, size=1000)
+        g = ginibre_factors(SeededRng(6, 0).generator(), ranks)
+        gen = SeededRng(6, 0).generator()
+        oracle = gen.standard_normal((1000, 4, 4)) + 1j * gen.standard_normal((1000, 4, 4))
+        oracle *= np.arange(4)[None, None, :] < ranks[:, None, None]
+        assert g.view(np.uint64).tobytes() == oracle.view(np.uint64).tobytes()
+
+    def test_one_chunk_peak_memory(self):
+        # 59 MB before tiling (G built from two complex temporaries, whole-chunk
+        # rho, Pauli product and R); 26 MB with 4,096-state tiles
+        run_sweep(SweepConfig(n=1000, seed=1))  # first-call allocations stay outside the measurement
+        tracemalloc.start()
+        try:
+            run_sweep(SweepConfig(n=65536, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    def test_stage_seconds_are_summed_and_not_data(self):
+        summary = run_sweep(SweepConfig(n=10_000, seed=4, chunk_size=4000))
+        assert list(summary.stage_seconds) == list(STAGES)
+        assert all(s >= 0.0 for s in summary.stage_seconds.values())
+        assert summary == run_sweep(SweepConfig(n=10_000, seed=4, chunk_size=4000))
+        assert summary.metadata["chunk_size"] == 4000 and summary.metadata["tile_size"] == _TILE
