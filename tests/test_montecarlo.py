@@ -195,5 +195,6 @@ class TestTiledChunk:
         summary = run_sweep(SweepConfig(n=10_000, seed=4, chunk_size=4000))
         assert list(summary.stage_seconds) == list(STAGES)
         assert all(s >= 0.0 for s in summary.stage_seconds.values())
+        assert 0.0 < sum(summary.stage_seconds.values()) <= summary.runtime_seconds  # one worker: stages in sequence
         assert summary == run_sweep(SweepConfig(n=10_000, seed=4, chunk_size=4000))
         assert summary.metadata["chunk_size"] == 4000 and summary.metadata["tile_size"] == _TILE
