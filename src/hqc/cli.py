@@ -208,14 +208,16 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         party = Party[party_name]
         objective = Objective[objective_name.upper()]
         seed, seed_source = _resolve_seed(args)
-        res = optimize_one_sided(rho, party, objective, starts=args.starts, max_iters=args.max_iters, seed=seed)
+        res = optimize_one_sided(
+            rho, party, objective, starts=args.starts, max_iters=args.max_iters, seed=seed, tol=args.tol
+        )
         filtered, prob = res.filtered_state, res.success_probability
         payload["optimizer"] = serde.one_sided_result_to_dict(res)
         payload["seed_source"] = seed_source
     else:
         fa = serde.load_filter_json(args.filter_a) if args.filter_a else identity_filter()
         fb = serde.load_filter_json(args.filter_b) if args.filter_b else identity_filter()
-        filtered, prob = apply_filters(rho, fa, fb)
+        filtered, prob = apply_filters(rho, fa, fb, args.tol)
         payload["filter_a"] = serde.filter_to_dict(fa)
         payload["filter_b"] = serde.filter_to_dict(fb)
     after = classify(to_r_picture(filtered), _thresholds(args))

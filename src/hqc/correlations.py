@@ -4,9 +4,11 @@ The CHSH expression is normalised so the classical bound is 1 and the
 quantum maximum is sqrt(2); the F3 steering expression (Bob measuring the
 three Pauli operators) has classical bound 1 and quantum maximum sqrt(3).
 The closed-form maxima are functions of the singular values of the
-correlation matrix T, and :func:`chsh_f3_maxima` is their one expression:
-the sweep, ``classify_batch``, the one-sided optimiser, :func:`chsh_max`
-and :func:`f3_max` all read it. The brute-force routines maximise the raw
+correlation matrix T, and :func:`chsh_f3_maxima` is their one expression, a
+closed form for the spectrum of T T^T with no eigensolve: the sweep,
+``classify_batch``, :func:`chsh_max` and :func:`f3_max` read it, and the
+one-sided optimiser's objective runs the same arithmetic on Python floats
+(:func:`chsh_f3_value`). The brute-force routines maximise the raw
 expressions over explicit measurement directions and exist to cross-check
 the closed forms independently; their last refinement step is the package's
 own Nelder-Mead, :func:`hqc.neldermead.minimize`.
@@ -15,6 +17,7 @@ own Nelder-Mead, :func:`hqc.neldermead.minimize`.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -65,19 +68,174 @@ def chsh_value(r: RMatrix, a1, a2, b1, b2) -> float:
     )
 
 
+# Flat indices into a row-major 3x3 matrix A of the four factors of its cofactors,
+# C_ij = A[i+1, j+1] A[i+2, j+2] - A[i+1, j+2] A[i+2, j+1] (indices mod 3).
+_COFACTOR_FACTORS = np.array(
+    [[3 * ((i + a) % 3) + (j + b) % 3 for i in range(3) for j in range(3)] for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]
+)
+_PERP = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])[:, :, None]  # e1 and e2, reflected onto v's complement
+_THIRD_TURN = 2.0 * math.pi / 3.0
+_TINY = sys.float_info.min  # the least normal double; p^3 of a vanishing spread floors here
+_SPREAD = np.array([[0, 1], [4, 2], [8, 5]])  # (diagonal, upper) entries of a flattened 3x3 matrix, in pairs
+_TURNS = np.array([[0.0], [_THIRD_TURN]])  # the angle offsets of l_max and l_min
+
+
+def _cofactors(a: np.ndarray, rows: int = 3) -> np.ndarray:
+    """Cofactors of the first ``rows`` rows of a stack of 3x3 matrices held as a (9, n) array of
+    flattened entries, held the same way."""
+    f0, f1, f2, f3 = _COFACTOR_FACTORS[:, : 3 * rows]
+    c = a.take(f0, axis=0)
+    c *= a.take(f1, axis=0)
+    c -= a.take(f2, axis=0) * a.take(f3, axis=0)
+    return c
+
+
+def _gram(t: np.ndarray) -> np.ndarray:
+    """M = T T^T, held as (9, n), of T held as (3, 3, n)."""
+    m = t[:, None, 0] * t[None, :, 0]
+    m += t[:, None, 1] * t[None, :, 1]
+    m += t[:, None, 2] * t[None, :, 2]
+    return m.reshape(9, -1)
+
+
+def _trigonometric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """tr M, r = cos(3 phi), l_max and l_min of the trigonometric formula, for M held as (9, n)."""
+    tr = m[0] + m[4] + m[8]
+    q = tr / 3.0
+    b = m.copy()
+    b[::4] -= q  # M - q I
+    sq = b.take(_SPREAD, axis=0)
+    sq *= sq
+    sq = sq[0] + sq[1] + sq[2]  # the diagonal's and the upper triangle's sums of squares
+    p = np.sqrt((sq[0] + 2.0 * sq[1]) / 6.0)
+    det = b[:3] * _cofactors(b, rows=1)
+    r = (det[0] + det[1] + det[2]) / np.maximum(2.0 * p * p * p, _TINY)  # det = 0 where p = 0
+    phi = np.arccos(r.clip(-1.0, 1.0)) / 3.0
+    l_max, l_min = q + (2.0 * p) * np.cos(phi + _TURNS)
+    return tr, r, l_max, l_min
+
+
+def _deflated_mid(m: np.ndarray, l_max: np.ndarray) -> np.ndarray:
+    """l_mid as the top eigenvalue of M, held as (9, n), on the complement of l_max's eigenvector."""
+    # v: the largest row of the adjugate of M - l_max I, whose rows are cross products of its rows
+    a = m.copy()
+    a[::4] -= l_max
+    adj = _cofactors(a).reshape(3, 3, -1)
+    del a  # each (9, n) temporary is dropped once used: a sweep tile's peak memory
+    norm2 = adj * adj
+    norm2 = norm2[:, 0] + norm2[:, 1] + norm2[:, 2]
+    n2 = norm2.max(axis=0)
+    v = adj[norm2.argmax(axis=0), :, np.arange(len(n2))].T / np.sqrt(np.where(n2 > 0.0, n2, 1.0))  # 0 if A = 0
+    del adj
+    h = v.copy()
+    h[0] += np.copysign(1.0, v[0])
+    uw = _PERP - (v[1:] / (1.0 + np.abs(v[0])))[:, None] * h  # u and w, rows of I - h h^T / (1 + |v0|)
+    prod = m.reshape(3, 3, -1) * uw[:, None]
+    muw = prod[:, :, 0] + prod[:, :, 1] + prod[:, :, 2]  # Mu and Mw
+    prod = uw[:, None] * muw
+    block = prod[:, :, 0] + prod[:, :, 1] + prod[:, :, 2]
+    alpha, beta, gamma = block[0, 0], block[1, 0], block[1, 1]
+    half = 0.5 * (alpha - gamma)
+    return 0.5 * (alpha + gamma) + np.sqrt(half * half + beta * beta)
+
+
 def chsh_f3_maxima(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CHSH and F3 maxima of a (..., 3, 3) stack of correlation matrices.
 
-    The squared singular values of T are the eigenvalues w1 <= w2 <= w3 of
-    T T^T, so B = sqrt(w2 + w3) (Horodecki, Horodecki & Horodecki, PLA 200,
-    340, 1995) and F3 = sqrt(w1 + w2 + w3) (Costa & Angelo, PRA 93,
-    020103(R), 2016), from one batched symmetric eigensolve. Each row's bits
-    do not depend on the rest of the stack. The optimiser's Nelder-Mead path,
-    and the filter it reports, follow every last bit of this expression.
+    The squared singular values of T are the eigenvalues l_min <= l_mid <=
+    l_max of M = T T^T, so B = sqrt(l_max + l_mid) (Horodecki, Horodecki &
+    Horodecki, PLA 200, 340, 1995) and F3 = sqrt(tr M) = ||T||_F (Costa &
+    Angelo, PRA 93, 020103(R), 2016). F3 needs no eigenvalue at all. For B,
+    the trigonometric formula for a symmetric 3x3 matrix (Smith, CACM 4,
+    168, 1961; Kopp, Int. J. Mod. Phys. C 19, 523, 2008) gives
+    l = q + 2 p cos(phi + 2 pi k / 3) with q = tr M / 3, p the spread of
+    M - q I, and cos(3 phi) = r = det((M - q I) / p) / 2. Its arccos loses
+    about sqrt(eps) where two eigenvalues meet, so each row takes the
+    branch that stays exact:
+
+    * r < 0 (the top pair may meet): B^2 = tr M - l_min, where l_min
+      sits at the flat end of the cosine;
+    * r >= 0 (the lower pair may meet, as on every pure state): l_max is
+      exact there, and l_mid is deflated. v, the eigenvector of l_max, is
+      the largest cross product of two rows of M - l_max I (a row of its
+      adjugate); a Householder reflection gives an orthonormal pair u, w
+      spanning v's complement, and l_mid is the top eigenvalue of the 2x2
+      block [[u.Mu, u.Mw], [w.Mu, w.Mw]],
+      (alpha + gamma) / 2 + sqrt(((alpha - gamma) / 2)^2 + beta^2).
+      An error in v moves that value only to second order.
+
+    Against 50-digit references both branches hold B and F3 to a relative
+    1e-15 (``tests/test_correlations.py::TestPrecisionOracle``). Every step
+    is elementwise on the stack, so each row's bits do not depend on the
+    rest of the stack. :func:`chsh_f3_value` is the same arithmetic on
+    Python floats, for the optimiser's objective.
     """
-    w = np.maximum(np.linalg.eigvalsh(t @ t.mT), 0.0)
-    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
-    return np.sqrt(w3 + w2), np.sqrt(w1 + w2 + w3)
+    t = np.asarray(t, dtype=float)
+    shape = t.shape[:-2]
+    # components first and the stack last, so that every ufunc loops over the stack; sums of
+    # three terms are written out, which fixes their order whatever the stack's length
+    m = _gram(np.ascontiguousarray(t.reshape(-1, 9).T).reshape(3, 3, -1))
+    tr, r, l_max, l_min = _trigonometric(m)
+    b2 = np.where(r < 0.0, tr - l_min, l_max + _deflated_mid(m, l_max))
+    return np.sqrt(b2).reshape(shape), np.sqrt(tr).reshape(shape)
+
+
+def chsh_f3_value(t, chsh: bool) -> float:
+    """B (``chsh``) or F3 of one 3x3 correlation matrix, given as nested rows of floats.
+
+    :func:`chsh_f3_maxima`'s arithmetic, step for step, on Python floats:
+    no array is built, which makes one call several times cheaper than a
+    batch of one. Only ``math.acos`` and ``math.cos`` may differ from
+    numpy's in the last bit, so the two agree to a relative 1e-15, not
+    bitwise. F3 alone skips the eigenvalue work.
+    """
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t
+    m00 = t00 * t00 + t01 * t01 + t02 * t02
+    m11 = t10 * t10 + t11 * t11 + t12 * t12
+    m22 = t20 * t20 + t21 * t21 + t22 * t22
+    tr = m00 + m11 + m22
+    if not chsh:
+        return math.sqrt(tr)
+    m01 = t00 * t10 + t01 * t11 + t02 * t12
+    m02 = t00 * t20 + t01 * t21 + t02 * t22
+    m12 = t10 * t20 + t11 * t21 + t12 * t22
+    q = tr / 3.0
+    d0, d1, d2 = m00 - q, m11 - q, m22 - q
+    p = math.sqrt(((d0 * d0 + d1 * d1 + d2 * d2) + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)) / 6.0)
+    det = d0 * (d1 * d2 - m12 * m12) + m01 * (m12 * m02 - m01 * d2) + m02 * (m01 * m12 - d1 * m02)
+    r = det / max(2.0 * p * p * p, _TINY)
+    phi = math.acos(min(max(r, -1.0), 1.0)) / 3.0
+    p2 = 2.0 * p
+    if r < 0.0:
+        return math.sqrt(tr - (q + p2 * math.cos(phi + _THIRD_TURN)))
+    l_max = q + p2 * math.cos(phi)
+    a00, a11, a22 = m00 - l_max, m11 - l_max, m22 - l_max
+    # the adjugate of the symmetric M - l_max I, by _cofactors' products
+    c00, c01, c02 = a11 * a22 - m12 * m12, m12 * m02 - m01 * a22, m01 * m12 - a11 * m02
+    c11, c12, c22 = a22 * a00 - m02 * m02, m02 * m01 - m12 * a00, a00 * a11 - m01 * m01
+    n0 = c00 * c00 + c01 * c01 + c02 * c02
+    n1 = c01 * c01 + c11 * c11 + c12 * c12
+    n2 = c02 * c02 + c12 * c12 + c22 * c22
+    if n0 >= n1 and n0 >= n2:  # the first of the largest rows, as argmax takes it
+        n, v0, v1, v2 = n0, c00, c01, c02
+    elif n1 >= n2:
+        n, v0, v1, v2 = n1, c01, c11, c12
+    else:
+        n, v0, v1, v2 = n2, c02, c12, c22
+    scale = math.sqrt(n) if n > 0.0 else 1.0
+    v0, v1, v2 = v0 / scale, v1 / scale, v2 / scale
+    h0 = v0 + math.copysign(1.0, v0)
+    den = 1.0 + abs(v0)
+    f1, f2 = v1 / den, v2 / den
+    u0, u1, u2 = 0.0 - f1 * h0, 1.0 - f1 * v1, 0.0 - f1 * v2
+    w0, w1, w2 = 0.0 - f2 * h0, 0.0 - f2 * v1, 1.0 - f2 * v2
+    mu0, mu1, mu2 = m00 * u0 + m01 * u1 + m02 * u2, m01 * u0 + m11 * u1 + m12 * u2, m02 * u0 + m12 * u1 + m22 * u2
+    mw0, mw1, mw2 = m00 * w0 + m01 * w1 + m02 * w2, m01 * w0 + m11 * w1 + m12 * w2, m02 * w0 + m12 * w1 + m22 * w2
+    alpha = u0 * mu0 + u1 * mu1 + u2 * mu2
+    beta = w0 * mu0 + w1 * mu1 + w2 * mu2
+    gamma = w0 * mw0 + w1 * mw1 + w2 * mw2
+    half = 0.5 * (alpha - gamma)
+    return math.sqrt(l_max + (0.5 * (alpha + gamma) + math.sqrt(half * half + beta * beta)))
 
 
 def chsh_max(r: RMatrix) -> tuple[float, SingularTriple]:

@@ -121,8 +121,8 @@ def conjecture_bound_chsh(c: float | np.ndarray) -> float | np.ndarray:
 def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[InaccessibilityReport]:
     """Reports for a (n, 4, 4) stack of pictures of validated states, one per row.
 
-    Each quantity comes from one batched call for the whole stack: one T T^T
-    eigensolve for B and F3, one normal-form eigensolve for both hidden
+    Each quantity comes from one batched call for the whole stack: the
+    closed-form T T^T spectrum for B and F3, one normal-form eigensolve for both hidden
     values (NaN rows where the normal form vanishes), one eigensolve for PPT
     and one call per party for the centres. An unphysical spectrum in any row raises ComplexSpectrum.
     """

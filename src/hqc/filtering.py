@@ -43,8 +43,10 @@ vector, and
 
 is d times a Lorentz boost of rapidity |ln d| along n. The one-sided
 optimiser therefore searches the three parameters (d, n) and evaluates a
-candidate as one 4x4 product L . R (R . L^T for Bob) and the T T^T
-eigensolve of :func:`hqc.correlations.chsh_f3_maxima` on one 3x3 matrix.
+candidate on Python floats: one 4x4 product L . R (L . R^T for Bob, the
+transpose of R . L^T) and :func:`hqc.correlations.chsh_f3_value`, the
+float rendition of the closed-form B/F3 formula of
+:func:`hqc.correlations.chsh_f3_maxima`, which reports the final value.
 Its search is the package's own bounded Nelder-Mead,
 :func:`hqc.neldermead.minimize`, bound here as ``minimize``.
 """
@@ -58,11 +60,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlations import SQRT2, SQRT3, chsh_f3_maxima
+from .correlations import SQRT2, SQRT3, chsh_f3_maxima, chsh_f3_value
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
 from .neldermead import minimize
-from .states import SIGMA, DensityMatrix, RMatrix, SeededRng, to_r_picture, validate_state
+from .states import DEFAULT_TOL, SIGMA, DensityMatrix, RMatrix, SeededRng, to_r_picture, validate_state
 
 _ETA_SIGNS = np.outer([1, -1, -1, -1], [1, -1, -1, -1])  # eta R eta = R * _ETA_SIGNS for eta = diag(1, -1, -1, -1)
 
@@ -125,27 +127,32 @@ class OneSidedResult:
     party: Party
     converged: bool
     starts_used: int  # starts actually run; fewer than the budget after an early exit
+    best_start: int  # index of the start that found ``value`` (0 is the identity filter)
     evaluations: int  # objective evaluations over the starts run
     at_scale_floor: bool  # optimiser pushed the filter scale to its floor; supremum may be on the boundary
     filtered_state: DensityMatrix  # the input after ``filter``, validated by the final verification
     success_probability: float  # probability of the filter's successful branch
 
 
-def apply_filters(rho: DensityMatrix, fa: LocalFilter, fb: LocalFilter) -> tuple[DensityMatrix, float]:
-    """Filtered state and success probability for filters on both sides."""
+def apply_filters(
+    rho: DensityMatrix, fa: LocalFilter, fb: LocalFilter, tol: float = DEFAULT_TOL
+) -> tuple[DensityMatrix, float]:
+    """Filtered state and success probability for filters on both sides, validated with ``tol``."""
     op = np.kron(fa.f, fb.f)
     unnorm = op @ rho.matrix @ op.conj().T
     prob = float(unnorm.trace().real)
     if prob <= 1e-12:
         raise ZeroSuccessProbability(f"success probability {prob:.3e} <= 1e-12")
-    return validate_state(unnorm / prob), prob
+    return validate_state(unnorm / prob, tol), prob
 
 
-def apply_one_sided(rho: DensityMatrix, f: LocalFilter, party: Party) -> tuple[DensityMatrix, float]:
+def apply_one_sided(
+    rho: DensityMatrix, f: LocalFilter, party: Party, tol: float = DEFAULT_TOL
+) -> tuple[DensityMatrix, float]:
     """Filter on one side only; the other party applies the identity."""
     if party is Party.A:
-        return apply_filters(rho, f, identity_filter())
-    return apply_filters(rho, identity_filter(), f)
+        return apply_filters(rho, f, identity_filter(), tol)
+    return apply_filters(rho, identity_filter(), f, tol)
 
 
 def normal_form_spectra(r: np.ndarray) -> np.ndarray:
@@ -233,37 +240,59 @@ def _filter_from_params(x: tuple[float, float, float]) -> np.ndarray:
     return 0.5 * ((1.0 + d) * SIGMA[0] + (d - 1.0) * np.tensordot(_direction(th, ph), SIGMA[1:], 1))
 
 
-def _boost(x: tuple[float, float, float]) -> np.ndarray:
-    """Lorentz boost L(d, n) of the filter h(d, n), n at polar angle theta and azimuth phi."""
+def _boost(x: tuple[float, float, float]) -> tuple[tuple[float, ...], ...]:
+    """Lorentz boost L(d, n) of the filter h(d, n), n at polar angle theta and azimuth phi, as nested rows."""
     d, th, ph = x
     n1, n2, n3 = _direction(th, ph)
     c, s = 0.5 * (d * d + 1.0), 0.5 * (d * d - 1.0)
     e = c - d
-    return np.array(
-        [
-            [c, s * n1, s * n2, s * n3],
-            [s * n1, d + e * n1 * n1, e * n1 * n2, e * n1 * n3],
-            [s * n2, e * n2 * n1, d + e * n2 * n2, e * n2 * n3],
-            [s * n3, e * n3 * n1, e * n3 * n2, d + e * n3 * n3],
-        ]
+    return (
+        (c, s * n1, s * n2, s * n3),
+        (s * n1, d + e * n1 * n1, e * n1 * n2, e * n1 * n3),
+        (s * n2, e * n2 * n1, d + e * n2 * n2, e * n2 * n3),
+        (s * n3, e * n3 * n1, e * n3 * n2, d + e * n3 * n3),
     )
 
 
-def _maximum(t: np.ndarray, objective: Objective) -> float:
-    """CHSH or F3 maximum of the correlation matrix t, by :func:`chsh_f3_maxima`, the one B/F3 formula."""
-    b, f3 = chsh_f3_maxima(t)
-    return float(b if objective is Objective.CHSH else f3)
+def _filtered_value(r0, boost, party: Party, objective: Objective) -> float:
+    """CHSH/F3 optimum of the state whose picture is r0 after one party's boost, on Python floats.
 
-
-def _filtered_value(r0: np.ndarray, boost: np.ndarray, party: Party, objective: Objective) -> float:
-    """CHSH/F3 optimum of the state whose picture is r0 after one party's boost."""
-    rf = boost @ r0 if party is Party.A else r0 @ boost.T
-    # rf[0, 0] is the success probability c + s (n . a) (b for Bob); since
-    # |a| <= 1 it is at least d^2 >= SCALE_FLOOR^2 = 1e-8 on a valid state.
-    prob = rf[0, 0]
+    r0 is the 4x4 picture (nested rows or an array) and boost the rows of
+    L(d, n). Alice's filtered picture is L R; Bob's is R L^T, whose
+    transpose L R^T has the same singular values. Either way the value is
+    that of (L C)[1:, 1:] / p with C = R (Alice) or R^T (Bob) and
+    p = (L C)[0, 0], the success probability, read by
+    :func:`chsh_f3_value`: the arithmetic of :func:`chsh_f3_maxima` with
+    no array built.
+    """
+    (l00, l01, l02, l03), (l10, l11, l12, l13), (l20, l21, l22, l23), (l30, l31, l32, l33) = boost
+    if party is Party.A:
+        (c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), (c30, c31, c32, c33) = r0
+    else:
+        (c00, c10, c20, c30), (c01, c11, c21, c31), (c02, c12, c22, c32), (c03, c13, c23, c33) = r0
+    # p = c + s (n . a) (b for Bob); since |a| <= 1 it is at least
+    # d^2 >= SCALE_FLOOR^2 = 1e-8 on a valid state.
+    prob = l00 * c00 + l01 * c10 + l02 * c20 + l03 * c30
     if prob <= 1e-12:
         raise ZeroSuccessProbability(f"success probability {prob:.3e} <= 1e-12")
-    return _maximum(rf[1:, 1:] / prob, objective)
+    t = (
+        (
+            (l10 * c01 + l11 * c11 + l12 * c21 + l13 * c31) / prob,
+            (l10 * c02 + l11 * c12 + l12 * c22 + l13 * c32) / prob,
+            (l10 * c03 + l11 * c13 + l12 * c23 + l13 * c33) / prob,
+        ),
+        (
+            (l20 * c01 + l21 * c11 + l22 * c21 + l23 * c31) / prob,
+            (l20 * c02 + l21 * c12 + l22 * c22 + l23 * c32) / prob,
+            (l20 * c03 + l21 * c13 + l22 * c23 + l23 * c33) / prob,
+        ),
+        (
+            (l30 * c01 + l31 * c11 + l32 * c21 + l33 * c31) / prob,
+            (l30 * c02 + l31 * c12 + l32 * c22 + l33 * c32) / prob,
+            (l30 * c03 + l31 * c13 + l32 * c23 + l33 * c33) / prob,
+        ),
+    )
+    return chsh_f3_value(t, objective is Objective.CHSH)
 
 
 def optimize_one_sided(
@@ -273,6 +302,7 @@ def optimize_one_sided(
     starts: int = 32,
     max_iters: int = 500,
     seed: int = 0,
+    tol: float = DEFAULT_TOL,
 ) -> OneSidedResult:
     """Maximise the filtered CHSH/F3 optimum over one party's filters.
 
@@ -286,18 +316,23 @@ def optimize_one_sided(
     unfiltered value. Start k draws from ``SeededRng(seed, k)``, so a seed
     must be non-negative, and ties resolve to the lowest start index. The search stops early
     once a start reaches the quantum maximum; ``starts_used`` counts the
-    starts run and ``evaluations`` their objective evaluations.
+    starts run, ``evaluations`` their objective evaluations and
+    ``best_start`` is the index of the start whose optimum is reported.
 
-    Each evaluation works on rho's correlation picture R, computed once:
-    the candidate's boost L(d, n) (see the module docstring) is applied to
-    R, the success probability is read off its [0, 0] entry, and the
-    maximum comes from the eigenvalues of T T^T for the normalised T. No
-    density matrix is formed during the search; positivity needs no check
-    there, because a filter is a congruence of the already validated rho.
+    Each evaluation works on rho's correlation picture R, computed once,
+    in Python floats: the candidate's boost L(d, n) (see the module
+    docstring) is applied to R, the success probability is read off its
+    [0, 0] entry, and the maximum of the normalised T comes from
+    :func:`hqc.correlations.chsh_f3_value`, the float rendition of the
+    closed-form B/F3 formula. No density matrix or array is formed during
+    the search; positivity needs no check there, because a filter is a
+    congruence of the already validated rho.
 
     The winning filter is then applied once through ``apply_one_sided``,
-    whose ``validate_state`` checks the filtered state, and the value is
-    recomputed from that state; this is the value reported, alongside
+    whose ``validate_state`` checks the filtered state with ``tol`` (the
+    tolerance rho itself was accepted with), and the value is
+    recomputed from that state by :func:`hqc.correlations.chsh_f3_maxima`;
+    this is the value reported, alongside
     that filtered state and its success probability. If it differs
     from the search's value by more than 1e-9, ``OptimumMismatch`` is
     raised.
@@ -308,14 +343,14 @@ def optimize_one_sided(
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     SeededRng(seed)  # rejects a negative seed, even when no start draws from it
     maxval = SQRT2 if objective is Objective.CHSH else SQRT3
-    r0 = to_r_picture(rho).r
+    r0 = to_r_picture(rho).r.tolist()
 
     def value_of(x: tuple[float, float, float]) -> float:
         return _filtered_value(r0, _boost(x), party, objective)
 
     bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
     identity = (1.0, 0.0, 0.0)  # d = 1
-    best_x, best_val = identity, value_of(identity)
+    best_x, best_val, best_start = identity, value_of(identity), 0
     converged = False
     evaluations = 0
     for start in range(starts):
@@ -331,21 +366,23 @@ def optimize_one_sided(
         converged = converged or res.success
         evaluations += res.nfev
         if -res.fun > best_val + 1e-15:
-            best_val, best_x = -res.fun, res.x
+            best_val, best_x, best_start = -res.fun, res.x, start
         if best_val >= maxval - 1e-12:
             break  # cannot improve on the quantum maximum
     best = LocalFilter(_filter_from_params(best_x))
-    filtered, prob = apply_one_sided(rho, best, party)
-    value = _maximum(to_r_picture(filtered).t, objective)
+    filtered, prob = apply_one_sided(rho, best, party, tol)
+    b, f3 = chsh_f3_maxima(to_r_picture(filtered).t)
+    value = float(b if objective is Objective.CHSH else f3)
     if abs(value - best_val) > 1e-9:
         raise OptimumMismatch(f"boost value {best_val!r} but the filtered state gives {value!r}")
     return OneSidedResult(
-        value=float(value),
+        value=value,
         filter=best,
         objective=objective,
         party=party,
         converged=converged,
         starts_used=start + 1,
+        best_start=best_start,
         evaluations=evaluations,
         at_scale_floor=bool(best_x[0] <= SCALE_FLOOR * 1.01),
         filtered_state=filtered,

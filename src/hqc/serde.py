@@ -184,6 +184,7 @@ def one_sided_result_to_dict(res: OneSidedResult) -> dict:
         "party": res.party.value,
         "converged": bool(res.converged),
         "starts_used": int(res.starts_used),
+        "best_start": int(res.best_start),
         "evaluations": int(res.evaluations),
         "at_scale_floor": bool(res.at_scale_floor),
         "filter": filter_to_dict(res.filter),

@@ -11,6 +11,7 @@ import pytest
 
 import hqc
 from hqc import (
+    DensityMatrix,
     Objective,
     Party,
     Thresholds,
@@ -409,6 +410,37 @@ class TestFilter:
         assert doc["filtered_state"] == serde.state_to_dict(filtered)
         assert doc["success_probability"] == prob
         assert doc["after"] == serde.report_to_dict(classify(to_r_picture(filtered)))
+
+    def test_tol_reaches_the_filtered_state(self, capsys, tmp_path):
+        # accepted with --tol 1e-8 (its least eigenvalue is -5e-9), so the
+        # identity-filtered state must be validated with the same tolerance
+        path = tmp_path / "s.json"
+        rho = np.diag([0.5 + 5e-9, 0.5, 0.0, -5e-9]).astype(complex)
+        path.write_text(json.dumps(serde.state_to_dict(DensityMatrix(rho))))
+        code, doc = run_cli(capsys, "filter", str(path), "--tol", "1e-8")
+        assert code == 0
+        assert doc["success_probability"] == pytest.approx(1.0, abs=1e-15)
+        code, doc = run_cli(capsys, "filter", str(path))
+        assert code == 2
+        assert doc["error"]["type"] == "NotPositive"
+
+    def test_optimize_reports_the_winning_start(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
+        argv = ("filter", str(path), "--optimize", "B", "chsh", "--starts", "6")
+        (code, doc), (_, again) = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert code == 0
+        opt = doc["optimizer"]
+        assert list(opt)[4:7] == ["starts_used", "best_start", "evaluations"]
+        assert 0 < opt["best_start"] < opt["starts_used"]
+        assert again["optimizer"] == opt
+        # the starts after the winner change nothing, and without it the value is lower
+        cut = list(argv[:-1])
+        _, upto = run_cli(capsys, *cut, str(opt["best_start"] + 1))
+        _, before = run_cli(capsys, *cut, str(opt["best_start"]))
+        assert upto["optimizer"]["value"] == opt["value"]
+        assert upto["optimizer"]["best_start"] == opt["best_start"]
+        assert before["optimizer"]["value"] < opt["value"]
 
     def test_optimize_excludes_filter_files(self, capsys, tmp_path):
         path = tmp_path / "w.json"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,10 +24,11 @@ from hqc import (
     to_r_picture,
     validate_state,
 )
-from hqc.correlations import chsh_f3_maxima
+from hqc.correlations import chsh_f3_maxima, chsh_f3_value
+from hqc.filtering import _boost
 from hqc.states import RMatrix, ginibre_states, r_pictures, states_from_factors
 
-from conftest import ginibre_and_pure_marginal_factors, haar_unitary_2, werner_matrix
+from conftest import ginibre_and_pure_marginal_factors, haar_unitary_2, rotation_of_unitary, werner_matrix
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -126,6 +128,107 @@ class TestOneFormula:
             bi, f3i = chsh_f3_maxima(ri[1:, 1:])
             assert (b[i].tobytes(), f3[i].tobytes()) == (bi.tobytes(), f3i.tobytes()), i
             assert (chsh_max(RMatrix(ri))[0], f3_max(RMatrix(ri))) == (float(b[i]), float(f3[i])), i
+
+
+def _boosted_t(r: np.ndarray, x) -> np.ndarray:
+    """T of the picture r after Alice's boost L(x): (L R)[1:, 1:] / (L R)[0, 0]."""
+    rf = np.array(_boost(x)) @ r
+    return rf[1:, 1:] / rf[0, 0]
+
+
+def _oracle_cases() -> np.ndarray:
+    """Correlation matrices on which a cubic-root formula for the T T^T spectrum goes wrong.
+
+    Rotated spectra with a degenerate lower pair, a degenerate top pair, a
+    triple, rank one and zero; pure states (T has singular values (1, s, s));
+    and boosts L(d, n) with d in [1e-4, 1] of rho_m, rho_qd and Ginibre states,
+    whose T tends to rank one as d falls.
+    """
+    gen = SeededRng(90, 0).generator()
+    cases = []
+    for spectrum in ((0.9, 0.3, 0.3), (0.5, 0.5, 0.2), (0.4, 0.4, 0.4), (0.7, 0.0, 0.0), (0.0, 0.0, 0.0)):
+        for _ in range(12):
+            o1, o2 = (rotation_of_unitary(haar_unitary_2(gen)) for _ in range(2))
+            cases.append(o1 @ np.diag(spectrum) @ o2.T)
+    cases += [to_r_picture(sample_state(SeededRng(91, i), rank=1)).t for i in range(40)]
+    states = [rho_m(t, p) for t in (math.pi / 12, 0.5) for p in (0.75, 0.9)]
+    states += [rho_qd(p) for p in (0.4, 0.6, 0.9)]
+    states += [sample_state(SeededRng(92, i), rank=1 + i % 4) for i in range(8)]
+    for rho in states:
+        r = to_r_picture(rho).r
+        for d in 10.0 ** -np.linspace(0.0, 4.0, 9):
+            cases.append(_boosted_t(r, (d, gen.uniform(0.0, math.pi), gen.uniform(-math.pi, math.pi))))
+    return np.array(cases)
+
+
+def _mp_reference(t: np.ndarray) -> tuple[float, float]:
+    """B and F3 of t from a 50-digit symmetric eigensolve of T T^T (the float entries of t are exact)."""
+    with mpmath.workdps(50):
+        m = mpmath.matrix(t.tolist())
+        w = sorted(mpmath.eigsy(m * m.T, eigvals_only=True))
+        return mpmath.sqrt(w[1] + w[2]), mpmath.sqrt(w[0] + w[1] + w[2])
+
+
+def _plain_trigonometric_b(t: np.ndarray) -> float:
+    """B^2 = tr M - l_min with l_min from the bare arccos formula: the method the oracle must catch."""
+    m = t @ t.T
+    q = np.trace(m) / 3.0
+    p = math.sqrt(np.sum((m - q * np.eye(3)) ** 2) / 6.0)
+    if p == 0.0:
+        return math.sqrt(2.0 * q)
+    phi = math.acos(min(max(np.linalg.det((m - q * np.eye(3)) / p) / 2.0, -1.0), 1.0)) / 3.0
+    return math.sqrt(3.0 * q - (q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)))
+
+
+def _rel(x: float, ref) -> float:
+    return float(abs(x - ref) / ref) if ref > 0 else abs(x)
+
+
+class TestPrecisionOracle:
+    """Both renditions of the closed-form B/F3 formula against 50-digit references.
+
+    Measured on the oracle cases: at most 2.0e-16 relative for B and 1.6e-16
+    for F3 (the batched eigvalsh of T T^T reached 5.0e-16 for B, the bare
+    arccos formula 3.5e-9).
+    """
+
+    BOUND = 1e-15
+
+    def test_closed_forms_match_the_50_digit_spectrum(self):
+        cases = _oracle_cases()
+        b, f3 = chsh_f3_maxima(cases)
+        worst = {"B": 0.0, "F3": 0.0, "B float": 0.0, "F3 float": 0.0, "plain trigonometric B": 0.0}
+        for i, t in enumerate(cases):
+            b_ref, f3_ref = _mp_reference(t)
+            errors = {
+                "B": _rel(b[i], b_ref),
+                "F3": _rel(f3[i], f3_ref),
+                "B float": _rel(chsh_f3_value(t.tolist(), True), b_ref),
+                "F3 float": _rel(chsh_f3_value(t.tolist(), False), f3_ref),
+                "plain trigonometric B": _rel(_plain_trigonometric_b(t), b_ref),
+            }
+            worst = {key: max(worst[key], errors[key]) for key in worst}
+        plain = worst.pop("plain trigonometric B")
+        assert max(worst.values()) <= self.BOUND, worst
+        # the cases are hard enough: the bare arccos formula misses the bound on them by far
+        assert plain > 1e3 * self.BOUND, plain
+
+    def test_zero_matrix_gives_zero(self):
+        assert chsh_f3_maxima(np.zeros((3, 3))) == (0.0, 0.0)
+        assert (chsh_f3_value([[0.0] * 3] * 3, True), chsh_f3_value([[0.0] * 3] * 3, False)) == (0.0, 0.0)
+
+    def test_float_rendition_agrees_with_the_batch(self):
+        # 10^4 boosted Ginibre pictures of ranks 1-4; math.acos and numpy's arccos may
+        # differ in the last bit, so the renditions agree to a relative 1e-15, not bitwise
+        gen = SeededRng(93, 0).generator()
+        r = r_pictures(states_from_factors(ginibre_and_pure_marginal_factors(gen)))
+        x = zip(10.0 ** gen.uniform(-4.0, 0.0, 10_000), *gen.uniform(-math.pi, math.pi, (2, 10_000)))
+        cases = np.array([_boosted_t(r[i % len(r)], xi) for i, xi in enumerate(x)])
+        b, f3 = chsh_f3_maxima(cases)
+        worst = 0.0
+        for i, t in enumerate(cases.tolist()):
+            worst = max(worst, _rel(chsh_f3_value(t, True), b[i]), _rel(chsh_f3_value(t, False), f3[i]))
+        assert worst <= 1e-15
 
 
 class TestF3Value:

@@ -170,8 +170,8 @@ class TestClassify:
         assert degenerate >= 1  # |00> at least takes the NaN branch
 
     def test_reads_each_quantity_once(self, monkeypatch):
-        # a batch of n, like a batch of one, takes one normal-form spectrum solve, two symmetric
-        # eigensolves (T T^T for B and F3, and PPT), no SVD, and no rebuilt density matrix
+        # a batch of n, like a batch of one, takes one normal-form spectrum solve, one symmetric
+        # eigensolve (PPT; B and F3 are closed forms), no SVD, and no rebuilt density matrix
         calls = {"spectra": 0, "svd": 0, "eigvalsh": 0, "from_r_picture": 0}
 
         def counting(key, fn):
@@ -189,10 +189,10 @@ class TestClassify:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(criteria_mod, "from_r_picture", counting("from_r_picture", from_r_picture))
         classify(r)
-        assert calls == {"spectra": 1, "svd": 0, "eigvalsh": 2, "from_r_picture": 0}
+        assert calls == {"spectra": 1, "svd": 0, "eigvalsh": 1, "from_r_picture": 0}
         calls.update(dict.fromkeys(calls, 0))
         assert len(classify_batch(batch)) == len(batch)
-        assert calls == {"spectra": 1, "svd": 0, "eigvalsh": 2, "from_r_picture": 0}
+        assert calls == {"spectra": 1, "svd": 0, "eigvalsh": 1, "from_r_picture": 0}
 
     def test_degenerate_normal_form_reported_not_raised(self, ket00):
         report = classify(to_r_picture(ket00))
