@@ -65,6 +65,7 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
 
 def _parse_rank_mix(spec: str) -> tuple[float, float, float, float]:
     weights = [0.0, 0.0, 0.0, 0.0]
+    seen = set()
     for item in spec.split(","):
         rank, _, weight = item.partition(":")
         try:
@@ -74,6 +75,9 @@ def _parse_rank_mix(spec: str) -> tuple[float, float, float, float]:
             raise DomainError(f"--rank-mix entries must be rank:weight, got {item!r}") from exc
         if not 1 <= idx <= 4:
             raise DomainError(f"--rank-mix rank must be 1..4, got {idx}")
+        if idx in seen:
+            raise DomainError(f"--rank-mix gives rank {idx} more than once")
+        seen.add(idx)
         weights[idx - 1] = w
     return tuple(weights)  # type: ignore[return-value]
 
@@ -276,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True, help="prefix for output files")
     p.add_argument("--bins", type=int, default=200, help="centre-magnitude histogram bins")
     p.add_argument("--workers", type=int, default=1, help="parallel workers")
-    p.add_argument("--rank-mix", default=None, help="rank weights, e.g. 1:0.25,2:0.25,3:0.25,4:0.25")
+    p.add_argument(
+        "--rank-mix", default=None, help="rank weights, each rank at most once, e.g. 1:0.25,2:0.25,3:0.25,4:0.25"
+    )
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("filter", help="apply local filters or optimise a one-sided filter")

@@ -29,7 +29,7 @@ from .correlations import chsh_f3_maxima
 from .criteria import Thresholds, conjecture_bound_chsh
 from .ellipsoid import Party, ellipsoid_centres
 from .errors import DomainError
-from .states import SeededRng, ginibre_factors, r_pictures, states_from_factors
+from .states import SeededRng, ginibre_factors, pictures_from_factors, states_from_factors
 
 VIOLATION_TOL = 1e-9  # margin a sample must exceed a bound by to count as a violation
 
@@ -37,7 +37,7 @@ DEFAULT_RANK_MIX = (0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 STAGES = ("draw", "stats", "bin", "violation_scan")  # the timed stages of a chunk, in order
 
-_TILE = 4096  # states per compute tile; a tile's complex rho is 1 MB, so its intermediates stay cache-sized
+_TILE = 4096  # states per compute tile; a tile's factor parts are 1 MB, so its intermediates stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,20 @@ class EnvelopeRow:
     count: int
 
 
-def sweep_stats(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Correlation statistics for a batch of Ginibre factors.
+def sweep_stats(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Correlation statistics for a batch of Ginibre factors G = x + i y.
 
-    ``g`` is (n, 4, 4) complex; state i is ``g[i] g[i]^dag`` normalised to
-    unit trace. Returns ``(b, f3, c_a, c_b, ok_a, ok_b)`` where ``ok_W``
+    ``x`` and ``y`` are the (n, 4, 4) real and imaginary parts; state i is
+    ``G[i] G[i]^dag`` normalised to unit trace, whose picture comes straight
+    from the parts (:func:`hqc.states.pictures_from_factors`), with no complex
+    G or rho. Returns ``(b, f3, c_a, c_b, ok_a, ok_b)`` where ``ok_W``
     marks samples whose steering party has a non-pure marginal (centre
-    well defined); ``c_W`` is 0 where not ok. It composes the package's
-    batched R-picture functions, so the sweep evaluates the same formulas
-    as the scalar API.
+    well defined); ``c_W`` is 0 where not ok. The B/F3 and centre formulas
+    are the batched ones of the scalar API.
     """
-    r = r_pictures(states_from_factors(g))
+    r = pictures_from_factors(x, y)
     b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
     centre_a, ok_a = ellipsoid_centres(r, Party.A)
     centre_b, ok_b = ellipsoid_centres(r, Party.B)
@@ -189,7 +192,8 @@ def _merge_sides(x: SideBins, y: SideBins) -> SideBins:
 def _violations_in_chunk(
     config: SweepConfig,
     start: int,
-    g: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
     b: np.ndarray,
     f3: np.ndarray,
     c_a: np.ndarray,
@@ -206,7 +210,7 @@ def _violations_in_chunk(
         checks[f"f3_above_threshold_{side}"] = ok & (f3 > 1.0 + tol) & (c > th.c_f3)
     bad = np.nonzero(np.logical_or.reduce(list(checks.values())))[0]
     out = []
-    for local, rho in zip(bad, states_from_factors(g[bad])):
+    for local, rho in zip(bad, states_from_factors(x[bad] + 1j * y[bad])):
         out.append(
             Violation(
                 index=start + int(local),
@@ -236,17 +240,17 @@ def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBin
         gen = SeededRng(config.seed, chunk_index).generator()
         mix = np.asarray(config.rank_mix, dtype=float)
         ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
-        g = ginibre_factors(gen, ranks)
+        x, y = ginibre_factors(gen, ranks)
     stats = tuple(np.empty(count, dtype=dtype) for dtype in (float, float, float, float, bool, bool))
     violations = []
     for lo in range(0, count, _TILE):
         tile = slice(lo, lo + _TILE)
         with _timed(seconds, "stats"):
-            tile_stats = sweep_stats(g[tile])
+            tile_stats = sweep_stats(x[tile], y[tile])
             for whole, part in zip(stats, tile_stats):
                 whole[tile] = part
         with _timed(seconds, "violation_scan"):
-            violations += _violations_in_chunk(config, start + lo, g[tile], *tile_stats)
+            violations += _violations_in_chunk(config, start + lo, x[tile], y[tile], *tile_stats)
     b, f3, c_a, c_b, ok_a, ok_b = stats
     with _timed(seconds, "bin"):
         side_b = _bin_side(c_b, ok_b, b, f3, config.bins)

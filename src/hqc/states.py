@@ -30,10 +30,56 @@ SIGMA = (
 # PAULI_KRON[i, j] = sigma_i (x) sigma_j, the 16-element operator basis.
 PAULI_KRON = np.array([[np.kron(SIGMA[i], SIGMA[j]) for j in range(4)] for i in range(4)])
 
-# _PAULI_TABLE[4 l + k, 4 i + j] = (sigma_i (x) sigma_j)[k, l]: flattened rho @ table = flattened R.
-_PAULI_TABLE = np.ascontiguousarray(PAULI_KRON.transpose(3, 2, 0, 1).reshape(16, 16))
-
 DEFAULT_TOL = 1e-10
+
+
+def _pauli_map() -> tuple[np.ndarray, np.ndarray]:
+    """The real Pauli map from a state's 32 real components to its picture's 16 entries.
+
+    Component 2 (4 k + l) is Re rho[k, l] and 2 (4 k + l) + 1 is Im rho[k, l],
+    the memory order of a complex array. Each column of sigma_i (x) sigma_j holds
+    one nonzero, which is +-1 or +-i, so R[i, j] = sum_kl Re(P[l, k] rho[k, l])
+    has four terms, each +-Re rho[k, l] or -+Im rho[k, l]. Row 4 i + j of the
+    returned (16, 4) arrays lists their components and signs in ascending 4 k + l.
+    """
+    terms, signs = [], []
+    for p in PAULI_KRON.reshape(16, 4, 4):
+        k, l = np.nonzero(p.T)  # row-major over (k, l): ascending 4 k + l
+        entry = p[l, k]
+        imaginary = entry.imag != 0.0
+        terms.append(2 * (4 * k + l) + imaginary)
+        signs.append(np.where(imaginary, -entry.imag, entry.real))
+    return np.array(terms), np.array(signs)
+
+
+_PAULI_TERMS, _PAULI_SIGNS = _pauli_map()
+
+# The Hermitian parts of G G^dag held once: rows 0-9 are Re[a, b] for a <= b and rows 10-15
+# Im[a, b] for a < b, each block ordered by the offset d = b - a, then by a.
+_PAIRS = [(a, a + d) for d in range(4) for a in range(4 - d)]
+_RE_ROWS = [0, 4, 7, 9]  # where each offset's Re rows start; its Im rows start 6 rows later
+
+
+def _folded_map() -> tuple[np.ndarray, np.ndarray]:
+    """The Pauli map on those 16 rows: Re rho[l, k] is Re rho[k, l] and Im rho[l, k] is -Im rho[k, l]."""
+    row = np.zeros(32, dtype=np.int64)
+    sign = np.zeros(32)
+    for k in range(4):
+        for l in range(4):
+            re, im = 2 * (4 * k + l), 2 * (4 * k + l) + 1
+            row[re], sign[re] = _PAIRS.index((min(k, l), max(k, l))), 1.0
+            if k != l:  # no Pauli product reads the imaginary part of a diagonal entry
+                row[im], sign[im] = row[re] + 6, 1.0 if k < l else -1.0
+    return row[_PAULI_TERMS], _PAULI_SIGNS * sign[_PAULI_TERMS]
+
+
+def _signed_rows(terms: np.ndarray, signs: np.ndarray, rows: int) -> np.ndarray:
+    """A map's terms as rows of the stack [c; -c] of ``rows`` components, term-major as (4, 16)."""
+    return np.ascontiguousarray((terms + rows * (signs < 0.0)).T)
+
+
+_PAULI_ROWS = _signed_rows(_PAULI_TERMS, _PAULI_SIGNS, 32)
+_FOLDED_ROWS = _signed_rows(*_folded_map(), 16)
 
 
 @dataclass(frozen=True)
@@ -123,13 +169,64 @@ def validate_state(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def _pauli_sums(components: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The 16 entries of R, held as (16, n), from components held as (m, n): entry e
+    sums the rows rows[:, e] of [components; -components] in ascending order."""
+    signed = np.concatenate([components, -components])
+    r = signed.take(rows[0], axis=0)
+    for term in rows[1:]:
+        r += signed.take(term, axis=0)
+    return r
+
+
 def r_pictures(rho: np.ndarray) -> np.ndarray:
     """Pictures R[n, i, j] = Tr[(sigma_i (x) sigma_j) rho[n]] of a (n, 4, 4) batch
-    of unit-trace states, as one (n, 16) x (16, 16) product; R[n, 0, 0] is exactly 1.
-    The result is a C-contiguous real array, not a view into the complex product."""
-    r = np.ascontiguousarray((rho.reshape(-1, 16) @ _PAULI_TABLE).real).reshape(-1, 4, 4)
+    of unit-trace states: the Pauli map applied to rho.real and rho.imag, with
+    R[n, 0, 0] exactly 1. The result is a C-contiguous real array."""
+    components = np.ascontiguousarray(rho, dtype=complex).reshape(-1, 16).view(float).T
+    r = np.ascontiguousarray(_pauli_sums(components, _PAULI_ROWS).T).reshape(-1, 4, 4)
     r[:, 0, 0] = 1.0
     return r
+
+
+def _column_sums(
+    out: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, op: np.ufunc, work: np.ndarray
+) -> None:
+    """out = the sum over the factor's columns of op(a b, c d), for (k, 4, n) operands held
+    column second; ``work`` holds two scratch arrays of their shape."""
+    ab = np.multiply(a, b, out=work[0])
+    op(ab, np.multiply(c, d, out=work[1]), out=ab)
+    np.add(ab[:, 0], ab[:, 1], out=out)
+    out += ab[:, 2]
+    out += ab[:, 3]
+
+
+def pictures_from_factors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pictures of the states G G^dag / Tr for G = x + i y, a (n, 4, 4) batch of
+    factors given by its real and imaginary parts, without forming G or rho.
+
+    G G^dag has real part x x^T + y y^T and imaginary part y x^T - x y^T, held
+    once each (10 and 6 entries) and fed to the Pauli map of :func:`r_pictures`;
+    the sums are divided by the trace, and R[n, 0, 0] is exactly 1. Every step
+    is elementwise on the batch, held last, so each row's bits do not depend on
+    the rest of the batch. The result is an (n, 4, 4) view of R held components
+    first, as a (16, n) array.
+    """
+    n = len(x)
+    xc = np.ascontiguousarray(x.transpose(1, 2, 0))  # (row, column, state)
+    yc = np.ascontiguousarray(y.transpose(1, 2, 0))
+    sums = np.empty((16, n))
+    work = np.empty((2, 4, 4, n))
+    for d in range(4):  # the entries [a, a + d]
+        k, row = 4 - d, _RE_ROWS[d]
+        _column_sums(sums[row : row + k], xc[:k], xc[d:], yc[:k], yc[d:], np.add, work[:, :k])
+        if d:
+            _column_sums(sums[row + 6 : row + 6 + k], yc[:k], xc[d:], xc[:k], yc[d:], np.subtract, work[:, :k])
+    del xc, yc, work  # dropped before the map's temporaries: a sweep tile's peak memory
+    r = _pauli_sums(sums, _FOLDED_ROWS)
+    r[1:] /= r[0]  # row 0 sums the diagonal: it is the trace
+    r[0] = 1.0
+    return r.T.reshape(n, 4, 4)
 
 
 def to_r_picture(rho: DensityMatrix) -> RMatrix:
@@ -153,18 +250,20 @@ def pauli_expansion(r: np.ndarray) -> np.ndarray:
     return 0.25 * (r.reshape(-1, 1, 16) @ PAULI_KRON.reshape(16, 16)).reshape(r.shape)
 
 
-def ginibre_factors(gen: np.random.Generator, ranks: np.ndarray) -> np.ndarray:
-    """Ginibre factors G, one (4, 4) matrix per entry of ``ranks``, with the columns
-    from each rank on zeroed. Every sample consumes 32 standard normals whatever
-    its rank, so mixed-rank streams stay aligned and reproducible. G is filled in
-    place, all real parts drawn before all imaginary parts, so the only temporary
-    is one real draw."""
-    count = len(ranks)
-    g = np.empty((count, 4, 4), dtype=complex)
-    g.real = gen.standard_normal((count, 4, 4))
-    g.imag = gen.standard_normal((count, 4, 4))
-    g *= np.arange(4)[None, None, :] < ranks[:, None, None]
-    return g
+def ginibre_factors(gen: np.random.Generator, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts (x, y) of Ginibre factors G = x + i y, one (4, 4)
+    matrix per entry of ``ranks``, with the columns from each rank on zeroed. Every
+    sample consumes 32 standard normals whatever its rank, so mixed-rank streams
+    stay aligned and reproducible: all real parts are drawn before all imaginary
+    parts, straight into the two (n, 4, 4) arrays, with no temporary."""
+    x = np.empty((len(ranks), 4, 4))
+    y = np.empty_like(x)
+    gen.standard_normal(out=x)
+    gen.standard_normal(out=y)
+    keep = np.arange(4)[None, None, :] < ranks[:, None, None]
+    x *= keep
+    y *= keep
+    return x, y
 
 
 def states_from_factors(g: np.ndarray) -> np.ndarray:
@@ -183,7 +282,8 @@ def ginibre_states(gen: np.random.Generator, count: int, ranks: int | np.ndarray
     ranks = np.broadcast_to(np.asarray(ranks, dtype=np.int64), (count,))
     if ranks.size and (ranks.min() < 1 or ranks.max() > 4):
         raise DomainError("rank must be in 1..4")
-    return states_from_factors(ginibre_factors(gen, ranks))
+    x, y = ginibre_factors(gen, ranks)
+    return states_from_factors(x + 1j * y)
 
 
 def sample_state(rng: SeededRng, rank: int = 4) -> DensityMatrix:

@@ -42,7 +42,8 @@ def maximally_mixed() -> DensityMatrix:
 def ginibre_and_pure_marginal_factors(gen: np.random.Generator) -> np.ndarray:
     """Ginibre factors of 2,000 states of ranks 1-4, then of four states with pure marginals:
     |00>, a random pure product, a pure A marginal with B mixed, and A mixed with a pure B marginal."""
-    g = ginibre_factors(gen, np.repeat(np.arange(1, 5), 500))
+    x, y = ginibre_factors(gen, np.repeat(np.arange(1, 5), 500))
+    g = x + 1j * y
     ket0 = np.array([1.0, 0.0])
     u, v = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
     pure = np.zeros((4, 4, 4), dtype=complex)
@@ -51,6 +52,18 @@ def ginibre_and_pure_marginal_factors(gen: np.random.Generator) -> np.ndarray:
     pure[2, :, 0], pure[2, :, 1] = np.kron(ket0, u), np.kron(ket0, v)
     pure[3, :, 0], pure[3, :, 1] = np.kron(u, ket0), np.kron(v, ket0)
     return np.concatenate([g, pure])
+
+
+def complex_path_states(gen: np.random.Generator, ranks: np.ndarray) -> np.ndarray:
+    """Ginibre states as the complex path built them: G filled in place from two
+    whole-batch draws, masked by a complex product, then G G^dag / Tr."""
+    count = len(ranks)
+    g = np.empty((count, 4, 4), dtype=complex)
+    g.real = gen.standard_normal((count, 4, 4))
+    g.imag = gen.standard_normal((count, 4, 4))
+    g *= np.arange(4)[None, None, :] < ranks[:, None, None]
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.einsum("nii->n", rho).real[:, None, None]
 
 
 def haar_unitary_2(gen: np.random.Generator) -> np.ndarray:

@@ -286,6 +286,15 @@ class TestSweep:
         assert code == 2
         assert doc["error"]["type"] == "DomainError"
 
+    def test_repeated_rank_in_mix_exits_2(self, capsys, tmp_path):
+        # a repeated rank was once kept silently with its last weight
+        prefix = tmp_path / "x_"
+        code, doc = run_cli(capsys, "sweep", "--n", "10", "--rank-mix", "2:1,2:3", "--out-prefix", str(prefix))
+        assert code == 2
+        assert doc["error"]["type"] == "DomainError"
+        assert "rank 2" in doc["error"]["message"]
+        assert not Path(f"{prefix}envelope.csv").exists()
+
 
 class TestNegativeSeed:
     # rejected before any work, including the calls that draw nothing from the seed

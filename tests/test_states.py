@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,9 +22,16 @@ from hqc import (
     to_r_picture,
     validate_state,
 )
-from hqc.states import ginibre_states, r_pictures
+from hqc.states import ginibre_factors, ginibre_states, pictures_from_factors, r_pictures, states_from_factors
 
-from conftest import haar_unitary_2, ket00_matrix, rotation_of_unitary, singlet_matrix
+from conftest import (
+    complex_path_states,
+    ginibre_and_pure_marginal_factors,
+    haar_unitary_2,
+    ket00_matrix,
+    rotation_of_unitary,
+    singlet_matrix,
+)
 
 
 def bloch_of_qubit(rho2: np.ndarray) -> np.ndarray:
@@ -144,6 +152,52 @@ class TestRPicture:
         assert single.flags["C_CONTIGUOUS"] and single.strides == (32, 8)
 
 
+class TestPauliMap:
+    def test_r_pictures_match_the_complex_table_product_bitwise(self):
+        # the real Pauli map's ascending signed sums against the (n, 16) x (16, 16) complex
+        # product it replaced, on 20,000 mixed-rank states and the pure-marginal states
+        table = np.ascontiguousarray(PAULI_KRON.transpose(3, 2, 0, 1).reshape(16, 16))
+        rho = np.concatenate(
+            [
+                ginibre_states(SeededRng(3, 0).generator(), 20_000, np.repeat(np.arange(1, 5), 5_000)),
+                states_from_factors(ginibre_and_pure_marginal_factors(SeededRng(4, 0).generator())[-4:]),
+            ]
+        )
+        old = np.ascontiguousarray((rho.reshape(-1, 16) @ table).real).reshape(-1, 4, 4)
+        old[:, 0, 0] = 1.0
+        assert r_pictures(rho).tobytes() == old.tobytes()
+
+    def test_factor_parts_match_the_complex_path(self):
+        # R straight from Re G and Im G against r_pictures of G G^dag / Tr, on ranks 1-4
+        # and the pure-marginal states; measured 4.4e-16
+        g = ginibre_and_pure_marginal_factors(SeededRng(1234, 0).generator())
+        r = pictures_from_factors(g.real, g.imag)
+        assert r.shape == (len(g), 4, 4) and (r[:, 0, 0] == 1.0).all()
+        np.testing.assert_allclose(r, r_pictures(states_from_factors(g)), rtol=0, atol=1e-15)
+
+    def test_factor_parts_against_a_50_digit_oracle(self):
+        # every entry of R = Tr[(sigma_i x sigma_j) G G^dag] / Tr[G G^dag] in 50-digit
+        # arithmetic, on 20 factors of ranks 1-4; measured 2.2e-16
+        x, y = ginibre_factors(SeededRng(77, 0).generator(), np.repeat(np.arange(1, 5), 5))
+        r = pictures_from_factors(x, y)
+        with mpmath.workdps(50):
+            paulis = [[mpmath.matrix(PAULI_KRON[i, j].tolist()) for j in range(4)] for i in range(4)]
+            for n in range(len(x)):
+                g = mpmath.matrix([[mpmath.mpc(x[n, a, b], y[n, a, b]) for b in range(4)] for a in range(4)])
+                rho = g * g.H
+                trace = sum(rho[k, k] for k in range(4))
+                for i in range(4):
+                    for j in range(4):
+                        exact = mpmath.re(sum((paulis[i][j] * rho)[k, k] for k in range(4)) / trace)
+                        assert abs(exact - r[n, i, j]) <= 1e-15
+
+    def test_factor_rows_do_not_depend_on_the_batch(self):
+        x, y = ginibre_factors(SeededRng(8, 0).generator(), np.repeat(np.arange(1, 5), 25))
+        r = pictures_from_factors(x, y)
+        for k in (0, 37, 99):
+            assert pictures_from_factors(x[k : k + 1], y[k : k + 1]).tobytes() == r[k : k + 1].copy().tobytes()
+
+
 class TestFromRPicture:
     def test_singlet_roundtrip(self, singlet):
         out = from_r_picture(RMatrix(np.diag([1.0, -1.0, -1.0, -1.0])))
@@ -204,6 +258,16 @@ class TestSampling:
         for seed, stream in ((-1, 0), (0, -1)):
             with pytest.raises(DomainError):
                 SeededRng(seed, stream)
+
+    def test_states_match_the_complex_path_bitwise(self):
+        # drawing the parts straight into real arrays changes no state bit
+        ranks = np.repeat(np.arange(1, 5), 5_000)
+        rho = ginibre_states(SeededRng(9, 0).generator(), len(ranks), ranks)
+        assert rho.tobytes() == complex_path_states(SeededRng(9, 0).generator(), ranks).tobytes()
+        for stream in range(3):
+            for rank in (1, 2, 3, 4):
+                oracle = complex_path_states(SeededRng(9, stream).generator(), np.array([rank]))[0]
+                assert sample_state(SeededRng(9, stream), rank=rank).matrix.tobytes() == oracle.tobytes()
 
     def test_batch_deterministic(self):
         a = ginibre_states(SeededRng(7, 0).generator(), 3, 4)
