@@ -42,28 +42,33 @@ vector, and
     c = (d^2 + 1) / 2,  s = (d^2 - 1) / 2,
 
 is d times a Lorentz boost of rapidity |ln d| along n. The one-sided
-optimiser therefore searches the three parameters (d, n) and evaluates a
-candidate on Python floats: one 4x4 product L . R (L . R^T for Bob, the
-transpose of R . L^T) and :func:`hqc.correlations.chsh_f3_value`, the
-float rendition of the closed-form B/F3 formula of
-:func:`hqc.correlations.chsh_f3_maxima`, which reports the final value.
-Its search is the package's own bounded Nelder-Mead,
-:func:`hqc.neldermead.minimize`, bound here as ``minimize``.
+optimiser therefore searches the three parameters (d, n). Its objective
+unpacks R (R^T for Bob, since R . L^T is the transpose of L . R^T) into
+Python floats once per call; each evaluation then takes the 16 entries
+of L(d, n) from :func:`_boost`, the one rendition of the formula above,
+forms the 10 entries of L . R that the value needs (the success
+probability and T, not row 0's marginal part) and reads the value with
+:func:`hqc.correlations.chsh_f3_value`, the float rendition of the
+closed-form B/F3 formula of :func:`hqc.correlations.chsh_f3_maxima`,
+which reports the final value. Its search is the package's own bounded
+Nelder-Mead, :func:`hqc.neldermead.minimize`, bound here as
+``minimize``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .correlations import SQRT2, SQRT3, chsh_f3_maxima, chsh_f3_value
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
-from .neldermead import minimize
+from .neldermead import Point, minimize
 from .states import DEFAULT_TOL, SIGMA, DensityMatrix, RMatrix, SeededRng, to_r_picture, validate_state
 
 _ETA_SIGNS = np.outer([1, -1, -1, -1], [1, -1, -1, -1])  # eta R eta = R * _ETA_SIGNS for eta = diag(1, -1, -1, -1)
@@ -131,7 +136,9 @@ class OneSidedResult:
     evaluations: int  # objective evaluations over the starts run
     at_scale_floor: bool  # optimiser pushed the filter scale to its floor; supremum may be on the boundary
     filtered_state: DensityMatrix  # the input after ``filter``, validated by the final verification
+    filtered_picture: RMatrix  # its correlation picture, from which the verification read ``value``
     success_probability: float  # probability of the filter's successful branch
+    stage_seconds: dict = field(compare=False)  # wall seconds of the search and of the final verification
 
 
 def apply_filters(
@@ -240,59 +247,68 @@ def _filter_from_params(x: tuple[float, float, float]) -> np.ndarray:
     return 0.5 * ((1.0 + d) * SIGMA[0] + (d - 1.0) * np.tensordot(_direction(th, ph), SIGMA[1:], 1))
 
 
-def _boost(x: tuple[float, float, float]) -> tuple[tuple[float, ...], ...]:
-    """Lorentz boost L(d, n) of the filter h(d, n), n at polar angle theta and azimuth phi, as nested rows."""
+def _boost(x: tuple[float, float, float]) -> tuple[float, ...]:
+    """Lorentz boost L(d, n) of the filter h(d, n), n at polar angle theta and azimuth phi, as 16 entries row by row."""
     d, th, ph = x
     n1, n2, n3 = _direction(th, ph)
     c, s = 0.5 * (d * d + 1.0), 0.5 * (d * d - 1.0)
     e = c - d
+    s1, s2, s3 = s * n1, s * n2, s * n3
     return (
-        (c, s * n1, s * n2, s * n3),
-        (s * n1, d + e * n1 * n1, e * n1 * n2, e * n1 * n3),
-        (s * n2, e * n2 * n1, d + e * n2 * n2, e * n2 * n3),
-        (s * n3, e * n3 * n1, e * n3 * n2, d + e * n3 * n3),
+        c, s1, s2, s3,
+        s1, d + e * n1 * n1, e * n1 * n2, e * n1 * n3,
+        s2, e * n2 * n1, d + e * n2 * n2, e * n2 * n3,
+        s3, e * n3 * n1, e * n3 * n2, d + e * n3 * n3,
     )
 
 
-def _filtered_value(r0, boost, party: Party, objective: Objective) -> float:
-    """CHSH/F3 optimum of the state whose picture is r0 after one party's boost, on Python floats.
+def _search_objective(r: np.ndarray, party: Party, objective: Objective) -> Callable[[Point], float]:
+    """The search's function of x = (d, theta, phi): minus the CHSH/F3 optimum after one party's boost.
 
-    r0 is the 4x4 picture (nested rows or an array) and boost the rows of
-    L(d, n). Alice's filtered picture is L R; Bob's is R L^T, whose
-    transpose L R^T has the same singular values. Either way the value is
-    that of (L C)[1:, 1:] / p with C = R (Alice) or R^T (Bob) and
-    p = (L C)[0, 0], the success probability, read by
-    :func:`chsh_f3_value`: the arithmetic of :func:`chsh_f3_maxima` with
-    no array built.
+    ``r`` is the 4x4 picture R, unpacked here, once, into 16 Python
+    floats. Alice's filtered picture is L R; Bob's is R L^T, whose
+    transpose L R^T has the same singular values. Either way the value
+    is that of (L C)[1:, 1:] / p with C = R (Alice) or R^T (Bob) and
+    p = (L C)[0, 0], the success probability. An evaluation takes
+    L(d, n)'s entries from :func:`_boost`, forms p and the nine entries
+    of T straight from them, and reads the maximum with
+    :func:`hqc.correlations.chsh_f3_value`: the arithmetic of
+    :func:`chsh_f3_maxima` with no array built. It raises
+    ZeroSuccessProbability where p <= 1e-12.
     """
-    (l00, l01, l02, l03), (l10, l11, l12, l13), (l20, l21, l22, l23), (l30, l31, l32, l33) = boost
     if party is Party.A:
-        (c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), (c30, c31, c32, c33) = r0
+        (c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), (c30, c31, c32, c33) = r.tolist()
     else:
-        (c00, c10, c20, c30), (c01, c11, c21, c31), (c02, c12, c22, c32), (c03, c13, c23, c33) = r0
-    # p = c + s (n . a) (b for Bob); since |a| <= 1 it is at least
-    # d^2 >= SCALE_FLOOR^2 = 1e-8 on a valid state.
-    prob = l00 * c00 + l01 * c10 + l02 * c20 + l03 * c30
-    if prob <= 1e-12:
-        raise ZeroSuccessProbability(f"success probability {prob:.3e} <= 1e-12")
-    t = (
-        (
-            (l10 * c01 + l11 * c11 + l12 * c21 + l13 * c31) / prob,
-            (l10 * c02 + l11 * c12 + l12 * c22 + l13 * c32) / prob,
-            (l10 * c03 + l11 * c13 + l12 * c23 + l13 * c33) / prob,
-        ),
-        (
-            (l20 * c01 + l21 * c11 + l22 * c21 + l23 * c31) / prob,
-            (l20 * c02 + l21 * c12 + l22 * c22 + l23 * c32) / prob,
-            (l20 * c03 + l21 * c13 + l22 * c23 + l23 * c33) / prob,
-        ),
-        (
-            (l30 * c01 + l31 * c11 + l32 * c21 + l33 * c31) / prob,
-            (l30 * c02 + l31 * c12 + l32 * c22 + l33 * c32) / prob,
-            (l30 * c03 + l31 * c13 + l32 * c23 + l33 * c33) / prob,
-        ),
-    )
-    return chsh_f3_value(t, objective is Objective.CHSH)
+        (c00, c10, c20, c30), (c01, c11, c21, c31), (c02, c12, c22, c32), (c03, c13, c23, c33) = r.tolist()
+    chsh = objective is Objective.CHSH
+
+    def negated_value(x: Point) -> float:
+        l00, l01, l02, l03, l10, l11, l12, l13, l20, l21, l22, l23, l30, l31, l32, l33 = _boost(x)
+        # p = c + s (n . a) (b for Bob); since |a| <= 1 it is at least
+        # d^2 >= SCALE_FLOOR^2 = 1e-8 on a valid state.
+        prob = l00 * c00 + l01 * c10 + l02 * c20 + l03 * c30
+        if prob <= 1e-12:
+            raise ZeroSuccessProbability(f"success probability {prob:.3e} <= 1e-12")
+        t = (
+            (
+                (l10 * c01 + l11 * c11 + l12 * c21 + l13 * c31) / prob,
+                (l10 * c02 + l11 * c12 + l12 * c22 + l13 * c32) / prob,
+                (l10 * c03 + l11 * c13 + l12 * c23 + l13 * c33) / prob,
+            ),
+            (
+                (l20 * c01 + l21 * c11 + l22 * c21 + l23 * c31) / prob,
+                (l20 * c02 + l21 * c12 + l22 * c22 + l23 * c32) / prob,
+                (l20 * c03 + l21 * c13 + l22 * c23 + l23 * c33) / prob,
+            ),
+            (
+                (l30 * c01 + l31 * c11 + l32 * c21 + l33 * c31) / prob,
+                (l30 * c02 + l31 * c12 + l32 * c22 + l33 * c32) / prob,
+                (l30 * c03 + l31 * c13 + l32 * c23 + l33 * c33) / prob,
+            ),
+        )
+        return -chsh_f3_value(t, chsh)
+
+    return negated_value
 
 
 def optimize_one_sided(
@@ -314,15 +330,16 @@ def optimize_one_sided(
     the maximum, so the three parameters reach every one-sided value.
     Start 0 is the identity filter, so the result never falls below the
     unfiltered value. Start k draws from ``SeededRng(seed, k)``, so a seed
-    must be non-negative, and ties resolve to the lowest start index. The search stops early
-    once a start reaches the quantum maximum; ``starts_used`` counts the
+    must be non-negative, and ties resolve to the lowest start index. The
+    search stops early once a start reaches the quantum maximum; ``starts_used`` counts the
     starts run, ``evaluations`` their objective evaluations and
     ``best_start`` is the index of the start whose optimum is reported.
 
-    Each evaluation works on rho's correlation picture R, computed once,
-    in Python floats: the candidate's boost L(d, n) (see the module
-    docstring) is applied to R, the success probability is read off its
-    [0, 0] entry, and the maximum of the normalised T comes from
+    Every start minimises one objective, :func:`_search_objective`, built
+    once from rho's correlation picture R: each evaluation applies the
+    candidate's boost L(d, n) (see the module docstring) to R in Python
+    floats, reads the success probability off the [0, 0] entry, and
+    takes the maximum of the normalised T from
     :func:`hqc.correlations.chsh_f3_value`, the float rendition of the
     closed-form B/F3 formula. No density matrix or array is formed during
     the search; positivity needs no check there, because a filter is a
@@ -331,11 +348,13 @@ def optimize_one_sided(
     The winning filter is then applied once through ``apply_one_sided``,
     whose ``validate_state`` checks the filtered state with ``tol`` (the
     tolerance rho itself was accepted with), and the value is
-    recomputed from that state by :func:`hqc.correlations.chsh_f3_maxima`;
-    this is the value reported, alongside
-    that filtered state and its success probability. If it differs
-    from the search's value by more than 1e-9, ``OptimumMismatch`` is
-    raised.
+    recomputed from that state's picture by
+    :func:`hqc.correlations.chsh_f3_maxima`; this is the value reported,
+    alongside that filtered state, its picture and its success
+    probability. If it differs from the search's value by more than 1e-9,
+    ``OptimumMismatch`` is raised. ``stage_seconds`` holds the wall
+    seconds of the search (``"search"``) and of this verification
+    (``"verify"``).
     """
     if starts < 1:
         raise DomainError(f"starts must be >= 1, got {starts}")
@@ -343,14 +362,11 @@ def optimize_one_sided(
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     SeededRng(seed)  # rejects a negative seed, even when no start draws from it
     maxval = SQRT2 if objective is Objective.CHSH else SQRT3
-    r0 = to_r_picture(rho).r.tolist()
-
-    def value_of(x: tuple[float, float, float]) -> float:
-        return _filtered_value(r0, _boost(x), party, objective)
-
+    began = time.perf_counter()
+    fun = _search_objective(to_r_picture(rho).r, party, objective)
     bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
     identity = (1.0, 0.0, 0.0)  # d = 1
-    best_x, best_val, best_start = identity, value_of(identity), 0
+    best_x, best_val, best_start = identity, -fun(identity), 0
     converged = False
     evaluations = 0
     for start in range(starts):
@@ -362,16 +378,18 @@ def optimize_one_sided(
             ph, ps = gen.uniform(-math.pi, math.pi), gen.uniform(-math.pi, math.pi)
             # the former chart diag(d, 1) . V(th, ph, ps) boosts along (2 th, ph - ps): each start keeps its point
             x0 = (d, 2.0 * th, ph - ps)
-        res = minimize(lambda x: -value_of(x), x0, bounds=bounds, max_iters=max_iters, xatol=1e-9, fatol=FATOL)
+        res = minimize(fun, x0, bounds=bounds, max_iters=max_iters, xatol=1e-9, fatol=FATOL)
         converged = converged or res.success
         evaluations += res.nfev
         if -res.fun > best_val + 1e-15:
             best_val, best_x, best_start = -res.fun, res.x, start
         if best_val >= maxval - 1e-12:
             break  # cannot improve on the quantum maximum
+    searched = time.perf_counter()
     best = LocalFilter(_filter_from_params(best_x))
     filtered, prob = apply_one_sided(rho, best, party, tol)
-    b, f3 = chsh_f3_maxima(to_r_picture(filtered).t)
+    picture = to_r_picture(filtered)
+    b, f3 = chsh_f3_maxima(picture.t)
     value = float(b if objective is Objective.CHSH else f3)
     if abs(value - best_val) > 1e-9:
         raise OptimumMismatch(f"boost value {best_val!r} but the filtered state gives {value!r}")
@@ -386,5 +404,7 @@ def optimize_one_sided(
         evaluations=evaluations,
         at_scale_floor=bool(best_x[0] <= SCALE_FLOOR * 1.01),
         filtered_state=filtered,
+        filtered_picture=picture,
         success_probability=prob,
+        stage_seconds={"search": searched - began, "verify": time.perf_counter() - searched},
     )

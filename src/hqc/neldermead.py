@@ -23,17 +23,26 @@ vertices with equal values keep their index order. scipy orders it with
 ``np.argsort``, which is not stable, and its order on ties depends on
 the CPU's sorting kernel. Only on tied values can the two trajectories
 differ.
+
+The loop is written for the interpreter, not for numpy, with the same
+arithmetic: clipping touches only the coordinates that have a bound
+(clipping to an infinite bound changes nothing), the centroid sums each
+coordinate in vertex order as ``np.add.reduce`` does, and the stopping
+test exits at the first vertex outside a tolerance, with ``<=``
+comparisons, so that a NaN never counts as converged.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Callable, NamedTuple, Sequence
 
 RHO, CHI, PSI, SIGMA = 1.0, 2.0, 0.5, 0.5  # reflection, expansion, contraction, shrink
 NONZDELT, ZDELT = 0.05, 0.00025  # initial simplex: relative step, and the step from a zero coordinate
+# the trial points' coefficients on the centroid and the worst vertex, as scipy forms them
+_REFLECT, _EXPAND, _RHO_CHI = 1 + RHO, 1 + RHO * CHI, RHO * CHI
+_OUTSIDE, _PSI_RHO, _INSIDE = 1 + PSI * RHO, PSI * RHO, 1 - PSI
 
 Point = tuple[float, ...]
 
@@ -56,59 +65,92 @@ def minimize(
 ) -> NelderMeadResult:
     """Minimise ``fun`` from ``x0``; ``bounds`` holds one (lower, upper) pair per coordinate, None for no bound."""
     n = len(x0)
-    pairs = bounds if bounds is not None else [(None, None)] * n
-    lo = [-math.inf if b is None else float(b) for b, _ in pairs]
-    hi = [math.inf if b is None else float(b) for _, b in pairs]
+    # (index, lower, upper) of the coordinates with a bound; clipping leaves every other coordinate as it is
+    bounded = [
+        (k, -math.inf if a is None else float(a), math.inf if b is None else float(b))
+        for k, (a, b) in enumerate(bounds or ())
+        if a is not None or b is not None
+    ]
 
-    def clip(x) -> Point:
-        return tuple(a if v < a else b if v > b else v for v, a, b in zip(x, lo, hi))
+    def clip(y: list[float]) -> Point:
+        for k, a, b in bounded:
+            v = y[k]
+            y[k] = a if v < a else b if v > b else v
+        return tuple(y)
 
-    nfev = 0
-
-    def vertex(x: Point) -> tuple[float, Point]:
-        nonlocal nfev
-        nfev += 1
-        return fun(x), x
-
-    start = clip(float(v) for v in x0)
+    start = clip([float(v) for v in x0])
     points = [start]
     for k in range(n):
         y = list(start)
         y[k] = (1 + NONZDELT) * y[k] if y[k] != 0 else ZDELT
         points.append(tuple(y))
     # a step past an upper bound is reflected into the interior, so that clipping cannot collapse the simplex
-    simplex = [vertex(clip(2 * h - v if v > h else v for v, h in zip(p, hi))) for p in points]
+    simplex = []
+    for p in points:
+        y = list(p)
+        for k, _, b in bounded:
+            if y[k] > b:
+                y[k] = 2 * b - y[k]
+        x = clip(y)
+        simplex.append((fun(x), x))
+    nfev = n + 1
     by_value = operator.itemgetter(0)
     simplex.sort(key=by_value)
 
     iterations = 1
-    while iterations < max_iters:
-        f0, best = simplex[0]
-        if all(abs(v - b) <= xatol for _, x in simplex[1:] for v, b in zip(x, best)) and all(
-            abs(f0 - f) <= fatol for f, _ in simplex[1:]
-        ):
-            break
+    while iterations < max_iters and not _converged(simplex, xatol, fatol):
         fw, worst = simplex[-1]
-        xbar = [functools.reduce(operator.add, col) / n for col in zip(*(x for _, x in simplex[:-1]))]
-        reflected = vertex(clip((1 + RHO) * c - RHO * w for c, w in zip(xbar, worst)))
-        fxr = reflected[0]
-        if fxr < f0:
-            expanded = vertex(clip((1 + RHO * CHI) * c - RHO * CHI * w for c, w in zip(xbar, worst)))
-            simplex[-1] = expanded if expanded[0] < fxr else reflected
+        # the centroid of all but the worst vertex, each coordinate summed in vertex order
+        xbar = list(simplex[0][1])
+        for j in range(1, n):
+            x = simplex[j][1]
+            for k in range(n):
+                xbar[k] += x[k]
+        xbar = [v / n for v in xbar]
+        xr = clip([_REFLECT * c - RHO * w for c, w in zip(xbar, worst)])
+        fxr = fun(xr)
+        nfev += 1
+        if fxr < simplex[0][0]:
+            xe = clip([_EXPAND * c - _RHO_CHI * w for c, w in zip(xbar, worst)])
+            fxe = fun(xe)
+            nfev += 1
+            simplex[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
         elif fxr < simplex[-2][0]:
-            simplex[-1] = reflected
+            simplex[-1] = (fxr, xr)
         else:
             if fxr < fw:
-                contracted = vertex(clip((1 + PSI * RHO) * c - PSI * RHO * w for c, w in zip(xbar, worst)))
-                accept = contracted[0] <= fxr
+                xc = clip([_OUTSIDE * c - _PSI_RHO * w for c, w in zip(xbar, worst)])
+                fxc = fun(xc)
+                accept = fxc <= fxr
             else:
-                contracted = vertex(clip((1 - PSI) * c + PSI * w for c, w in zip(xbar, worst)))
-                accept = contracted[0] < fw
+                xc = clip([_INSIDE * c + PSI * w for c, w in zip(xbar, worst)])
+                fxc = fun(xc)
+                accept = fxc < fw
+            nfev += 1
             if accept:
-                simplex[-1] = contracted
+                simplex[-1] = (fxc, xc)
             else:
+                best = simplex[0][1]
                 for j in range(1, n + 1):
-                    simplex[j] = vertex(clip(b + SIGMA * (v - b) for v, b in zip(simplex[j][1], best)))
+                    x = clip([b + SIGMA * (v - b) for v, b in zip(simplex[j][1], best)])
+                    simplex[j] = (fun(x), x)
+                nfev += n
         iterations += 1
         simplex.sort(key=by_value)
     return NelderMeadResult(simplex[0][1], simplex[0][0], nfev, iterations < max_iters)
+
+
+def _converged(simplex: list[tuple[float, Point]], xatol: float, fatol: float) -> bool:
+    """Whether every vertex is within ``fatol`` of the best in value and ``xatol`` in each coordinate.
+
+    The comparisons are ``<=``, so a NaN anywhere means not converged.
+    """
+    f0, best = simplex[0]
+    for j in range(1, len(simplex)):
+        if not abs(f0 - simplex[j][0]) <= fatol:
+            return False
+    for j in range(1, len(simplex)):
+        for v, b in zip(simplex[j][1], best):
+            if not abs(v - b) <= xatol:
+                return False
+    return True

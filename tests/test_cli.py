@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import hqc
 from hqc import (
+    ComplexSpectrum,
     DensityMatrix,
     Objective,
     Party,
@@ -30,6 +32,24 @@ from hqc.cli import main
 from hqc.families import paper_filter_rho_m, rho_m, rho_qd
 
 from conftest import singlet_matrix, werner_matrix
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _complex_spectrum_state() -> DensityMatrix:
+    """A state with eigenvalues (0.6, 0.45, 0, -0.05) whose eta R eta R^T has a complex pair."""
+    gen = np.random.default_rng(0)
+    for _ in range(2):
+        h = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+        _, v = np.linalg.eigh(h + h.conj().T)
+    return DensityMatrix((v * np.array([0.6, 0.45, 0.0, -0.05])) @ v.conj().T)
+
+
+def _classify_error(rho: DensityMatrix) -> str:
+    with pytest.raises(ComplexSpectrum) as exc:
+        classify(to_r_picture(rho))
+    return str(exc.value)
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict]:
@@ -473,7 +493,74 @@ class TestFilter:
         serde.dump_state_json(validate_state(werner_matrix(0.5)), str(path))
         code, doc = run_cli(capsys, "filter", str(path), "--optimize", "C", "chsh")
         assert code == 2
-        assert doc["error"]["type"] == "DomainError"
+        assert doc == {"error": {"type": "DomainError", "message": "--optimize party must be A or B, got 'C'"}}
+
+    def test_optimize_writes_its_stage_line_to_stderr_only(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("HQC_SEED", raising=False)
+        path = tmp_path / "m.json"
+        serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
+        code = main(["filter", str(path), "--optimize", "A", "chsh", "--starts", "3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        line = re.fullmatch(
+            r"filter: (\d+) starts, (\d+) evaluations; search \d+\.\d{4}s \(\d+\.\d us/evaluation\)"
+            r"; verify \d+\.\d{4}s\n",
+            captured.err,
+        )
+        assert line, captured.err
+        rho = serde.load_state_json(str(path))
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=3)
+        assert (int(line[1]), int(line[2])) == (res.starts_used, res.evaluations)
+        # stdout is the report alone, byte for byte
+        expected = {
+            "before": serde.report_to_dict(classify(to_r_picture(rho))),
+            "optimizer": serde.one_sided_result_to_dict(res),
+            "seed_source": "default",
+            "success_probability": res.success_probability,
+            "after": serde.report_to_dict(classify(res.filtered_picture)),
+            "filtered_state": serde.state_to_dict(res.filtered_state),
+        }
+        out = io.StringIO()
+        serde.write_json(expected, out)
+        assert captured.out == out.getvalue()
+
+    def test_filter_file_output_is_pinned(self, capsys, tmp_path):
+        # stdout of the non-optimising branch, as it was while each report was its own classify call
+        state_path, filter_path = tmp_path / "m.json", tmp_path / "fa.json"
+        serde.dump_state_json(rho_m(math.pi / 6, 0.5), str(state_path))
+        filter_path.write_text(json.dumps(serde.filter_to_dict(paper_filter_rho_m(math.pi / 6)[0])))
+        code = main(["filter", str(state_path), "--filter-a", str(filter_path)])
+        assert code == 0
+        assert capsys.readouterr().out == (GOLDEN / "filter_filter_a.json").read_text()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--optimize", "A", "chsh", "--starts", "2"],
+            ["--optimize", "C", "chsh"],
+            ["--optimize", "B", "f3", "--starts", "0"],
+            ["--filter-a", "missing.json"],
+            [],
+        ],
+        ids=["optimize", "bad-party", "no-starts", "missing-filter", "identity"],
+    )
+    def test_input_report_error_comes_first(self, capsys, tmp_path, extra):
+        # accepted with --tol 0.1, the input has a complex normal-form spectrum
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(serde.state_to_dict(_complex_spectrum_state())))
+        code, doc = run_cli(capsys, "filter", str(path), "--tol", "0.1", *extra)
+        assert code == 2
+        assert doc == {"error": {"type": "ComplexSpectrum", "message": _classify_error(_complex_spectrum_state())}}
+
+    def test_filtered_report_error_is_its_own(self, capsys, tmp_path, monkeypatch):
+        # a filtered state whose report fails gives the error that report gives alone
+        path = tmp_path / "m.json"
+        serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
+        bad = validate_state(_complex_spectrum_state().matrix, 0.1)
+        monkeypatch.setattr(cli_mod, "apply_filters", lambda *args: (bad, 1.0))
+        code, doc = run_cli(capsys, "filter", str(path))
+        assert code == 2
+        assert doc == {"error": {"type": "ComplexSpectrum", "message": _classify_error(bad)}}
 
     @pytest.mark.parametrize("max_iters", ["0", "-5"])
     def test_optimize_rejects_max_iters_below_one(self, capsys, tmp_path, max_iters):

@@ -132,7 +132,7 @@ class TestOneFormula:
 
 def _boosted_t(r: np.ndarray, x) -> np.ndarray:
     """T of the picture r after Alice's boost L(x): (L R)[1:, 1:] / (L R)[0, 0]."""
-    rf = np.array(_boost(x)) @ r
+    rf = np.reshape(_boost(x), (4, 4)) @ r
     return rf[1:, 1:] / rf[0, 0]
 
 

@@ -231,6 +231,18 @@ class TestClassifyBatch:
         assert 5 in nan_rows and 4 not in nan_rows and 6 not in nan_rows
         assert all(reports[i].degenerate_normal_form for i in nan_rows)
 
+    def test_before_and_after_pairs_equal_scalar_calls(self, ket00):
+        # hqc filter reports on the input and the filtered state as one batch of two
+        states = [sample_state(SeededRng(66, i), rank=1 + i % 4) for i in range(6)]
+        states += [rho_m(0.5, 0.8), rho_qd(0.6), rho_qd(1.0), ket00]
+        for i, rho in enumerate(states):
+            party, objective = (Party.A, Party.B)[i % 2], (Objective.CHSH, Objective.F3)[i // 2 % 2]
+            before = to_r_picture(rho)
+            after = optimize_one_sided(rho, party, objective, starts=2, max_iters=200).filtered_picture
+            pair = classify_batch(np.stack([before.r, after.r]))
+            alone = [classify(before), classify(after)]
+            assert [report_bits(report) for report in pair] == [report_bits(report) for report in alone], i
+
     def test_one_unphysical_row_raises(self):
         # a strongly non-physical correlation picture with rotational T
         bad = np.eye(4)

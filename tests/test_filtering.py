@@ -34,7 +34,7 @@ from hqc import (
 )
 
 from hqc import filtering
-from hqc.filtering import SCALE_FLOOR, _boost, _filter_from_params, _filtered_value, normal_form_spectra
+from hqc.filtering import SCALE_FLOOR, _boost, _filter_from_params, _search_objective, normal_form_spectra
 
 from conftest import bounded_random_filter, singlet_matrix, werner_matrix
 
@@ -348,6 +348,11 @@ def _lorentz_of(f):
     return np.array([[0.5 * np.trace(SIGMA[j] @ f.conj().T @ SIGMA[i] @ f).real for j in range(4)] for i in range(4)])
 
 
+def _boost_matrix(x) -> np.ndarray:
+    """L(d, n) as a 4x4 array, from the entries the optimiser's objective uses."""
+    return np.reshape(_boost(x), (4, 4))
+
+
 def _density_value_of_filter(rho, f, party, objective):
     filtered, _ = apply_one_sided(rho, f, party)
     r = to_r_picture(filtered)
@@ -369,7 +374,7 @@ class TestBoostEvaluation:
                 x = np.array([d, gen.uniform(0.0, math.pi), gen.uniform(-math.pi, math.pi)])
                 f = LocalFilter(_filter_from_params(x))
                 for objective in (Objective.CHSH, Objective.F3):
-                    boosted = _filtered_value(r0, _boost(x), party, objective)
+                    boosted = -_search_objective(r0, party, objective)(tuple(x.tolist()))
                     worst = max(worst, abs(boosted - _density_value_of_filter(rho, f, party, objective)))
         assert worst <= 1e-13
 
@@ -382,7 +387,7 @@ class TestBoostEvaluation:
         rho = validate_state(ket11)
         r0 = to_r_picture(rho).r
         x = np.array([SCALE_FLOOR, math.pi, 0.0])
-        prob = (_boost(x) @ r0)[0, 0]
+        prob = (_boost_matrix(x) @ r0)[0, 0]
         assert abs(prob - SCALE_FLOOR**2) <= 1e-15
         _, density_prob = apply_one_sided(rho, LocalFilter(_filter_from_params(x)), Party.A)
         assert density_prob == pytest.approx(SCALE_FLOOR**2, rel=1e-9)
@@ -395,11 +400,17 @@ class TestBoostEvaluation:
         ket11[3, 3] = 1.0
         r0 = to_r_picture(validate_state(ket11)).r
         with pytest.raises(ZeroSuccessProbability):
-            _filtered_value(r0, _boost(np.array([1e-7, math.pi, 0.0])), Party.A, Objective.CHSH)
+            _search_objective(r0, Party.A, Objective.CHSH)((1e-7, math.pi, 0.0))
 
     def test_search_value_not_reproduced_raises(self, monkeypatch):
-        boosted = filtering._filtered_value
-        monkeypatch.setattr(filtering, "_filtered_value", lambda *args: boosted(*args) + 1e-6)
+        # every value the search sees is 1e-6 above the filtered state's
+        search_objective = filtering._search_objective
+
+        def perturbed(*args):
+            negated_value = search_objective(*args)
+            return lambda x: negated_value(x) - 1e-6
+
+        monkeypatch.setattr(filtering, "_search_objective", perturbed)
         with pytest.raises(OptimumMismatch):
             optimize_one_sided(sample_state(SeededRng(58, 0)), Party.A, Objective.CHSH, starts=1, max_iters=50)
 
@@ -426,6 +437,66 @@ class TestBoostEvaluation:
         ("maximal", lambda: rho_qd(1.0), Party.A, Objective.CHSH, 1.4142135623730951, False, 1),
     ]
 
+    # optimize_one_sided(starts=2, seed=0) on the PARITY cases with the code before
+    # the leaner Nelder-Mead loop and the fused objective (be49d11): value,
+    # evaluations, best start and the winning x, all to the bit
+    TRAJECTORY = {
+        "ginibre-r2": ("0x1.8ed021d90aacfp-1", 254, 0, ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+        "ginibre-r3": ("0x1.def1a70d30007p-1", 254, 0, ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+        "ginibre-r4": (
+            "0x1.a5a0443077efep-1", 495, 0, ("0x1.a36e2eb1c432dp-14", "-0x1.660659989578cp-1", "0x1.15079bdf85c84p+0")
+        ),
+        "rho_m-a": (
+            "0x1.21a1851ff630bp+0", 522, 0, ("0x1.17b4f58862cfcp-1", "-0x1.f2083069a5b8ap-27", "-0x1.869f53f7b500cp-9")
+        ),
+        "rho_m-b": (
+            "0x1.fadaa8f7eed52p-1", 479, 0, ("0x1.3cc2a41fd5cdfp-2", "-0x1.2309ee4b3298ep-27", "-0x1.eae76686d8a7cp-10")
+        ),
+        "rho_m-c": (
+            "0x1.4c8dc2e42397fp+0", 534, 0, ("0x1.75ca076f1a620p-2", "-0x1.68a7f4390916ap-30", "-0x1.5cd6926b1d680p-9")
+        ),
+        "rho_m-d": (
+            "0x1.414126b39e44cp+0", 500, 0, ("0x1.6cfad6480f27bp-1", "-0x1.9b403ae479910p-27", "-0x1.0929fa94a1262p-10")
+        ),
+        "rho_m-e": (
+            "0x1.478dc9f36e035p+0", 492, 0, ("0x1.3a055968e61a5p-1", "0x1.0cb2a6f04529fp-25", "-0x1.253a73efbbd55p-10")
+        ),
+        "rho_m-f": (
+            "0x1.d6a67853f00f2p-1", 475, 0, ("0x1.39e8ed3605fbcp-1", "0x1.d6bb8992817f0p-28", "-0x1.c942a100d5438p-10")
+        ),
+        "rho_qd-a": (
+            "0x1.ffffffc6bbd88p-1", 689, 0, ("0x1.a36e2eb1c432dp-14", "0x1.8ab97c0952f50p-13", "0x1.b506ab017cd94p-7")
+        ),
+        "rho_qd-b": (
+            "0x1.5930b9707ea11p+0", 502, 0, ("0x1.5bd5e3e4568e2p-1", "-0x1.22c91b514bb68p-25", "-0x1.966808fcb9d8cp-11")
+        ),
+        "rho_qd-c": (
+            "0x1.ffffff5433897p-1",
+            396,
+            0,
+            ("0x1.a36e2eb1c432ep-14", "-0x1.be0a8fcf28c08p-17", "-0x1.83dea7b8486e3p-11"),
+        ),
+        "rho_qd-d": (
+            "0x1.4779eed162ffcp+0", 567, 0, ("0x1.cf1f15984f080p-1", "0x1.07b94accaf041p-22", "-0x1.0f77fdc7467d4p-12")
+        ),
+        "rho_qd-e": (
+            "0x1.ffffff54338a3p-1", 407, 0, ("0x1.a36e2eb1c432ep-14", "0x1.16651e1b01170p-12", "-0x1.bc9ac92457640p-11")
+        ),
+        "rho_qd-f": (
+            "0x1.33064cacc1705p+0", 543, 0, ("0x1.17700f1e041c5p-1", "-0x1.0adc12a6274e8p-26", "-0x1.b3d7ab7c47858p-9")
+        ),
+        "maximal": ("0x1.6a09e667f3bcdp+0", 96, 0, ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+    }
+
+    def test_trajectories_pinned_to_the_bit(self, monkeypatch):
+        winners = []
+        build = filtering._filter_from_params
+        monkeypatch.setattr(filtering, "_filter_from_params", lambda x: winners.append(x) or build(x))
+        for label, state, party, objective, *_ in self.PARITY:
+            res = optimize_one_sided(state(), party, objective, starts=2, seed=0)
+            got = (res.value.hex(), res.evaluations, res.best_start, tuple(float(v).hex() for v in winners[-1]))
+            assert got == self.TRAJECTORY[label], label
+
     def test_parity_with_density_route_optimiser(self, monkeypatch):
         winners = []  # the optimiser builds its filter once, from the winning x
         build = filtering._filter_from_params
@@ -440,4 +511,4 @@ class TestBoostEvaluation:
             x, f = winners[-1], res.filter.f
             assert np.abs(f - f.conj().T).max() <= 1e-15, label
             np.testing.assert_allclose(np.linalg.eigvalsh(f), [x[0], 1.0], rtol=0, atol=1e-15, err_msg=label)
-            np.testing.assert_allclose(_lorentz_of(f), _boost(x), rtol=0, atol=1e-15, err_msg=label)
+            np.testing.assert_allclose(_lorentz_of(f), _boost_matrix(x), rtol=0, atol=1e-15, err_msg=label)
