@@ -11,9 +11,11 @@ The chunk is the unit of random draws and of merging: sampling is
 partitioned into fixed-size chunks, one deterministic RNG stream per chunk,
 and merging uses only associative max/sum reductions, so results are
 independent of worker count and scheduling. The tile is the unit of
-compute: a chunk's statistics and violation scan run on consecutive tiles
-of ``_TILE`` states, small enough for a core's cache, and each row's bits
-do not depend on the rest of its tile, so tiling changes no output.
+compute: a chunk's statistics, binning and violation scan run on
+consecutive tiles of ``_TILE`` states, small enough for a core's cache.
+Each row's bits do not depend on the rest of its tile, and each tile is
+folded into its chunk's bins with the same max/sum reductions, so tiling
+changes no output.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ class SweepConfig:
             raise DomainError(f"chunk_size must be >= 1, got {self.chunk_size}")
         SeededRng(self.seed)  # rejects a negative seed, even when no chunk draws from it
         mix = np.asarray(self.rank_mix, dtype=float)
-        if mix.shape != (4,) or not np.isfinite(mix).all() or mix.min() < 0 or mix.sum() <= 0:
-            raise DomainError(f"rank_mix must be 4 finite nonnegative weights with positive sum, got {self.rank_mix}")
+        # finite weights may still sum to inf; Python's sum overflows silently where numpy's warns
+        if mix.shape != (4,) or not np.isfinite(mix).all() or mix.min() < 0 or not 0 < sum(mix.tolist()) < np.inf:
+            raise DomainError(f"rank_mix must be 4 finite weights >= 0 with positive finite sum, got {self.rank_mix}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class Violation:
     state: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass
 class SideBins:
     """Running per-bin maxima of B and F3 against one centre magnitude."""
 
@@ -155,7 +158,8 @@ def sweep_stats(
     G or rho. Returns ``(b, f3, c_a, c_b, ok_a, ok_b)`` where ``ok_W``
     marks samples whose steering party has a non-pure marginal (centre
     well defined); ``c_W`` is 0 where not ok. The B/F3 and centre formulas
-    are the batched ones of the scalar API.
+    are the batched ones of the scalar API. A sweep calls it once per tile
+    and bins and scans that tile's statistics before the next.
     """
     r = pictures_from_factors(x, y)
     b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
@@ -170,14 +174,17 @@ def _empty_side(bins: int) -> SideBins:
     return SideBins(np.full(bins, -np.inf), np.full(bins, -np.inf), np.zeros(bins, dtype=np.int64), 0)
 
 
-def _bin_side(c: np.ndarray, ok: np.ndarray, b: np.ndarray, f3: np.ndarray, bins: int) -> SideBins:
-    idx = np.minimum((np.clip(c[ok], 0.0, 1.0) * bins).astype(np.int64), bins - 1)
-    max_b = np.full(bins, -np.inf)
-    max_f3 = np.full(bins, -np.inf)
-    np.maximum.at(max_b, idx, b[ok])
-    np.maximum.at(max_f3, idx, f3[ok])
-    count = np.bincount(idx, minlength=bins)
-    return SideBins(max_b, max_f3, count, int((~ok).sum()))
+def _bin_side(side: SideBins, c: np.ndarray, ok: np.ndarray, b: np.ndarray, f3: np.ndarray) -> None:
+    """Fold a batch's samples into ``side`` in place, binned by centre magnitude ``c``."""
+    bins = len(side.count)
+    degenerate = len(ok) - int(np.count_nonzero(ok))
+    if degenerate:
+        c, b, f3 = c[ok], b[ok], f3[ok]
+    idx = np.minimum(c * bins, bins - 1).astype(np.int64)  # c is a norm, so never below 0
+    np.maximum.at(side.max_b, idx, b)
+    np.maximum.at(side.max_f3, idx, f3)
+    side.count += np.bincount(idx, minlength=bins)
+    side.degenerate += degenerate
 
 
 def _merge_sides(x: SideBins, y: SideBins) -> SideBins:
@@ -190,17 +197,10 @@ def _merge_sides(x: SideBins, y: SideBins) -> SideBins:
 
 
 def _violations_in_chunk(
-    config: SweepConfig,
-    start: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    b: np.ndarray,
-    f3: np.ndarray,
-    c_a: np.ndarray,
-    c_b: np.ndarray,
-    ok_a: np.ndarray,
-    ok_b: np.ndarray,
+    config: SweepConfig, start: int, x: np.ndarray, y: np.ndarray, stats: tuple
 ) -> list[Violation]:
+    """The samples of ``x + i y``, the first at index ``start``, whose :func:`sweep_stats` violate a bound."""
+    b, f3, c_a, c_b, ok_a, ok_b = stats
     tol = VIOLATION_TOL
     th = config.thresholds
     checks = {}
@@ -233,6 +233,8 @@ def _timed(seconds: dict, stage: str):
 
 
 def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBins, list[Violation], dict]:
+    """Draw one chunk, then compute, bin and scan it tile by tile. Returns its bins
+    against c_B and c_A, its violations and its wall seconds per stage."""
     start = chunk_index * config.chunk_size
     count = min(config.chunk_size, config.n - start)
     seconds = dict.fromkeys(STAGES, 0.0)
@@ -241,20 +243,19 @@ def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBin
         mix = np.asarray(config.rank_mix, dtype=float)
         ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
         x, y = ginibre_factors(gen, ranks)
-    stats = tuple(np.empty(count, dtype=dtype) for dtype in (float, float, float, float, bool, bool))
+    side_b = _empty_side(config.bins)
+    side_a = _empty_side(config.bins)
     violations = []
     for lo in range(0, count, _TILE):
         tile = slice(lo, lo + _TILE)
         with _timed(seconds, "stats"):
-            tile_stats = sweep_stats(x[tile], y[tile])
-            for whole, part in zip(stats, tile_stats):
-                whole[tile] = part
+            stats = sweep_stats(x[tile], y[tile])
+        b, f3, c_a, c_b, ok_a, ok_b = stats
+        with _timed(seconds, "bin"):
+            _bin_side(side_b, c_b, ok_b, b, f3)
+            _bin_side(side_a, c_a, ok_a, b, f3)
         with _timed(seconds, "violation_scan"):
-            violations += _violations_in_chunk(config, start + lo, x[tile], y[tile], *tile_stats)
-    b, f3, c_a, c_b, ok_a, ok_b = stats
-    with _timed(seconds, "bin"):
-        side_b = _bin_side(c_b, ok_b, b, f3, config.bins)
-        side_a = _bin_side(c_a, ok_a, b, f3, config.bins)
+            violations += _violations_in_chunk(config, start + lo, x[tile], y[tile], stats)
     return side_b, side_a, violations, seconds
 
 
@@ -305,18 +306,9 @@ def bin_envelope(summary: SweepSummary) -> list[EnvelopeRow]:
     Bob's centre magnitude, in ascending centre order; the bins against
     Alice's centre magnitude stay on ``summary.vs_ca``.
     """
-    bins_data = summary.vs_cb
+    side = summary.vs_cb
     bins = summary.config.bins
-    rows = []
-    for k in range(bins):
-        if bins_data.count[k] == 0:
-            continue
-        rows.append(
-            EnvelopeRow(
-                c_mid=(k + 0.5) / bins,
-                max_b=float(bins_data.max_b[k]),
-                max_f3=float(bins_data.max_f3[k]),
-                count=int(bins_data.count[k]),
-            )
-        )
-    return rows
+    return [
+        EnvelopeRow((k + 0.5) / bins, float(side.max_b[k]), float(side.max_f3[k]), int(side.count[k]))
+        for k in np.flatnonzero(side.count).tolist()
+    ]

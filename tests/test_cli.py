@@ -300,7 +300,8 @@ class TestSweep:
         assert code == 0
         assert doc["metadata"]["rank_mix"]["1"] == 0.25
 
-    @pytest.mark.parametrize("mix", ["1:nan,2:1", "2:inf"])
+    # the last mix has finite weights whose sum overflows to inf
+    @pytest.mark.parametrize("mix", ["1:nan,2:1", "2:inf", "1:1e308,2:1e308"])
     def test_non_finite_rank_mix_exits_2(self, capsys, tmp_path, mix):
         code, doc = run_cli(capsys, "sweep", "--n", "10", "--rank-mix", mix, "--out-prefix", str(tmp_path / "x_"))
         assert code == 2

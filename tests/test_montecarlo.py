@@ -7,7 +7,7 @@ import pytest
 from hqc import Party, SweepConfig, Thresholds, bin_envelope, chsh_max, compute_ellipsoid, run_sweep
 from hqc.criteria import conjecture_bound_chsh
 from hqc.errors import DomainError
-from hqc.montecarlo import STAGES, _TILE, _bin_side, _run_chunk, _violations_in_chunk, sweep_stats
+from hqc.montecarlo import STAGES, _TILE, _bin_side, _empty_side, _run_chunk, _violations_in_chunk, sweep_stats
 from hqc.states import DensityMatrix, SeededRng, ginibre_factors, states_from_factors, to_r_picture
 
 from conftest import complex_path_states, ginibre_and_pure_marginal_factors
@@ -21,7 +21,7 @@ class TestConfig:
             SweepConfig(n=10, bins=0)
         with pytest.raises(DomainError):
             SweepConfig(n=10, workers=0)
-        for mix in [(0, 0, 0, 0), (math.nan, 1, 0, 0), (0, math.inf, 0, 0)]:
+        for mix in [(0, 0, 0, 0), (math.nan, 1, 0, 0), (0, math.inf, 0, 0), (1e308, 1e308, 0, 0)]:
             with pytest.raises(DomainError):
                 SweepConfig(n=10, rank_mix=mix)
         with pytest.raises(DomainError):
@@ -81,7 +81,7 @@ class TestViolationMachinery:
         b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g.real, g.imag)
         assert b[0] == pytest.approx(math.sqrt(2), abs=1e-12)
         assert c_b[0] == pytest.approx(0.0, abs=1e-12)
-        violations = _violations_in_chunk(config, 0, g.real, g.imag, b, f3, c_a, c_b, ok_a, ok_b)
+        violations = _violations_in_chunk(config, 0, g.real, g.imag, (b, f3, c_a, c_b, ok_a, ok_b))
         assert violations == []
 
     def test_threshold_violations_are_recorded_with_state(self):
@@ -155,10 +155,12 @@ def _whole_chunk_reference(config, chunk_index):
     mix = np.asarray(config.rank_mix, dtype=float)
     ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
     x, y = ginibre_factors(gen, ranks)
-    b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(x, y)
-    side_b = _bin_side(c_b, ok_b, b, f3, config.bins)
-    side_a = _bin_side(c_a, ok_a, b, f3, config.bins)
-    return side_b, side_a, _violations_in_chunk(config, start, x, y, b, f3, c_a, c_b, ok_a, ok_b)
+    stats = b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(x, y)
+    side_b = _empty_side(config.bins)
+    side_a = _empty_side(config.bins)
+    _bin_side(side_b, c_b, ok_b, b, f3)
+    _bin_side(side_a, c_a, ok_a, b, f3)
+    return side_b, side_a, _violations_in_chunk(config, start, x, y, stats)
 
 
 def _assert_chunk_bitwise_equal(config, chunk_index):
@@ -184,11 +186,37 @@ class TestTiledChunk:
         violations = _assert_chunk_bitwise_equal(config, 0)
         assert len({v.index // _TILE for v in violations}) >= 2
 
+    @pytest.mark.parametrize("bins", [1, 5000])
+    def test_tiles_fold_into_any_bin_count(self, bins):
+        # the test above runs the default 200 bins; at 5,000 a tile leaves most bins empty,
+        # and the bins each tile fills differ
+        _assert_chunk_bitwise_equal(SweepConfig(n=20_000, seed=21, bins=bins), 0)
+
     def test_partial_chunk_with_rank_one_matches_whole_chunk(self):
         config = SweepConfig(n=100_000, seed=2, rank_mix=(1, 1, 1, 1))
         assert config.chunk_size < config.n < 2 * config.chunk_size
         for chunk_index in (0, 1):
             _assert_chunk_bitwise_equal(config, chunk_index)
+
+    def test_folded_pieces_keep_degenerate_samples_out(self):
+        # random states never have a pure marginal, so the chunk tests above bin no degenerate
+        # sample; here three per side are folded in one at a time, after two uneven pieces
+        g = ginibre_and_pure_marginal_factors(SeededRng(7, 0).generator())
+        b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g.real, g.imag)
+        for c, ok in ((c_b, ok_b), (c_a, ok_a)):
+            side = _empty_side(50)
+            for piece in np.split(np.arange(len(b)), [3, 1000, 2001, 2002, 2003]):
+                _bin_side(side, c[piece], ok[piece], b[piece], f3[piece])
+            assert side.degenerate == np.count_nonzero(~ok) == 3
+            idx = np.minimum((c[ok] * 50).astype(np.int64), 49)
+            assert side.count.tolist() == [np.count_nonzero(idx == k) for k in range(50)]
+            for k in range(50):
+                assert side.max_b[k] == b[ok][idx == k].max(initial=-np.inf)
+                assert side.max_f3[k] == f3[ok][idx == k].max(initial=-np.inf)
+
+    def test_one_state_last_tile(self):
+        config = SweepConfig(n=_TILE + 1, seed=4, rank_mix=(1, 1, 1, 1), thresholds=Thresholds(0.01, 0.02))
+        assert _assert_chunk_bitwise_equal(config, 0)
 
     def test_in_place_ginibre_matches_masked_sum(self):
         ranks = SeededRng(5, 0).generator().integers(1, 5, size=1000)
@@ -205,8 +233,9 @@ class TestTiledChunk:
         # 59 MB before tiling (G built from two complex temporaries, whole-chunk
         # rho, Pauli product and R); 25.7 MB with 4,096-state tiles; 22.4 MB with
         # the factor parts drawn in place (no 8.4 MB draw temporary) and each
-        # tile's R built from them (no complex rho). The bound is that
-        # measurement plus 1.6 MB (7 %), below the 25.7 MB of the complex path.
+        # tile's R built from them (no complex rho); 20.2 MB with each tile binned
+        # on its own (no whole-chunk statistic arrays). The bound is that
+        # measurement plus 1.4 MB (7 %), below the 22.4 MB of whole-chunk binning.
         run_sweep(SweepConfig(n=1000, seed=1))  # first-call allocations stay outside the measurement
         tracemalloc.start()
         try:
@@ -214,7 +243,7 @@ class TestTiledChunk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 21.6e6
 
     def test_stage_seconds_are_summed_and_not_data(self):
         summary = run_sweep(SweepConfig(n=10_000, seed=4, chunk_size=4000))
