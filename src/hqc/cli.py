@@ -22,6 +22,7 @@ import functools
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -136,9 +137,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     th = _thresholds(args)
     theta_grid = _parse_grid(args.theta, "theta") if family is not Family.QD else np.array([0.0])
     p_grid = _parse_grid(args.p, "p")
+    started = time.perf_counter()
     rows = scan_family(family, theta_grid, p_grid, th)
+    classified = time.perf_counter()
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serde.scan_rows_to_csv(rows))
+    written = time.perf_counter()
     payload = {
         "family": family.value,
         "rows": len(rows),
@@ -151,6 +155,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             "f3_inaccessible_below_p": qd_centre_boundary(th.c_f3),
         }
     _emit(payload)
+    stages = f"classify {classified - started:.4f}s; csv {written - classified:.4f}s"
+    print(f"scan: {len(rows)} points; {stages}", file=sys.stderr)
     return 0
 
 

@@ -68,72 +68,93 @@ def chsh_value(r: RMatrix, a1, a2, b1, b2) -> float:
     )
 
 
-# Flat indices into a row-major 3x3 matrix A of the four factors of its cofactors,
-# C_ij = A[i+1, j+1] A[i+2, j+2] - A[i+1, j+2] A[i+2, j+1] (indices mod 3).
+# A symmetric 3x3 matrix A is held as its six distinct entries, a (6, n) array: the diagonal
+# A00, A11, A22, then A01, A02, A12. _FULL[i][j] is the row that holds A[i, j].
+_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_IDENTITY = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])[:, None]  # A - x I keeps A's off-diagonal bits for x >= 0
+# The factors f0..f3 of each cofactor C_ij = f0 f1 - f2 f3 = A[i+1, j+1] A[i+2, j+2] -
+# A[i+1, j+2] A[i+2, j+1] (indices mod 3), for the cofactors held as A is (C is symmetric too).
 _COFACTOR_FACTORS = np.array(
-    [[3 * ((i + a) % 3) + (j + b) % 3 for i in range(3) for j in range(3)] for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]
+    [
+        [_FULL[(i + a) % 3][(j + b) % 3] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+        for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))
+    ]
 )
+# The factors of row 0's cofactors C00, C01, C02, then row 0 itself: det A = sum_j A0j C0j.
+_DET_FACTORS = np.vstack([_COFACTOR_FACTORS[:, _FULL[0]], _FULL[:1]])
 _PERP = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])[:, :, None]  # e1 and e2, reflected onto v's complement
 _THIRD_TURN = 2.0 * math.pi / 3.0
 _TINY = sys.float_info.min  # the least normal double; p^3 of a vanishing spread floors here
-_SPREAD = np.array([[0, 1], [4, 2], [8, 5]])  # (diagonal, upper) entries of a flattened 3x3 matrix, in pairs
-_TURNS = np.array([[0.0], [_THIRD_TURN]])  # the angle offsets of l_max and l_min
 
 
-def _cofactors(a: np.ndarray, rows: int = 3) -> np.ndarray:
-    """Cofactors of the first ``rows`` rows of a stack of 3x3 matrices held as a (9, n) array of
-    flattened entries, held the same way."""
-    f0, f1, f2, f3 = _COFACTOR_FACTORS[:, : 3 * rows]
-    c = a.take(f0, axis=0)
-    c *= a.take(f1, axis=0)
-    c -= a.take(f2, axis=0) * a.take(f3, axis=0)
+def _cofactors(a: np.ndarray) -> np.ndarray:
+    """The six cofactors f0 f1 - f2 f3 of ``a`` held as (6, n), held the same way; the factors
+    are gathered two at a time, which halves the gathered rows: a sweep tile's peak memory."""
+    f = a.take(_COFACTOR_FACTORS[:2], axis=0)
+    c = f[0] * f[1]
+    a.take(_COFACTOR_FACTORS[2:], axis=0, out=f, mode="clip")  # the default mode would buffer ``out``
+    f[0] *= f[1]
+    c -= f[0]
     return c
 
 
 def _gram(t: np.ndarray) -> np.ndarray:
-    """M = T T^T, held as (9, n), of T held as (3, 3, n)."""
-    m = t[:, None, 0] * t[None, :, 0]
-    m += t[:, None, 1] * t[None, :, 1]
-    m += t[:, None, 2] * t[None, :, 2]
-    return m.reshape(9, -1)
+    """The six entries of M = T T^T, held as (6, n), of T held as (3, 3, n)."""
+    prod = np.empty((6,) + t.shape[1:])
+    np.multiply(t, t, prod[:3])
+    np.multiply(t[:1], t[1:], prod[3:5])
+    np.multiply(t[1], t[2], prod[5])
+    m = prod[:, 0] + prod[:, 1]
+    m += prod[:, 2]
+    return m
 
 
-def _trigonometric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """tr M, r = cos(3 phi), l_max and l_min of the trigonometric formula, for M held as (9, n)."""
-    tr = m[0] + m[4] + m[8]
+def _trigonometric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tr M, where r = cos(3 phi) < 0, and l of the trigonometric formula, l_min where r < 0
+    and l_max elsewhere, for M held as (6, n)."""
+    tr = m[0] + m[1] + m[2]
     q = tr / 3.0
-    b = m.copy()
-    b[::4] -= q  # M - q I
-    sq = b.take(_SPREAD, axis=0)
-    sq *= sq
-    sq = sq[0] + sq[1] + sq[2]  # the diagonal's and the upper triangle's sums of squares
+    b = m - q * _IDENTITY
+    sq = (b * b).reshape(2, 3, -1)
+    sq = sq[:, 0] + sq[:, 1] + sq[:, 2]  # the diagonal's and the upper triangle's sums of squares
     p = np.sqrt((sq[0] + 2.0 * sq[1]) / 6.0)
-    det = b[:3] * _cofactors(b, rows=1)
-    r = (det[0] + det[1] + det[2]) / np.maximum(2.0 * p * p * p, _TINY)  # det = 0 where p = 0
+    f = b.take(_DET_FACTORS, axis=0)  # gathered at once: three cofactors are few rows
+    del b
+    np.multiply(f[0:4:2], f[1:4:2], f[0:4:2])
+    det = f[4] * (f[0] - f[2])
+    del f
+    p2 = 2.0 * p
+    r = (det[0] + det[1] + det[2]) / np.maximum(p2 * p * p, _TINY)  # det = 0 where p = 0
+    neg = r < 0.0
     phi = np.arccos(r.clip(-1.0, 1.0)) / 3.0
-    l_max, l_min = q + (2.0 * p) * np.cos(phi + _TURNS)
-    return tr, r, l_max, l_min
+    np.add(phi, _THIRD_TURN, out=phi, where=neg)  # l_min's offset; elsewhere phi >= 0 is phi + 0
+    return tr, neg, q + p2 * np.cos(phi)
 
 
 def _deflated_mid(m: np.ndarray, l_max: np.ndarray) -> np.ndarray:
-    """l_mid as the top eigenvalue of M, held as (9, n), on the complement of l_max's eigenvector."""
-    # v: the largest row of the adjugate of M - l_max I, whose rows are cross products of its rows
-    a = m.copy()
-    a[::4] -= l_max
-    adj = _cofactors(a).reshape(3, 3, -1)
-    del a  # each (9, n) temporary is dropped once used: a sweep tile's peak memory
+    """l_mid as the top eigenvalue of M, held as (6, n), on the complement of l_max's eigenvector."""
+    # v: the largest row of the adjugate of M - l_max I, whose rows are cross products of its rows;
+    # each temporary is dropped once used, for a sweep tile's peak memory
+    adj = _cofactors(m - l_max * _IDENTITY).take(_FULL, axis=0)
     norm2 = adj * adj
     norm2 = norm2[:, 0] + norm2[:, 1] + norm2[:, 2]
     n2 = norm2.max(axis=0)
-    v = adj[norm2.argmax(axis=0), :, np.arange(len(n2))].T / np.sqrt(np.where(n2 > 0.0, n2, 1.0))  # 0 if A = 0
-    del adj
-    h = v.copy()
-    h[0] += np.copysign(1.0, v[0])
-    uw = _PERP - (v[1:] / (1.0 + np.abs(v[0])))[:, None] * h  # u and w, rows of I - h h^T / (1 + |v0|)
-    prod = m.reshape(3, 3, -1) * uw[:, None]
-    muw = prod[:, :, 0] + prod[:, :, 1] + prod[:, :, 2]  # Mu and Mw
+    first = norm2[:2] == n2  # the first of the largest rows, as argmax takes it
+    v = np.where(first[0], adj[0], np.where(first[1], adj[1], adj[2]))
+    del adj, norm2
+    np.divide(v, np.sqrt(n2), out=v, where=n2 > 0.0)  # v = 0 if A = 0
+    den = 1.0 + np.abs(v[0])
+    f = v[1:] / den
+    np.copysign(den, v[0], v[0])  # h = v + sign(v0) e0: v0 and its sign add up to |v0| + 1
+    uw = _PERP - f[:, None] * v  # u and w, rows of I - h h^T / (1 + |v0|)
+    del v, f, den
+    muw = m.take(_FULL[:, 0], axis=0) * uw[:, None, 0]  # Mu and Mw, a column of M at a time
+    muw += m.take(_FULL[:, 1], axis=0) * uw[:, None, 1]
+    muw += m.take(_FULL[:, 2], axis=0) * uw[:, None, 2]
     prod = uw[:, None] * muw
+    del uw, muw
     block = prod[:, :, 0] + prod[:, :, 1] + prod[:, :, 2]
+    del prod
     alpha, beta, gamma = block[0, 0], block[1, 0], block[1, 1]
     half = 0.5 * (alpha - gamma)
     return 0.5 * (alpha + gamma) + np.sqrt(half * half + beta * beta)
@@ -164,6 +185,12 @@ def chsh_f3_maxima(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       (alpha + gamma) / 2 + sqrt(((alpha - gamma) / 2)^2 + beta^2).
       An error in v moves that value only to second order.
 
+    M is symmetric to the bit (M_ij and M_ji are the same three products),
+    and so is the adjugate, so both are held as their six distinct entries;
+    the largest adjugate row is found by comparisons, the first of the
+    largest as argmax takes it. The cosine is taken once per row, at the
+    angle of the branch the row takes.
+
     Against 50-digit references both branches hold B and F3 to a relative
     1e-15 (``tests/test_correlations.py::TestPrecisionOracle``). Every step
     is elementwise on the stack, so each row's bits do not depend on the
@@ -172,11 +199,12 @@ def chsh_f3_maxima(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     t = np.asarray(t, dtype=float)
     shape = t.shape[:-2]
-    # components first and the stack last, so that every ufunc loops over the stack; sums of
-    # three terms are written out, which fixes their order whatever the stack's length
-    m = _gram(np.ascontiguousarray(t.reshape(-1, 9).T).reshape(3, 3, -1))
-    tr, r, l_max, l_min = _trigonometric(m)
-    b2 = np.where(r < 0.0, tr - l_min, l_max + _deflated_mid(m, l_max))
+    # components first and the stack last (a view), so that every ufunc loops over the stack;
+    # sums of three terms are written out, which fixes their order whatever the stack's length
+    m = _gram(t.reshape(-1, 3, 3).transpose(1, 2, 0))
+    tr, neg, l = _trigonometric(m)
+    b2 = l + _deflated_mid(m, l)  # every row is deflated; where r < 0, l is l_min and b2 is tr - l
+    np.subtract(tr, l, out=b2, where=neg)
     return np.sqrt(b2).reshape(shape), np.sqrt(tr).reshape(shape)
 
 

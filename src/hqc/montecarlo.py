@@ -12,8 +12,10 @@ partitioned into fixed-size chunks, one deterministic RNG stream per chunk,
 and merging uses only associative max/sum reductions, so results are
 independent of worker count and scheduling. The tile is the unit of
 compute: a chunk's statistics, binning and violation scan run on
-consecutive tiles of ``_TILE`` states, small enough for a core's cache.
-Each row's bits do not depend on the rest of its tile, and each tile is
+consecutive tiles of ``_TILE`` states. Every numpy call on a tile costs a
+fixed dispatch, paid under the GIL when workers run as threads, so a larger
+tile means fewer calls per state; the tile's temporaries are kept to a few
+MB. Each row's bits do not depend on the rest of its tile, and each tile is
 folded into its chunk's bins with the same max/sum reductions, so tiling
 changes no output.
 """
@@ -39,7 +41,7 @@ DEFAULT_RANK_MIX = (0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 STAGES = ("draw", "stats", "bin", "violation_scan")  # the timed stages of a chunk, in order
 
-_TILE = 4096  # states per compute tile; a tile's factor parts are 1 MB, so its intermediates stay cache-sized
+_TILE = 8192  # states per compute tile; one tile's sweep_stats peaks at 3.2 MB (tracemalloc)
 
 
 @dataclass(frozen=True)
@@ -241,8 +243,7 @@ def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBin
     with _timed(seconds, "draw"):
         gen = SeededRng(config.seed, chunk_index).generator()
         mix = np.asarray(config.rank_mix, dtype=float)
-        ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
-        x, y = ginibre_factors(gen, ranks)
+        x, y = ginibre_factors(gen, gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum()))
     side_b = _empty_side(config.bins)
     side_a = _empty_side(config.bins)
     violations = []
@@ -256,6 +257,7 @@ def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBin
             _bin_side(side_a, c_a, ok_a, b, f3)
         with _timed(seconds, "violation_scan"):
             violations += _violations_in_chunk(config, start + lo, x[tile], y[tile], stats)
+        del stats, b, f3, c_a, c_b, ok_a, ok_b  # not held while the next tile is computed
     return side_b, side_a, violations, seconds
 
 

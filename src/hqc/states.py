@@ -73,13 +73,13 @@ def _folded_map() -> tuple[np.ndarray, np.ndarray]:
     return row[_PAULI_TERMS], _PAULI_SIGNS * sign[_PAULI_TERMS]
 
 
-def _signed_rows(terms: np.ndarray, signs: np.ndarray, rows: int) -> np.ndarray:
-    """A map's terms as rows of the stack [c; -c] of ``rows`` components, term-major as (4, 16)."""
-    return np.ascontiguousarray((terms + rows * (signs < 0.0)).T)
+def _term_rows(terms: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A map's terms term-major: their components as (4, 16) and their signs as (4, 16, 1)."""
+    return np.ascontiguousarray(terms.T), np.ascontiguousarray(signs.T)[:, :, None]
 
 
-_PAULI_ROWS = _signed_rows(_PAULI_TERMS, _PAULI_SIGNS, 32)
-_FOLDED_ROWS = _signed_rows(*_folded_map(), 16)
+_PAULI_ROWS = _term_rows(_PAULI_TERMS, _PAULI_SIGNS)
+_FOLDED_ROWS = _term_rows(*_folded_map())
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,19 @@ def validate_state(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def _pauli_sums(components: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The 16 entries of R, held as (16, n), from components held as (m, n): entry e
-    sums the rows rows[:, e] of [components; -components] in ascending order."""
-    signed = np.concatenate([components, -components])
-    r = signed.take(rows[0], axis=0)
-    for term in rows[1:]:
-        r += signed.take(term, axis=0)
+def _pauli_sums(components: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The 16 entries of R, held as (16, n), from components held as (m, n): entry e sums its
+    four terms (:func:`_term_rows`) in ascending order, each a component times its sign. Times
+    -1.0 is an exact negation, so no negated copy of the components is held; the terms are
+    gathered one at a time."""
+    terms, signs = rows
+    r = components.take(terms[0], axis=0)
+    r *= signs[0]
+    for k in range(1, 4):
+        term = components.take(terms[k], axis=0)
+        term *= signs[k]
+        r += term
+        del term  # dropped before the next is taken: a sweep tile's peak memory
     return r
 
 
@@ -189,16 +195,22 @@ def r_pictures(rho: np.ndarray) -> np.ndarray:
     return r
 
 
-def _column_sums(
-    out: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, op: np.ufunc, work: np.ndarray
+def _add_column_term(
+    out: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    d: np.ndarray,
+    op: np.ufunc,
+    work: np.ndarray,
+    first: bool,
 ) -> None:
-    """out = the sum over the factor's columns of op(a b, c d), for (k, 4, n) operands held
-    column second; ``work`` holds two scratch arrays of their shape."""
-    ab = np.multiply(a, b, out=work[0])
+    """out += op(a b, c d) for one column of the factor, with (k, n) operands and ``work`` two
+    (k, n) scratch arrays; the first column's term is formed in ``out`` itself (0 + -0 is +0)."""
+    ab = np.multiply(a, b, out=out if first else work[0])
     op(ab, np.multiply(c, d, out=work[1]), out=ab)
-    np.add(ab[:, 0], ab[:, 1], out=out)
-    out += ab[:, 2]
-    out += ab[:, 3]
+    if not first:
+        out += ab
 
 
 def pictures_from_factors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -207,22 +219,29 @@ def pictures_from_factors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     G G^dag has real part x x^T + y y^T and imaginary part y x^T - x y^T, held
     once each (10 and 6 entries) and fed to the Pauli map of :func:`r_pictures`;
-    the sums are divided by the trace, and R[n, 0, 0] is exactly 1. Every step
-    is elementwise on the batch, held last, so each row's bits do not depend on
-    the rest of the batch. The result is an (n, 4, 4) view of R held components
-    first, as a (16, n) array.
+    the sums are divided by the trace, and R[n, 0, 0] is exactly 1. The sums run
+    over G's columns in order, and only two columns of x and y are held
+    transposed at a time. Every step is elementwise on the batch, held last,
+    so each row's bits do not depend on the rest of the batch. The result is an
+    (n, 4, 4) view of R held components first, as a (16, n) array.
     """
     n = len(x)
-    xc = np.ascontiguousarray(x.transpose(1, 2, 0))  # (row, column, state)
-    yc = np.ascontiguousarray(y.transpose(1, 2, 0))
     sums = np.empty((16, n))
-    work = np.empty((2, 4, 4, n))
-    for d in range(4):  # the entries [a, a + d]
-        k, row = 4 - d, _RE_ROWS[d]
-        _column_sums(sums[row : row + k], xc[:k], xc[d:], yc[:k], yc[d:], np.add, work[:, :k])
-        if d:
-            _column_sums(sums[row + 6 : row + 6 + k], yc[:k], xc[d:], xc[:k], yc[d:], np.subtract, work[:, :k])
-    del xc, yc, work  # dropped before the map's temporaries: a sweep tile's peak memory
+    work = np.empty((2, 4, n))
+    xh = np.empty((2, 4, n))  # two of G's columns at a time, as (column, row, state)
+    yh = np.empty((2, 4, n))
+    for half in (0, 2):
+        np.copyto(xh, x[:, :, half : half + 2].transpose(2, 1, 0))
+        np.copyto(yh, y[:, :, half : half + 2].transpose(2, 1, 0))
+        for j in (0, 1):
+            xj, yj = xh[j], yh[j]
+            for d in range(4):  # the entries [a, a + d]
+                k, row = 4 - d, _RE_ROWS[d]
+                real, imag = sums[row : row + k], sums[row + 6 : row + 6 + k]
+                _add_column_term(real, xj[:k], xj[d:], yj[:k], yj[d:], np.add, work[:, :k], half + j == 0)
+                if d:
+                    _add_column_term(imag, yj[:k], xj[d:], xj[:k], yj[d:], np.subtract, work[:, :k], half + j == 0)
+    del xh, yh, xj, yj, work  # dropped before the map's temporaries: a sweep tile's peak memory
     r = _pauli_sums(sums, _FOLDED_ROWS)
     r[1:] /= r[0]  # row 0 sums the diagonal: it is the trace
     r[0] = 1.0

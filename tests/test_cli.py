@@ -202,6 +202,17 @@ class TestScan:
         assert lines[0].startswith("theta,p,B,F3")
         assert len(lines) == 100
 
+    def test_stage_line_goes_to_stderr_only(self, capsys, tmp_path):
+        # the classify and CSV wall seconds are not data: they are one stderr line, and the
+        # stdout JSON and the CSV hold no timing
+        out = tmp_path / "qd.csv"
+        code = main(["scan", "qd", "--p", "0.01:0.99:21", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert list(json.loads(captured.out)) == ["family", "rows", "out", "thresholds", "boundaries"]
+        assert "classify" not in captured.out and "classify" not in out.read_text()
+        assert re.fullmatch(r"scan: 21 points; classify \d+\.\d{4}s; csv \d+\.\d{4}s\n", captured.err), captured.err
+
     def test_mm_scan(self, capsys, tmp_path):
         out = tmp_path / "mm.csv"
         code, doc = run_cli(capsys, "scan", "mm", "--theta", "0:0.785:5", "--p", "0:1:5", "--out", str(out))
@@ -262,7 +273,7 @@ class TestSweep:
         doc = json.loads(captured.out)
         assert code == 0
         assert list(doc["metadata"]) == ["ensemble", "rank_mix", "note", "chunks", "chunk_size", "tile_size"]
-        assert (doc["metadata"]["chunk_size"], doc["metadata"]["tile_size"]) == (65536, 4096)
+        assert (doc["metadata"]["chunk_size"], doc["metadata"]["tile_size"]) == (65536, 8192)
         assert "draw" not in captured.out and "violation_scan" not in captured.out
         assert re.fullmatch(
             r"sweep: 5000 samples in \d+\.\d\ds \(numpy kernel"

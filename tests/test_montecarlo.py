@@ -1,10 +1,11 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hqc import Party, SweepConfig, Thresholds, bin_envelope, chsh_max, compute_ellipsoid, run_sweep
+from hqc import Party, SweepConfig, Thresholds, bin_envelope, chsh_max, compute_ellipsoid, run_sweep, serde
 from hqc.criteria import conjecture_bound_chsh
 from hqc.errors import DomainError
 from hqc.montecarlo import STAGES, _TILE, _bin_side, _empty_side, _run_chunk, _violations_in_chunk, sweep_stats
@@ -245,6 +246,22 @@ class TestTiledChunk:
             tracemalloc.stop()
         assert peak < 21.6e6
 
+    def test_one_tile_peak_memory(self):
+        # one full tile's sweep_stats peaks at 3.24 MB with 8,192 states, in B/F3's deflation
+        # while R is held; the Pauli map's stage reaches 3.15 MB. Before, the transposed factor
+        # parts, the (2, 4, 4, n) product buffer, the [c; -c] stack and B/F3's nine-entry
+        # temporaries made it 5.39 MB at 8,192 states (2.69 MB at 4,096). The bound is the
+        # measurement plus 0.21 MB (6 %).
+        x, y = ginibre_factors(SeededRng(1, 0).generator(), np.full(_TILE, 4))
+        sweep_stats(x[:8], y[:8])  # first-call allocations stay outside the measurement
+        tracemalloc.start()
+        try:
+            sweep_stats(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.45e6
+
     def test_stage_seconds_are_summed_and_not_data(self):
         summary = run_sweep(SweepConfig(n=10_000, seed=4, chunk_size=4000))
         assert list(summary.stage_seconds) == list(STAGES)
@@ -252,3 +269,72 @@ class TestTiledChunk:
         assert 0.0 < sum(summary.stage_seconds.values()) <= summary.runtime_seconds  # one worker: stages in sequence
         assert summary == run_sweep(SweepConfig(n=10_000, seed=4, chunk_size=4000))
         assert summary.metadata["chunk_size"] == 4000 and summary.metadata["tile_size"] == _TILE
+
+
+def _bins_digest(side) -> str:
+    h = hashlib.sha256()
+    for part in (side.max_b, side.max_f3, side.count, np.int64(side.degenerate)):
+        h.update(np.asarray(part).tobytes())
+    return h.hexdigest()
+
+
+def _platform_math_digest() -> str:
+    """The bits of what the pinned sweeps take from the platform: numpy's arccos and cos, whose
+    last bit depends on the SIMD code numpy dispatches to, and numpy's normal stream."""
+    phi = np.arccos(np.linspace(-1.0, 1.0, 10_001)) / 3.0
+    h = hashlib.sha256(phi.tobytes())
+    h.update(np.cos(phi).tobytes())
+    h.update(np.cos(phi + 2.0 * math.pi / 3.0).tobytes())
+    h.update(SeededRng(0).generator().standard_normal(100_000).tobytes())
+    return h.hexdigest()
+
+
+class TestOutputBitPins:
+    """SHA-256 digests of both sides' bins (max_B, max_F3, count, degenerate) and of the
+    violation dumps, recorded with 4,096-state tiles and B/F3 on the Gram matrix's nine
+    entries: a rewrite of the sweep's kernels keeps every output bit.
+
+    The digests hold on a platform whose arccos, cos and normal stream give the recorded
+    bits (x86-64 with AVX-512, numpy 2.4.6); elsewhere the tests skip, since their bits are
+    the platform's, not the program's.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _recorded_platform(self):
+        if _platform_math_digest() != "e63f121bdfe1d58cde451e8698bbea1f7fdeb04db16947e96ee56fd2c8ef03b9":
+            pytest.skip("numpy's arccos, cos or normal stream differ from the platform the digests were recorded on")
+
+    @pytest.mark.parametrize(
+        "config, vs_cb, vs_ca",
+        [
+            (
+                SweepConfig(n=131072, seed=1),
+                "6b3948153babeaf75ebf180912cd7668a45a53246ac351ff06bfd2147ca80569",
+                "ced86b33de2b2d4b5ba4b80dfbb3738e6df62468d9087553ca764ffb240dc6c1",
+            ),
+            (  # CI's config: a partial second chunk, a partial last tile and rank-1 samples
+                SweepConfig(n=100_000, seed=2, rank_mix=(1, 1, 1, 1)),
+                "54d1342aba1e19fd3540bfbcf5b475f0d55b8c302c4f3521b9ef29d5c8456876",
+                "19565ed7a28b560b09f6fe2d0c02c5732b1ced4482eb7cdce951acde763ad752",
+            ),
+        ],
+        ids=["default", "ci_rank_mix"],
+    )
+    def test_bins(self, config, vs_cb, vs_ca):
+        summary = run_sweep(config)
+        assert (_bins_digest(summary.vs_cb), _bins_digest(summary.vs_ca)) == (vs_cb, vs_ca)
+
+    def test_violation_dumps(self, tmp_path):
+        # shrunken thresholds make 437 ordinary samples "counterexamples", in every tile
+        config = SweepConfig(n=20_000, seed=21, rank_mix=(1, 1, 1, 1), thresholds=Thresholds(c_chsh=0.4, c_f3=0.5))
+        summary = run_sweep(config)
+        assert len(summary.violations) == 437
+        dumps = hashlib.sha256()
+        for v in summary.violations:
+            with open(serde.dump_violation_json(v, str(tmp_path)), "rb") as fh:
+                dumps.update(fh.read())
+        assert dumps.hexdigest() == "25cce40b1ea417c3837e93918a67d45ffe3c64988671d00912cc3e40994e3820"
+        assert (_bins_digest(summary.vs_cb), _bins_digest(summary.vs_ca)) == (
+            "2b35eb297e66e5b70dc69df95f2bd14cd0e4edb1cc40e7ddf1ec9ee4e2f69a80",
+            "e4b9a764082ed22d4802ff71b51f44350619e5a29a10205a9dd5a3b46fe8dacb",
+        )
