@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from hqc import DensityMatrix, LocalFilter, validate_state
-from hqc.states import ginibre_factors
+from hqc.states import SeededRng, ginibre_factors
 
 
 def singlet_matrix() -> np.ndarray:
@@ -89,3 +90,14 @@ def rotation_of_unitary(u: np.ndarray) -> np.ndarray:
     return np.array(
         [[0.5 * np.trace(SIGMA[i + 1] @ u @ SIGMA[j + 1] @ u.conj().T).real for j in range(3)] for i in range(3)]
     )
+
+
+def platform_math_digest() -> str:
+    """The bits of what the pinned sweeps take from the platform: numpy's arccos and cos, whose
+    last bit depends on the SIMD code numpy dispatches to, and numpy's normal stream."""
+    phi = np.arccos(np.linspace(-1.0, 1.0, 10_001)) / 3.0
+    h = hashlib.sha256(phi.tobytes())
+    h.update(np.cos(phi).tobytes())
+    h.update(np.cos(phi + 2.0 * math.pi / 3.0).tobytes())
+    h.update(SeededRng(0).generator().standard_normal(100_000).tobytes())
+    return h.hexdigest()

@@ -11,7 +11,7 @@ from hqc.errors import DomainError
 from hqc.montecarlo import STAGES, _TILE, _bin_side, _empty_side, _run_chunk, _violations_in_chunk, sweep_stats
 from hqc.states import DensityMatrix, SeededRng, ginibre_factors, states_from_factors, to_r_picture
 
-from conftest import complex_path_states, ginibre_and_pure_marginal_factors
+from conftest import complex_path_states, ginibre_and_pure_marginal_factors, platform_math_digest
 
 
 class TestConfig:
@@ -278,17 +278,6 @@ def _bins_digest(side) -> str:
     return h.hexdigest()
 
 
-def _platform_math_digest() -> str:
-    """The bits of what the pinned sweeps take from the platform: numpy's arccos and cos, whose
-    last bit depends on the SIMD code numpy dispatches to, and numpy's normal stream."""
-    phi = np.arccos(np.linspace(-1.0, 1.0, 10_001)) / 3.0
-    h = hashlib.sha256(phi.tobytes())
-    h.update(np.cos(phi).tobytes())
-    h.update(np.cos(phi + 2.0 * math.pi / 3.0).tobytes())
-    h.update(SeededRng(0).generator().standard_normal(100_000).tobytes())
-    return h.hexdigest()
-
-
 class TestOutputBitPins:
     """SHA-256 digests of both sides' bins (max_B, max_F3, count, degenerate) and of the
     violation dumps, recorded with 4,096-state tiles and B/F3 on the Gram matrix's nine
@@ -301,7 +290,7 @@ class TestOutputBitPins:
 
     @pytest.fixture(autouse=True)
     def _recorded_platform(self):
-        if _platform_math_digest() != "e63f121bdfe1d58cde451e8698bbea1f7fdeb04db16947e96ee56fd2c8ef03b9":
+        if platform_math_digest() != "e63f121bdfe1d58cde451e8698bbea1f7fdeb04db16947e96ee56fd2c8ef03b9":
             pytest.skip("numpy's arccos, cos or normal stream differ from the platform the digests were recorded on")
 
     @pytest.mark.parametrize(
