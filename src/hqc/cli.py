@@ -224,6 +224,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
                 max_iters=args.max_iters,
                 seed=seed,
                 tol=args.tol,
+                picture=r_before,
             )
             filtered, prob, r_after = res.filtered_state, res.success_probability, res.filtered_picture
             step = {"optimizer": serde.one_sided_result_to_dict(res), "seed_source": seed_source}

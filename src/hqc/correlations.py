@@ -127,7 +127,7 @@ def _trigonometric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = (det[0] + det[1] + det[2]) / np.maximum(p2 * p * p, _TINY)  # det = 0 where p = 0
     neg = r < 0.0
     phi = np.arccos(r.clip(-1.0, 1.0)) / 3.0
-    np.add(phi, _THIRD_TURN, out=phi, where=neg)  # l_min's offset; elsewhere phi >= 0 is phi + 0
+    phi += _THIRD_TURN * neg  # l_min's offset; elsewhere phi >= 0 is phi + 0
     return tr, neg, q + p2 * np.cos(phi)
 
 
@@ -138,11 +138,11 @@ def _deflated_mid(m: np.ndarray, l_max: np.ndarray) -> np.ndarray:
     adj = _cofactors(m - l_max * _IDENTITY).take(_FULL, axis=0)
     norm2 = adj * adj
     norm2 = norm2[:, 0] + norm2[:, 1] + norm2[:, 2]
-    n2 = norm2.max(axis=0)
+    n2 = np.maximum(np.maximum(norm2[0], norm2[1]), norm2[2])
     first = norm2[:2] == n2  # the first of the largest rows, as argmax takes it
     v = np.where(first[0], adj[0], np.where(first[1], adj[1], adj[2]))
     del adj, norm2
-    np.divide(v, np.sqrt(n2), out=v, where=n2 > 0.0)  # v = 0 if A = 0
+    v /= np.sqrt(n2) + (n2 == 0.0)  # v = 0 if A = 0, and stays so over 1
     den = 1.0 + np.abs(v[0])
     f = v[1:] / den
     np.copysign(den, v[0], v[0])  # h = v + sign(v0) e0: v0 and its sign add up to |v0| + 1
@@ -291,6 +291,9 @@ def f3_max(r: RMatrix) -> float:
     return float(chsh_f3_maxima(r.t)[1])
 
 
+_TRANSPOSE_B = np.array([1.0, 1.0, -1.0, 1.0])  # R's columns under rho -> rho^{T_B}
+
+
 def ppt_test(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Partial-transpose entanglement test (exact for two qubits) on a (..., 4, 4) stack of pictures.
 
@@ -299,7 +302,7 @@ def ppt_test(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(min eigenvalue < -1e-10, min eigenvalue)`` from one batched eigensolve;
     the verdict is independent of which side is transposed.
     """
-    min_eig = np.linalg.eigvalsh(pauli_expansion(r * np.array([1.0, 1.0, -1.0, 1.0])))[..., 0]
+    min_eig = np.linalg.eigvalsh(pauli_expansion(r * _TRANSPOSE_B))[..., 0]
     return min_eig < -1e-10, min_eig
 
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from functools import cache
 
 import numpy as np
 
 from .correlations import SQRT2, SQRT3, chsh_f3_maxima, ppt_test
 from .correlations import ppt_entangled  # noqa: F401 (a span target in hqcbench)
-from .ellipsoid import Party, ellipsoid_centres
+from .ellipsoid import centre_magnitudes
 from .ellipsoid import compute_ellipsoid  # noqa: F401 (a span target in hqcbench)
 from .errors import DomainError
 from .filtering import Objective, hidden_values
@@ -118,37 +118,82 @@ def conjecture_bound_chsh(c: float | np.ndarray) -> float | np.ndarray:
     return float(bound) if bound.ndim == 0 else bound
 
 
+# The flags of a report, objective-major: flag k of the (2, 6, n) matrix of
+# :func:`classify_batch` is bit k of a row's code.
+FLAGS = tuple(
+    kind.format(name)
+    for name in ("CHSH", "F3")
+    for kind in (
+        "NO_{}_VIOLATION",
+        "HIDDEN_{}",
+        "MAXIMAL_HIDDEN_{}",
+        "A_INACCESSIBLE_{}",
+        "B_INACCESSIBLE_{}",
+        "AB_INACCESSIBLE_{}",
+    )
+)
+_FLAG_BITS = 1 << np.arange(len(FLAGS))
+_DEFAULT_THRESHOLDS = Thresholds()
+_MAXIMAL = np.array([[SQRT2], [SQRT3]]) - MAXIMAL_MARGIN  # the quantum maxima, less the margin
+
+
+@cache
+def _flag_set(code: int) -> frozenset[str]:
+    """The flags whose bits are set in ``code``: one frozenset per distinct pattern (at most
+    2^12), shared by every report that has it."""
+    return frozenset(name for k, name in enumerate(FLAGS) if code >> k & 1)
+
+
 def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[InaccessibilityReport]:
     """Reports for a (n, 4, 4) stack of pictures of validated states, one per row.
 
     Each quantity comes from one batched call for the whole stack: the
     closed-form T T^T spectrum for B and F3, one normal-form eigensolve for both hidden
     values (NaN rows where the normal form vanishes), one eigensolve for PPT
-    and one call per party for the centres. An unphysical spectrum in any row raises ComplexSpectrum.
+    and one call for both parties' centres. An unphysical spectrum in any row raises
+    ComplexSpectrum. The flags are one boolean matrix, objectives by flags by rows,
+    whose comparisons run on both objectives at once.
     """
-    th = th or Thresholds()
+    th = th or _DEFAULT_THRESHOLDS
     b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
-    hb, hf3 = hidden_values(r)
-    c_a, c_b = (np.linalg.norm(ellipsoid_centres(r, party)[0], axis=-1) for party in (Party.A, Party.B))
+    hidden = hidden_values(r).T
+    c_a, c_b = centre_magnitudes(r)
     entangled, _ = ppt_test(r)
 
-    columns = {}
-    for name, value, hidden, maxval, cutoff in (
-        ("CHSH", b, hb, SQRT2, th.c_chsh),
-        ("F3", f3, hf3, SQRT3, th.c_f3),
-    ):
-        no_violation = value <= 1.0 + CLASSICAL_MARGIN
-        hidden_flag = no_violation & (hidden > 1.0 + VIOLATION_MARGIN)  # False on NaN rows
-        a_inacc, b_inacc = c_b > cutoff, c_a > cutoff  # filters by Alice leave Bob's ellipsoid fixed
-        columns[f"NO_{name}_VIOLATION"] = no_violation
-        columns[f"HIDDEN_{name}"] = hidden_flag
-        columns[f"MAXIMAL_HIDDEN_{name}"] = hidden_flag & (hidden >= maxval - MAXIMAL_MARGIN)
-        columns[f"A_INACCESSIBLE_{name}"] = a_inacc
-        columns[f"B_INACCESSIBLE_{name}"] = b_inacc
-        columns[f"AB_INACCESSIBLE_{name}"] = a_inacc & b_inacc
-    flag_rows = np.stack(list(columns.values()), axis=1).tolist()
-    values = zip(*(x.tolist() for x in (b, f3, hb, hf3, c_a, c_b, entangled)), flag_rows)
-    return [InaccessibilityReport(*v, frozenset(compress(columns, row)), th, math.isnan(v[2])) for *v, row in values]
+    cutoff = np.array([[th.c_chsh], [th.c_f3]])
+    flags = np.empty((2, 6, len(r)), dtype=bool)
+    np.less_equal(b, 1.0 + CLASSICAL_MARGIN, out=flags[0, 0])  # no violation
+    np.less_equal(f3, 1.0 + CLASSICAL_MARGIN, out=flags[1, 0])
+    np.greater(hidden, 1.0 + VIOLATION_MARGIN, out=flags[:, 1])  # False on NaN rows
+    np.greater_equal(hidden, _MAXIMAL, out=flags[:, 2])
+    np.greater(c_b, cutoff, out=flags[:, 3])  # filters by Alice leave Bob's ellipsoid fixed
+    np.greater(c_a, cutoff, out=flags[:, 4])
+    flags[:, 1] &= flags[:, 0]  # hidden: no direct violation, but the normal form violates
+    flags[:, 2] &= flags[:, 1]
+    np.logical_and(flags[:, 3], flags[:, 4], out=flags[:, 5])
+    codes = _FLAG_BITS @ flags.reshape(len(FLAGS), -1)
+
+    reports = []
+    new = object.__new__
+    for vb, vf3, hb, hf3, ca, cb, ent, code in zip(*(x.tolist() for x in (b, f3, *hidden, c_a, c_b, entangled, codes))):
+        # the frozen dataclass's __init__ sets each field through object.__setattr__; filling
+        # the instance's __dict__ builds the same report at a third of the cost
+        report = new(InaccessibilityReport)
+        report.__dict__.update(
+            b=vb,
+            f3=vf3,
+            hb_star=hb,
+            hf3_star=hf3,
+            c_a=ca,
+            c_b=cb,
+            entangled=ent,
+            flags=_flag_set(code),
+            thresholds=th,
+            degenerate_normal_form=math.isnan(hb),
+            conjecture_conditional=True,
+        )
+        reports.append(report)
+    return reports
 
 
 def classify(r: RMatrix, th: Thresholds | None = None) -> InaccessibilityReport:

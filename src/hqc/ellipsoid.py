@@ -43,22 +43,26 @@ class SteeringEllipsoid:
     degenerate: bool
 
 
-def _steering(r: np.ndarray, party: Party) -> tuple[np.ndarray, ...]:
-    """(steer, steered, t, gamma_sq, centres, ok) for ``party``'s ellipsoids of a
-    (n, 4, 4) batch: the steering and steered Bloch vectors, T with the steering
-    index first, gamma^2 (1 where ``ok`` is False) and the output of
-    :func:`ellipsoid_centres`."""
-    if party is Party.A:
-        r = r.transpose(0, 2, 1)  # Alice's ellipsoid of R is Bob's ellipsoid of R^T
-    steer, steered, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
+def _oriented(r: np.ndarray, party: Party) -> np.ndarray:
+    """A (n, 4, 4) batch of pictures, transposed for Alice: her ellipsoid of R is Bob's ellipsoid of R^T."""
+    return r.transpose(0, 2, 1) if party is Party.A else r
+
+
+def _steering(r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(steer, steered, t, gamma_sq, centres, ok) for Bob's ellipsoids of a (..., 4, 4)
+    stack of pictures (see :func:`_oriented`): the steering and steered Bloch vectors,
+    T with the steering index first, gamma^2 (1 where ``ok`` is False) and the output
+    of :func:`ellipsoid_centres`."""
+    steer, steered, t = r[..., 1:, 0], r[..., 0, 1:], r[..., 1:, 1:]
     # sum_i steer_i R[i + 1, :] = (|steer|^2, T^T steer), added term by term because the roundoff
     # of einsum and matmul can depend on a row's batch, strides or memory alignment
-    weighted = sum(steer[:, i, None] * r[:, i + 1] for i in range(3))
-    denom = 1.0 - weighted[:, 0]
+    terms = steer[..., None] * r[..., 1:, :]
+    weighted = sum(terms[..., i, :] for i in range(3))
+    denom = 1.0 - weighted[..., 0]
     ok = denom > DEGENERACY_TOL
     gamma_sq = 1.0 / np.where(ok, denom, 1.0)
-    centres = gamma_sq[:, None] * (steered - weighted[:, 1:])
-    return steer, steered, t, gamma_sq, np.where(ok[:, None], centres, steered), ok
+    centres = gamma_sq[..., None] * (steered - weighted[..., 1:])
+    return steer, steered, t, gamma_sq, np.where(ok[..., None], centres, steered), ok
 
 
 def ellipsoid_centres(r: np.ndarray, party: Party) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +73,19 @@ def ellipsoid_centres(r: np.ndarray, party: Party) -> tuple[np.ndarray, np.ndarr
     pure, the centre is the steered party's Bloch vector, the
     point-ellipsoid convention.
     """
-    return _steering(r, party)[4:]
+    return _steering(_oriented(r, party))[4:]
+
+
+def centre_magnitudes(r: np.ndarray) -> np.ndarray:
+    """|c_A| and |c_B| of a (n, 4, 4) batch of pictures, as a (2, n) array.
+
+    Both parties' centres are those of :func:`ellipsoid_centres`, computed in one pass
+    over the stacked pictures R^T and R; the norm sums the three squares in the order
+    ``np.linalg.norm`` does, so the magnitudes are its bits.
+    """
+    centres = _steering(np.array([_oriented(r, Party.A), r]))[4]
+    sq = centres * centres
+    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
 
 
 def compute_ellipsoid(r: RMatrix, party: Party) -> SteeringEllipsoid:
@@ -78,7 +94,7 @@ def compute_ellipsoid(r: RMatrix, party: Party) -> SteeringEllipsoid:
     Where 1 - |steering Bloch|^2 is at most DEGENERACY_TOL the
     point-ellipsoid convention applies (flag, never an error).
     """
-    steer, steered, t, gamma_sq, centre, ok = (v[0] for v in _steering(r.r[None], party))
+    steer, steered, t, gamma_sq, centre, ok = (v[0] for v in _steering(_oriented(r.r[None], party)))
     if not ok:
         return SteeringEllipsoid(
             centre=centre,

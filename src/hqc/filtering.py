@@ -178,18 +178,19 @@ def normal_form_spectra(r: np.ndarray) -> np.ndarray:
     """
     m = (r * _ETA_SIGNS) @ r.swapaxes(-1, -2)
     w = np.linalg.eigvals(m)
-    # Defective splits scale with sqrt(eps * ||M||), not with the eigenvalues.
-    tol = np.maximum(1e-8, 5e-7 * np.linalg.norm(m, axis=(-2, -1)))
+    # Defective splits scale with sqrt(eps * ||M||), not with the eigenvalues; ||M|| is the
+    # Frobenius norm as np.linalg.norm reduces it, without that function's argument handling.
+    tol = np.maximum(1e-8, 5e-7 * np.sqrt(np.add.reduce(m * m, axis=(-2, -1))))
     nu = np.sort(w.real, axis=-1)[..., ::-1]
     imag, low = np.abs(w.imag).max(axis=-1), nu[..., -1]
-    bad = (imag > tol) | (low < -tol)
+    bad = np.maximum(imag, -low) > tol
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise ComplexSpectrum(f"row {i}: |Im eigenvalue| {imag.flat[i]:.3e}, min {low.flat[i]:.3e}; input unphysical")
-    nu = np.clip(nu, 0.0, None)
+    nu = np.maximum(nu, 0.0)  # what np.clip(nu, 0.0, None) calls
     # a cluster is a run of sorted values whose neighbours lie within tol; number the runs
-    breaks = nu[..., :-1] - nu[..., 1:] > tol[..., None]
-    run = np.cumsum(np.concatenate([np.zeros_like(breaks[..., :1]), breaks], axis=-1), axis=-1)
+    run = np.zeros(nu.shape, dtype=np.int64)
+    np.cumsum(nu[..., :-1] - nu[..., 1:] > tol[..., None], axis=-1, out=run[..., 1:])
     same = run[..., :, None] == run[..., None, :]
     return np.where(same, nu[..., None, :], 0.0).sum(axis=-1) / same.sum(axis=-1)
 
@@ -199,24 +200,24 @@ def normal_form_spectrum(r: RMatrix) -> NormalFormSpectrum:
     return NormalFormSpectrum(*normal_form_spectra(r.r).tolist())
 
 
-def hidden_values(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden CHSH and hidden F3 of a (..., 4, 4) stack, from one solve of the normal-form spectra.
+def hidden_values(r: np.ndarray) -> np.ndarray:
+    """Hidden CHSH and hidden F3 of a (..., 4, 4) stack as a (..., 2) array, from one solve of
+    the normal-form spectra.
 
     Rows whose leading eigenvalue is at most 1e-12 (a vanishing normal
     form, e.g. a pure product state) get NaN for both.
     """
     nu = normal_form_spectra(r)
-    ok = nu[..., 0] > 1e-12
-    nu0 = np.where(ok, nu[..., 0], 1.0)
-    pair = nu[..., 1] + nu[..., 2]
-    return np.where(ok, np.sqrt(pair / nu0), np.nan), np.where(ok, np.sqrt((pair + nu[..., 3]) / nu0), np.nan)
+    # nu1 + nu2, then + nu3, accumulated in one call; a NaN divisor marks a vanishing normal form
+    sums = np.cumsum(nu[..., 1:], axis=-1)[..., 1:]
+    return np.sqrt(sums / np.where(nu[..., :1] > 1e-12, nu[..., :1], np.nan))
 
 
 def _hidden(r: RMatrix) -> tuple[float, float]:
-    hb, hf3 = hidden_values(r.r)
-    if np.isnan(hb):
+    hb, hf3 = hidden_values(r.r).tolist()
+    if math.isnan(hb):
         raise DegenerateNormalForm("leading normal-form eigenvalue <= 1e-12; hidden measures undefined")
-    return float(hb), float(hf3)
+    return hb, hf3
 
 
 def hidden_chsh(r: RMatrix) -> float:
@@ -319,6 +320,7 @@ def optimize_one_sided(
     max_iters: int = 500,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
+    picture: RMatrix | None = None,
 ) -> OneSidedResult:
     """Maximise the filtered CHSH/F3 optimum over one party's filters.
 
@@ -336,7 +338,8 @@ def optimize_one_sided(
     ``best_start`` is the index of the start whose optimum is reported.
 
     Every start minimises one objective, :func:`_search_objective`, built
-    once from rho's correlation picture R: each evaluation applies the
+    once from rho's correlation picture R (``picture``, if the caller already
+    has it from :func:`hqc.states.to_r_picture`): each evaluation applies the
     candidate's boost L(d, n) (see the module docstring) to R in Python
     floats, reads the success probability off the [0, 0] entry, and
     takes the maximum of the normalised T from
@@ -363,7 +366,7 @@ def optimize_one_sided(
     SeededRng(seed)  # rejects a negative seed, even when no start draws from it
     maxval = SQRT2 if objective is Objective.CHSH else SQRT3
     began = time.perf_counter()
-    fun = _search_objective(to_r_picture(rho).r, party, objective)
+    fun = _search_objective((to_r_picture(rho) if picture is None else picture).r, party, objective)
     bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
     identity = (1.0, 0.0, 0.0)  # d = 1
     best_x, best_val, best_start = identity, -fun(identity), 0

@@ -196,7 +196,11 @@ SCAN_CSV_HEADER = "theta,p,B,F3,HBstar,HF3star,cA,cB,entangled,flags"
 
 def scan_rows_to_csv(rows: list[tuple[float, float, InaccessibilityReport]]) -> str:
     lines = [SCAN_CSV_HEADER]
+    flag_text: dict[frozenset[str], str] = {}  # one join per distinct flag set
     for theta, p, report in rows:
+        flags = flag_text.get(report.flags)
+        if flags is None:
+            flags = flag_text[report.flags] = ";".join(sorted(report.flags))
         lines.append(
             ",".join(
                 [
@@ -209,7 +213,7 @@ def scan_rows_to_csv(rows: list[tuple[float, float, InaccessibilityReport]]) -> 
                     _fmt(report.c_a),
                     _fmt(report.c_b),
                     "true" if report.entangled else "false",
-                    ";".join(sorted(report.flags)),
+                    flags,
                 ]
             )
         )

@@ -188,11 +188,20 @@ def _pauli_sums(components: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> 
 def r_pictures(rho: np.ndarray) -> np.ndarray:
     """Pictures R[n, i, j] = Tr[(sigma_i (x) sigma_j) rho[n]] of a (n, 4, 4) batch
     of unit-trace states: the Pauli map applied to rho.real and rho.imag, with
-    R[n, 0, 0] exactly 1. The result is a C-contiguous real array."""
-    components = np.ascontiguousarray(rho, dtype=complex).reshape(-1, 16).view(float).T
-    r = np.ascontiguousarray(_pauli_sums(components, _PAULI_ROWS).T).reshape(-1, 4, 4)
-    r[:, 0, 0] = 1.0
-    return r
+    R[n, 0, 0] exactly 1. The result is a C-contiguous real array.
+
+    The states stay rows, and each entry's four terms are gathered at once and summed
+    in :func:`_pauli_sums`' order, so a small batch takes few numpy calls; the sweep's
+    tiles take the terms one at a time instead, for their peak memory."""
+    components = np.ascontiguousarray(rho, dtype=complex).reshape(-1, 16).view(float)
+    terms, signs = _PAULI_ROWS
+    t = components.take(terms, axis=1)  # (n, 4, 16): term k of entry e
+    t *= signs[:, :, 0]
+    r = t[:, 0] + t[:, 1]
+    r += t[:, 2]
+    r += t[:, 3]
+    r[:, 0] = 1.0
+    return r.reshape(-1, 4, 4)
 
 
 def _add_column_term(
@@ -269,6 +278,10 @@ def pauli_expansion(r: np.ndarray) -> np.ndarray:
     return 0.25 * (r.reshape(-1, 1, 16) @ PAULI_KRON.reshape(16, 16)).reshape(r.shape)
 
 
+# _RANK_COLUMNS[k] keeps the first k columns of a row-major 4x4 factor, for k = 0..4.
+_RANK_COLUMNS = np.arange(16) % 4 < np.arange(5)[:, None]
+
+
 def ginibre_factors(gen: np.random.Generator, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts (x, y) of Ginibre factors G = x + i y, one (4, 4)
     matrix per entry of ``ranks``, with the columns from each rank on zeroed. Every
@@ -279,9 +292,9 @@ def ginibre_factors(gen: np.random.Generator, ranks: np.ndarray) -> tuple[np.nda
     y = np.empty_like(x)
     gen.standard_normal(out=x)
     gen.standard_normal(out=y)
-    keep = np.arange(4)[None, None, :] < ranks[:, None, None]
-    x *= keep
-    y *= keep
+    keep = _RANK_COLUMNS[ranks]  # (n, 16): one contiguous row per sample, not a broadcast (n, 1, 4) mask
+    for part in (x.reshape(-1, 16), y.reshape(-1, 16)):
+        part *= keep
     return x, y
 
 
