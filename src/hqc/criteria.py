@@ -120,7 +120,7 @@ def conjecture_bound_chsh(c: float | np.ndarray) -> float | np.ndarray:
 
 # The flags of a report, objective-major: flag k of the (2, 6, n) matrix of
 # :func:`classify_batch` is bit k of a row's code.
-FLAGS = tuple(
+_FLAGS = tuple(
     kind.format(name)
     for name in ("CHSH", "F3")
     for kind in (
@@ -132,7 +132,7 @@ FLAGS = tuple(
         "AB_INACCESSIBLE_{}",
     )
 )
-_FLAG_BITS = 1 << np.arange(len(FLAGS))
+_FLAG_BITS = 1 << np.arange(len(_FLAGS))
 _DEFAULT_THRESHOLDS = Thresholds()
 _MAXIMAL = np.array([[SQRT2], [SQRT3]]) - MAXIMAL_MARGIN  # the quantum maxima, less the margin
 
@@ -141,7 +141,7 @@ _MAXIMAL = np.array([[SQRT2], [SQRT3]]) - MAXIMAL_MARGIN  # the quantum maxima, 
 def _flag_set(code: int) -> frozenset[str]:
     """The flags whose bits are set in ``code``: one frozenset per distinct pattern (at most
     2^12), shared by every report that has it."""
-    return frozenset(name for k, name in enumerate(FLAGS) if code >> k & 1)
+    return frozenset(name for k, name in enumerate(_FLAGS) if code >> k & 1)
 
 
 def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[InaccessibilityReport]:
@@ -171,7 +171,7 @@ def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[Inaccess
     flags[:, 1] &= flags[:, 0]  # hidden: no direct violation, but the normal form violates
     flags[:, 2] &= flags[:, 1]
     np.logical_and(flags[:, 3], flags[:, 4], out=flags[:, 5])
-    codes = _FLAG_BITS @ flags.reshape(len(FLAGS), -1)
+    codes = _FLAG_BITS @ flags.reshape(len(_FLAGS), -1)
 
     reports = []
     new = object.__new__
