@@ -126,7 +126,7 @@ def _trigonometric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p2 = 2.0 * p
     r = (det[0] + det[1] + det[2]) / np.maximum(p2 * p * p, _TINY)  # det = 0 where p = 0
     neg = r < 0.0
-    phi = np.arccos(r.clip(-1.0, 1.0)) / 3.0
+    phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0  # r.clip(-1, 1) without its Python wrapper
     phi += _THIRD_TURN * neg  # l_min's offset; elsewhere phi >= 0 is phi + 0
     return tr, neg, q + p2 * np.cos(phi)
 

@@ -178,21 +178,25 @@ def normal_form_spectra(r: np.ndarray) -> np.ndarray:
     """
     m = (r * _ETA_SIGNS) @ r.swapaxes(-1, -2)
     w = np.linalg.eigvals(m)
-    # Defective splits scale with sqrt(eps * ||M||), not with the eigenvalues; ||M|| is the
-    # Frobenius norm as np.linalg.norm reduces it, without that function's argument handling.
+    # Every reduction below is a ufunc method, the call that np.linalg.norm, np.sort, np.cumsum
+    # and ndarray.max/sum/any make after their Python argument handling: same bits, and a small
+    # batch pays for its calls, not its arithmetic.
+    # Defective splits scale with sqrt(eps * ||M||), not with the eigenvalues.
     tol = np.maximum(1e-8, 5e-7 * np.sqrt(np.add.reduce(m * m, axis=(-2, -1))))
-    nu = np.sort(w.real, axis=-1)[..., ::-1]
-    imag, low = np.abs(w.imag).max(axis=-1), nu[..., -1]
+    nu = w.real.copy()
+    nu.sort(axis=-1)
+    nu = nu[..., ::-1]
+    imag, low = np.maximum.reduce(np.abs(w.imag), axis=-1), nu[..., -1]
     bad = np.maximum(imag, -low) > tol
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         i = np.flatnonzero(bad)[0]
         raise ComplexSpectrum(f"row {i}: |Im eigenvalue| {imag.flat[i]:.3e}, min {low.flat[i]:.3e}; input unphysical")
     nu = np.maximum(nu, 0.0)  # what np.clip(nu, 0.0, None) calls
     # a cluster is a run of sorted values whose neighbours lie within tol; number the runs
     run = np.zeros(nu.shape, dtype=np.int64)
-    np.cumsum(nu[..., :-1] - nu[..., 1:] > tol[..., None], axis=-1, out=run[..., 1:])
+    np.add.accumulate(nu[..., :-1] - nu[..., 1:] > tol[..., None], axis=-1, dtype=np.int64, out=run[..., 1:])
     same = run[..., :, None] == run[..., None, :]
-    return np.where(same, nu[..., None, :], 0.0).sum(axis=-1) / same.sum(axis=-1)
+    return np.add.reduce(np.where(same, nu[..., None, :], 0.0), axis=-1) / np.add.reduce(same, axis=-1)
 
 
 def normal_form_spectrum(r: RMatrix) -> NormalFormSpectrum:
@@ -209,7 +213,7 @@ def hidden_values(r: np.ndarray) -> np.ndarray:
     """
     nu = normal_form_spectra(r)
     # nu1 + nu2, then + nu3, accumulated in one call; a NaN divisor marks a vanishing normal form
-    sums = np.cumsum(nu[..., 1:], axis=-1)[..., 1:]
+    sums = np.add.accumulate(nu[..., 1:], axis=-1)[..., 1:]
     return np.sqrt(sums / np.where(nu[..., :1] > 1e-12, nu[..., :1], np.nan))
 
 

@@ -201,22 +201,9 @@ def scan_rows_to_csv(rows: list[tuple[float, float, InaccessibilityReport]]) -> 
         flags = flag_text.get(report.flags)
         if flags is None:
             flags = flag_text[report.flags] = ";".join(sorted(report.flags))
-        lines.append(
-            ",".join(
-                [
-                    _fmt(theta),
-                    _fmt(p),
-                    _fmt(report.b),
-                    _fmt(report.f3),
-                    _fmt(report.hb_star),
-                    _fmt(report.hf3_star),
-                    _fmt(report.c_a),
-                    _fmt(report.c_b),
-                    "true" if report.entangled else "false",
-                    flags,
-                ]
-            )
-        )
+        # _fmt of each value, as two C-level maps
+        values = (theta, p, report.b, report.f3, report.hb_star, report.hf3_star, report.c_a, report.c_b)
+        lines.append(f"{','.join(map(repr, map(float, values)))},{'true' if report.entangled else 'false'},{flags}")
     return "\n".join(lines) + "\n"
 
 
