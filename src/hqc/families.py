@@ -44,7 +44,12 @@ class Family(Enum):
 
 def _projector(*amplitudes: float) -> np.ndarray:
     v = np.array(amplitudes, dtype=complex)
-    return np.outer(v, v.conj())
+    return v[:, None] * v.conj()  # np.outer's product
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b of two 2x2 matrices: np.kron's broadcast product, without its shape handling."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def _rho_a(theta: float) -> np.ndarray:
@@ -54,8 +59,8 @@ def _rho_a(theta: float) -> np.ndarray:
 # (signal, noise) of each family at theta; its state at (theta, p) is p signal + (1 - p) noise.
 # The identity factor of rho_m's noise is normalised to the maximally mixed state.
 _ENDPOINTS = {
-    Family.M: lambda t: (_projector(math.cos(t), 0, 0, math.sin(t)), np.kron(_rho_a(t), np.eye(2) / 2.0)),
-    Family.MM: lambda t: (_projector(math.cos(t), 0, 0, math.sin(t)), np.kron(_rho_a(t), _rho_a(t))),
+    Family.M: lambda t: (_projector(math.cos(t), 0, 0, math.sin(t)), _kron(_rho_a(t), np.eye(2) / 2.0)),
+    Family.MM: lambda t: (_projector(math.cos(t), 0, 0, math.sin(t)), _kron(_rho_a(t), _rho_a(t))),
     Family.QD: lambda _: (_projector(0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0), _projector(1, 0, 0, 0)),
 }
 

@@ -178,9 +178,9 @@ def normal_form_spectra(r: np.ndarray) -> np.ndarray:
     """
     m = (r * _ETA_SIGNS) @ r.swapaxes(-1, -2)
     w = np.linalg.eigvals(m)
-    # Every reduction below is a ufunc method, the call that np.linalg.norm, np.sort, np.cumsum
-    # and ndarray.max/sum/any make after their Python argument handling: same bits, and a small
-    # batch pays for its calls, not its arithmetic.
+    # The reductions are the ufunc methods that np.linalg.norm, np.sort, np.cumsum and
+    # ndarray.max/sum/any call after their Python argument handling: the same bits in fewer
+    # interpreted steps, which is what a small batch pays for.
     # Defective splits scale with sqrt(eps * ||M||), not with the eigenvalues.
     tol = np.maximum(1e-8, 5e-7 * np.sqrt(np.add.reduce(m * m, axis=(-2, -1))))
     nu = w.real.copy()

@@ -155,15 +155,17 @@ def validate_state(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise DomainError(f"state must be a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # the reductions are the ufunc methods that ndarray.all and ndarray.max call
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise DomainError("state has non-finite entries")
-    herm_dev = np.abs(m - m.conj().T).max()
+    adjoint = m.conj().T
+    herm_dev = np.maximum.reduce(np.abs(m - adjoint), axis=None)
     if herm_dev > tol:
         raise NotHermitian(f"max |rho - rho^dag| = {herm_dev:.3e} exceeds {tol:.1e}")
     trace_dev = abs(m.trace() - 1.0)
     if trace_dev > tol:
         raise TraceNotOne(f"|Tr rho - 1| = {trace_dev:.3e} exceeds {tol:.1e}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+    min_eig = float(np.linalg.eigvalsh(0.5 * (m + adjoint))[0])  # ascending
     if min_eig < -tol:
         raise NotPositive(f"min eigenvalue {min_eig:.3e} below -{tol:.1e}")
     return DensityMatrix(m)
