@@ -32,7 +32,7 @@ from hqc import filtering as filtering_mod
 from hqc.cli import main
 from hqc.families import paper_filter_rho_m, rho_m, rho_qd
 
-from conftest import platform_math_digest, singlet_matrix, werner_matrix
+from conftest import singlet_matrix, werner_matrix
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -247,6 +247,7 @@ class TestScan:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.usefixtures("recorded_platform")
 class TestScanBitPins:
     """SHA-256 digests of scan CSVs, recorded before the small-batch rewrite of
     ``classify_batch``: a rewrite of its kernels keeps every output bit. The MM grid is the
@@ -256,32 +257,27 @@ class TestScanBitPins:
 
     THETAS = np.linspace(0.0, math.pi / 4, 21).tolist()
 
-    @pytest.fixture(autouse=True)
-    def _recorded_platform(self):
-        if platform_math_digest() != "e63f121bdfe1d58cde451e8698bbea1f7fdeb04db16947e96ee56fd2c8ef03b9":
-            pytest.skip("numpy's arccos, cos or normal stream differ from the platform the digests were recorded on")
-
     @staticmethod
     def _scan(capsys, out, *argv: str) -> bytes:
         code, _ = run_cli(capsys, "scan", *argv, "--out", str(out))
         assert code == 0
         return out.read_bytes()
 
+    def _row(self, capsys, out, theta: float) -> bytes:
+        return self._scan(capsys, out, "mm", "--theta", f"{theta!r}:{theta!r}:1", "--p", "0:1:21")
+
     def test_mm_one_row_calls(self, capsys, tmp_path):
         h = hashlib.sha256()
         for theta in self.THETAS:
-            h.update(self._scan(capsys, tmp_path / "mm.csv", "mm", "--theta", f"{theta!r}:{theta!r}:1", "--p", "0:1:21"))
+            h.update(self._row(capsys, tmp_path / "mm.csv", theta))
         assert h.hexdigest() == "926e9f0f0c314f3ff456f89e4f50c4adf5acf1734edf8f802fc0076fb489bff3"
 
     def test_mm_one_call(self, capsys, tmp_path):
         whole = self._scan(capsys, tmp_path / "mm.csv", "mm", "--theta", f"0:{math.pi / 4!r}:21", "--p", "0:1:21")
         assert hashlib.sha256(whole).hexdigest() == "15f391bd430f09a4eab50c9b491d9a6a4fe59a2885869b221f5526d20345f0a7"
-        # the same points as the one-row calls, so the same data rows: no row depends on its batch
-        rows = []
-        for theta in self.THETAS:
-            csv = self._scan(capsys, tmp_path / "row.csv", "mm", "--theta", f"{theta!r}:{theta!r}:1", "--p", "0:1:21")
-            rows += csv.splitlines()[1:]
-        assert whole.splitlines()[1:] == rows
+        # the same points as the one-row calls, so the same data rows
+        rows = [self._row(capsys, tmp_path / "row.csv", theta).splitlines()[1:] for theta in self.THETAS]
+        assert whole.splitlines()[1:] == sum(rows, [])
 
     def test_qd_line(self, capsys, tmp_path):
         csv = self._scan(capsys, tmp_path / "qd.csv", "qd", "--p", "0.01:0.99:99")

@@ -36,8 +36,6 @@ from hqc import (
     to_r_picture,
 )
 
-from conftest import platform_math_digest
-
 
 class TestConjectureBound:
     def test_unconstrained_value(self):
@@ -259,29 +257,33 @@ class TestClassifyBatch:
             classify_batch(np.stack([good, bad, good]))
 
 
+@pytest.mark.usefixtures("recorded_platform")
 class TestClassifyBitPins:
     """SHA-256 digests of every :func:`report_bits` field of ``classify`` on a defective
     spectrum, pure marginals and three Ginibre states, recorded before the small-batch
     rewrite of ``classify_batch``. The platform guard is that of ``TestOutputBitPins``."""
 
-    @pytest.fixture(autouse=True)
-    def _recorded_platform(self):
-        if platform_math_digest() != "e63f121bdfe1d58cde451e8698bbea1f7fdeb04db16947e96ee56fd2c8ef03b9":
-            pytest.skip("numpy's arccos, cos or normal stream differ from the platform the digests were recorded on")
+    STATES = {
+        "rho_qd": lambda: rho_qd(0.6),  # defective normal-form spectrum
+        "rho_mm": lambda: rho_mm(0.0, 0.5),  # pure marginals
+        "ginibre_r2": lambda: sample_state(SeededRng(70, 0), rank=2),
+        "ginibre_r3": lambda: sample_state(SeededRng(70, 1), rank=3),
+        "ginibre_r4": lambda: sample_state(SeededRng(70, 2), rank=4),
+    }
 
     @pytest.mark.parametrize(
-        "make, digest",
+        "state, digest",
         [
-            (lambda: rho_qd(0.6), "ec0b7a651ce0519aa779f993833d8bc40f272e530807ebcac0aff2e8c2cd60e0"),  # defective normal-form spectrum
-            (lambda: rho_mm(0.0, 0.5), "17c856bbbe2ce3594525e6ed60e1222d18652345a6caeb5a7d3b76799533e298"),  # pure marginals
-            (lambda: sample_state(SeededRng(70, 0), rank=2), "444818640e511a9b350ca48422034897a058054fa4854066f130a4af197fbe99"),
-            (lambda: sample_state(SeededRng(70, 1), rank=3), "fd0055b8975c1729d6452e2b1542773e638645bde536efecea8ec939d35cab98"),
-            (lambda: sample_state(SeededRng(70, 2), rank=4), "cfe52377abadb2c92aa995230e88ce3890d51835c0bcf88c0c72aee506b290f2"),
+            ("rho_qd", "ec0b7a651ce0519aa779f993833d8bc40f272e530807ebcac0aff2e8c2cd60e0"),
+            ("rho_mm", "17c856bbbe2ce3594525e6ed60e1222d18652345a6caeb5a7d3b76799533e298"),
+            ("ginibre_r2", "444818640e511a9b350ca48422034897a058054fa4854066f130a4af197fbe99"),
+            ("ginibre_r3", "fd0055b8975c1729d6452e2b1542773e638645bde536efecea8ec939d35cab98"),
+            ("ginibre_r4", "cfe52377abadb2c92aa995230e88ce3890d51835c0bcf88c0c72aee506b290f2"),
         ],
-        ids=["rho_qd", "rho_mm", "ginibre_r2", "ginibre_r3", "ginibre_r4"],
+        ids=list(STATES),
     )
-    def test_report_bits(self, make, digest):
-        bits = report_bits(classify(to_r_picture(make())))
+    def test_report_bits(self, state, digest):
+        bits = report_bits(classify(to_r_picture(self.STATES[state]())))
         bits["flags"] = sorted(bits["flags"])  # a frozenset's order follows the string hash seed
         assert hashlib.sha256(repr(sorted(bits.items())).encode()).hexdigest() == digest
 

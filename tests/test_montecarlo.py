@@ -11,7 +11,8 @@ from hqc.errors import DomainError
 from hqc.montecarlo import STAGES, _TILE, _bin_side, _empty_side, _run_chunk, _violations_in_chunk, sweep_stats
 from hqc.states import DensityMatrix, SeededRng, ginibre_factors, states_from_factors, to_r_picture
 
-from conftest import complex_path_states, ginibre_and_pure_marginal_factors, platform_math_digest
+from conftest import complex_path_states, ginibre_and_pure_marginal_factors
+from conftest import platform_math_digest as _platform_math_digest
 
 
 class TestConfig:
@@ -290,7 +291,7 @@ class TestOutputBitPins:
 
     @pytest.fixture(autouse=True)
     def _recorded_platform(self):
-        if platform_math_digest() != "e63f121bdfe1d58cde451e8698bbea1f7fdeb04db16947e96ee56fd2c8ef03b9":
+        if _platform_math_digest() != "e63f121bdfe1d58cde451e8698bbea1f7fdeb04db16947e96ee56fd2c8ef03b9":
             pytest.skip("numpy's arccos, cos or normal stream differ from the platform the digests were recorded on")
 
     @pytest.mark.parametrize(
