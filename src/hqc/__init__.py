@@ -9,11 +9,9 @@ parameter scans of three benchmark state families.
 from .correlations import (
     SingularTriple,
     brute_force_chsh,
-    brute_force_f3,
     chsh_max,
     chsh_value,
     f3_max,
-    f3_value,
     ppt_entangled,
     t_contract,
 )
@@ -27,7 +25,6 @@ from .criteria import (
 from .ellipsoid import Party, SteeringEllipsoid, compute_ellipsoid
 from .errors import (
     ComplexSpectrum,
-    DegenerateEllipsoid,
     DegenerateNormalForm,
     DomainError,
     HqcError,
@@ -36,7 +33,6 @@ from .errors import (
     OptimumMismatch,
     ParseError,
     TraceNotOne,
-    ZeroProbability,
     ZeroSuccessProbability,
 )
 from .families import Family, paper_filter_rho_m, qd_centre_boundary, rho_m, rho_mm, rho_qd, scan_family
@@ -62,7 +58,6 @@ from .states import (
     SeededRng,
     from_r_picture,
     sample_state,
-    steered_bloch,
     to_r_picture,
     validate_state,
 )

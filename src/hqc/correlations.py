@@ -1,4 +1,4 @@
-"""CHSH and F3 correlation values, their closed-form maxima, and oracles.
+"""CHSH and F3 correlation values, their closed-form maxima, and a CHSH oracle.
 
 The CHSH expression is normalised so the classical bound is 1 and the
 quantum maximum is sqrt(2); the F3 steering expression (Bob measuring the
@@ -8,10 +8,11 @@ correlation matrix T, and :func:`chsh_f3_maxima` is their one expression, a
 closed form for the spectrum of T T^T with no eigensolve: the sweep,
 ``classify_batch``, :func:`chsh_max` and :func:`f3_max` read it, and the
 one-sided optimiser's objective runs the same arithmetic on Python floats
-(:func:`chsh_f3_value`). The brute-force routines maximise the raw
-expressions over explicit measurement directions and exist to cross-check
-the closed forms independently; their last refinement step is the package's
-own Nelder-Mead, :func:`hqc.neldermead.minimize`.
+(:func:`chsh_f3_value`). :func:`brute_force_chsh` maximises the raw CHSH
+expression over explicit measurement directions and exists to cross-check
+the closed form independently; its last refinement step is the package's
+own Nelder-Mead, :func:`hqc.neldermead.minimize`. The F3 oracle, which
+shares its seeding helpers, is test code (``tests/support.py``).
 """
 
 from __future__ import annotations
@@ -276,16 +277,6 @@ def chsh_max(r: RMatrix) -> tuple[float, SingularTriple]:
     return float(chsh_f3_maxima(r.t)[0]), SingularTriple(*np.linalg.svd(r.t, compute_uv=False).tolist())
 
 
-def f3_value(r: RMatrix, a1, a2, a3) -> float:
-    """F3 value for Alice's three unit directions, with Bob's measurements
-    fixed to the coordinate Pauli operators."""
-    total = 0.0
-    for k, alpha in enumerate((a1, a2, a3)):
-        alpha = _unit(alpha, f"a{k + 1}")
-        total += float(alpha @ r.t[:, k])
-    return total / SQRT3
-
-
 def f3_max(r: RMatrix) -> float:
     """Closed-form F3 maximum sqrt(s1^2 + s2^2 + s3^2) (= ||T||_F)."""
     return float(chsh_f3_maxima(r.t)[1])
@@ -391,73 +382,3 @@ def brute_force_chsh(r: RMatrix) -> float:
     b1 = _safe_normalize(t.T @ (best_a1 + best_a2), np.array([1.0, 0, 0]))
     b2 = _safe_normalize(t.T @ (best_a1 - best_a2), np.array([1.0, 0, 0]))
     return chsh_value(r, best_a1, best_a2, b1, b2)
-
-
-def _rotation_from_rotvec(p: np.ndarray | tuple[float, float, float]) -> np.ndarray:
-    p = np.asarray(p)
-    theta = np.linalg.norm(p)
-    if theta < 1e-14:
-        return np.eye(3)
-    k = p / theta
-    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + math.sin(theta) * kx + (1.0 - math.cos(theta)) * (kx @ kx)
-
-
-def brute_force_f3(r: RMatrix) -> float:
-    """Maximise the three-setting steering expression over all measurements.
-
-    The expression (1/sqrt(3)) sum_k alpha_k^T T beta_k is maximised over
-    Alice's unit directions alpha_k and Bob's orthonormal measurement triad
-    {beta_k} (:func:`f3_value` is the special case beta_k = e_k). Given the
-    triad, the optimal alpha_k = T beta_k / |T beta_k| is closed form, so
-    the search runs over triads: deterministic axis-angle seeding, a
-    see-saw alternation (the triad step is an orthogonal Procrustes
-    problem), then Nelder-Mead refinement on a rotation-vector chart. The
-    returned value is the expression evaluated at explicit unit vectors.
-    """
-    t = r.t
-
-    def frame_value(o: np.ndarray) -> float:
-        return float(np.linalg.norm(t @ o, axis=0).sum()) / SQRT3
-
-    def seesaw(o: np.ndarray) -> tuple[float, np.ndarray]:
-        val = frame_value(o)
-        for _ in range(100):
-            alphas = np.empty((3, 3))
-            for k in range(3):
-                alphas[:, k] = _safe_normalize(t @ o[:, k], o[:, k])
-            u, _, vt = np.linalg.svd(t.T @ alphas)
-            o = u @ vt
-            new = frame_value(o)
-            if new - val < 1e-14:
-                return new, o
-            val = new
-        return val, o
-
-    seeds = [np.eye(3)]
-    for axis in fibonacci_sphere(GRID_DENSITY):
-        for angle in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-            seeds.append(_rotation_from_rotvec(axis * angle))
-    ranked = sorted(seeds, key=frame_value, reverse=True)[:6]
-    best_val, best_o = -np.inf, np.eye(3)
-    for o in ranked:
-        val, o = seesaw(o)
-        if val > best_val:
-            best_val, best_o = val, o
-
-    res = minimize(
-        lambda x: -frame_value(_rotation_from_rotvec(x) @ best_o),
-        (0.0, 0.0, 0.0),
-        max_iters=REFINE_ITERS,
-        xatol=1e-12,
-        fatol=1e-14,
-    )
-    if -res.fun > best_val:
-        best_o = _rotation_from_rotvec(res.x) @ best_o
-
-    total = 0.0
-    for k in range(3):
-        beta = _unit(best_o[:, k], f"b{k + 1}")
-        alpha = _unit(_safe_normalize(t @ beta, beta), f"a{k + 1}")
-        total += float(alpha @ t @ beta)
-    return total / SQRT3

@@ -21,16 +21,8 @@ class NotPositive(HqcError):
     """Matrix has an eigenvalue below the positivity tolerance."""
 
 
-class ZeroProbability(HqcError):
-    """A steering outcome has (numerically) zero probability."""
-
-
 class ZeroSuccessProbability(HqcError):
     """A filtering operation annihilates the state's support."""
-
-
-class DegenerateEllipsoid(HqcError):
-    """Operation requires an invertible ellipsoid matrix."""
 
 
 class ComplexSpectrum(HqcError):

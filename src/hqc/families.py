@@ -11,10 +11,12 @@ Each is p signal(theta) + (1-p) noise(theta), one row of a shared table.
 For ``rho_m`` the optimal filtering to the Bell-diagonal normal form is
 known in closed form: f_A = sin(theta) diag(1/cos(theta), 1/sin(theta)),
 f_B = identity. Scans are the plot-ready data for the families' region
-structure: a scan checks the whole grid once, validates each theta row's
-two endpoints (the row's states are their convex combinations), and
-classifies the row as one batch over p, returning ``classify_batch``'s
-reports as they are, one (theta, p, report) triple per point.
+structure: a scan checks the whole grid once and classifies each theta
+row as one batch over p, returning ``classify_batch``'s reports as they
+are, one (theta, p, report) triple per point. A row's states are convex
+combinations of its two endpoints, the table's own projectors and
+products, so they are states without a check; the family builders
+validate what they build.
 
 On the quasi-distillable line the regions end where the steering-ellipsoid
 centre crosses a threshold t. With a = b = (0, 0, 1 - p) and
@@ -128,7 +130,7 @@ def scan_family(
     _check_params(family, theta_grid, p_grid)
     rows = []
     for theta in theta_grid.tolist():
-        signal, noise = (validate_state(m).matrix for m in _ENDPOINTS[family](theta))
+        signal, noise = _ENDPOINTS[family](theta)
         rho = p_grid[:, None, None] * signal + (1.0 - p_grid)[:, None, None] * noise
         rows.extend((theta, p, report) for p, report in zip(p_grid.tolist(), classify_batch(r_pictures(rho), th)))
     return rows

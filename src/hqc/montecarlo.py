@@ -117,18 +117,16 @@ class SweepSummary:
     def __eq__(self, other: object) -> bool:  # numpy fields need elementwise comparison
         if not isinstance(other, SweepSummary):
             return NotImplemented
-        return self.config == other.config and self.stats_equal(other) and self.metadata == other.metadata
-
-    def stats_equal(self, other: "SweepSummary") -> bool:
-        """Bitwise equality of the statistical content (ignores config echo)."""
         return (
-            _bins_equal(self.vs_cb, other.vs_cb)
+            self.config == other.config
+            and _bins_equal(self.vs_cb, other.vs_cb)
             and _bins_equal(self.vs_ca, other.vs_ca)
             and len(self.violations) == len(other.violations)
             and all(
                 v.index == w.index and v.reasons == w.reasons and np.array_equal(v.state, w.state)
                 for v, w in zip(self.violations, other.violations)
             )
+            and self.metadata == other.metadata
         )
 
 

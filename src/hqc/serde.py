@@ -103,10 +103,6 @@ def dump_violation_json(v: Violation, directory: str) -> str:
     return path
 
 
-def rmatrix_to_csv(r: RMatrix) -> str:
-    return "\n".join(",".join(_fmt(x) for x in row) for row in r.r) + "\n"
-
-
 def rmatrix_from_csv(text: str) -> RMatrix:
     rows = [line for line in text.strip().splitlines() if line.strip()]
     if len(rows) != 4:

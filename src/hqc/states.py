@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotHermitian, NotPositive, TraceNotOne, ZeroProbability
+from .errors import DomainError, NotHermitian, NotPositive, TraceNotOne
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -325,23 +325,3 @@ def sample_state(rng: SeededRng, rank: int = 4) -> DensityMatrix:
     if rank not in (1, 2, 3, 4):
         raise DomainError(f"rank must be in 1..4, got {rank}")
     return validate_state(ginibre_states(rng.generator(), 1, rank)[0])
-
-
-def steered_bloch(r: RMatrix, gamma: np.ndarray) -> tuple[np.ndarray, float]:
-    """Bob's conditional Bloch vector when Alice applies the POVM effect
-    (1 + gamma . sigma)/2.
-
-    Returns (bloch, probability) with probability (1 + a.gamma)/2 and
-    bloch = (b + T^T gamma) / (2 probability). Raises ZeroProbability for
-    outcomes that never occur.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    norm = np.linalg.norm(gamma)
-    if norm > 1.0 + 1e-10:
-        raise DomainError(f"|gamma| = {norm:.12f} exceeds 1")
-    p = 0.5 * (1.0 + r.a @ gamma)
-    if p <= 1e-12:
-        raise ZeroProbability(f"steering outcome probability {p:.3e} <= 1e-12")
-    bloch = (r.b + r.t.T @ gamma) / (2.0 * p)
-    return bloch, float(p)
-

@@ -26,7 +26,6 @@ from hqc import (
     apply_filters,
     apply_one_sided,
     brute_force_chsh,
-    brute_force_f3,
     chsh_max,
     compute_ellipsoid,
     f3_max,
@@ -49,6 +48,7 @@ from hqc.criteria import conjecture_bound_chsh
 from hqc.montecarlo import SweepConfig, bin_envelope
 
 from conftest import bounded_random_filter
+from support import brute_force_f3
 from test_filtering import random_bell_diagonal
 
 SQRT2 = math.sqrt(2.0)

@@ -33,6 +33,7 @@ from hqc.cli import main
 from hqc.families import paper_filter_rho_m, rho_m, rho_qd
 
 from conftest import singlet_matrix, werner_matrix
+from support import rmatrix_to_csv
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -86,7 +87,7 @@ class TestAnalyze:
         from hqc import to_r_picture
 
         path = tmp_path / "state.rcsv"
-        path.write_text(serde.rmatrix_to_csv(to_r_picture(rho_qd(0.4))))
+        path.write_text(rmatrix_to_csv(to_r_picture(rho_qd(0.4))))
         code, doc = run_cli(capsys, "analyze", str(path), "--format", "rcsv")
         assert code == 0
         assert doc["report"]["c_a"] == pytest.approx(0.75, abs=1e-9)
@@ -252,8 +253,9 @@ class TestScanBitPins:
     """SHA-256 digests of scan CSVs, recorded before the small-batch rewrite of
     ``classify_batch``: a rewrite of its kernels keeps every output bit. The MM grid is the
     benchmark's 21 x 21 grid (every fifth line of the default 101 x 101 grid), written both
-    one theta row a call, as the benchmark calls it, and in one call; the QD line is the
-    CI's. The platform guard is that of ``TestOutputBitPins``."""
+    one theta row a call, as the benchmark calls it, and in one call; the M grid is the same
+    21 x 21 grid in one call; the QD line is the CI's. The platform guard is that of
+    ``TestOutputBitPins``."""
 
     THETAS = np.linspace(0.0, math.pi / 4, 21).tolist()
 
@@ -278,6 +280,10 @@ class TestScanBitPins:
         # the same points as the one-row calls, so the same data rows
         rows = [self._row(capsys, tmp_path / "row.csv", theta).splitlines()[1:] for theta in self.THETAS]
         assert whole.splitlines()[1:] == sum(rows, [])
+
+    def test_m_one_call(self, capsys, tmp_path):
+        whole = self._scan(capsys, tmp_path / "m.csv", "m", "--theta", f"0:{math.pi / 4!r}:21", "--p", "0:1:21")
+        assert hashlib.sha256(whole).hexdigest() == "428e05896a1d275c10cbc17fcb2f877545af87390adc5be1e15e31ecd2bef067"
 
     def test_qd_line(self, capsys, tmp_path):
         csv = self._scan(capsys, tmp_path / "qd.csv", "qd", "--p", "0.01:0.99:99")
@@ -650,9 +656,13 @@ class TestProcess:
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     def test_benchmark_couplings_after_importing_the_cli(self):
-        # the benchmark records hqc.kernels.ACTIVE_KERNEL and traces hqc.montecarlo.sweep_stats
+        # the benchmark records hqc.kernels.ACTIVE_KERNEL, traces hqc.montecarlo.sweep_stats, and
+        # imports these names; its scan check calls brute_force_chsh, which therefore stays in hqc
         code = (
             f"import sys; sys.path.insert(0, {SRC!r}); import hqc.cli, inspect; "
+            "from hqc import SeededRng, brute_force_chsh, chsh_max, f3_max, to_r_picture, "
+            "rho_m, rho_mm, rho_qd, sample_state; "
+            "from hqc.serde import dump_state_json, state_from_dict; "
             "f = hqc.montecarlo.sweep_stats; "
             "print(hqc.kernels.ACTIVE_KERNEL, inspect.isfunction(f), f.__module__)"
         )

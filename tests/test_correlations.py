@@ -10,11 +10,9 @@ from hqc import (
     DomainError,
     SeededRng,
     brute_force_chsh,
-    brute_force_f3,
     chsh_max,
     chsh_value,
     f3_max,
-    f3_value,
     ppt_entangled,
     rho_m,
     rho_mm,
@@ -29,6 +27,7 @@ from hqc.filtering import _boost
 from hqc.states import RMatrix, ginibre_states, r_pictures, states_from_factors
 
 from conftest import ginibre_and_pure_marginal_factors, haar_unitary_2, rotation_of_unitary, werner_matrix
+from support import brute_force_f3, f3_value
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hqc import (
-    DegenerateEllipsoid,
+    HqcError,
     Party,
     SeededRng,
     apply_one_sided,
@@ -12,13 +12,17 @@ from hqc import (
     rho_mm,
     rho_qd,
     sample_state,
-    steered_bloch,
     to_r_picture,
 )
 
 from hqc.ellipsoid import ellipsoid_centres
 
 from conftest import bounded_random_filter
+from support import steered_bloch
+
+
+class DegenerateEllipsoid(HqcError):
+    """Operation requires an invertible ellipsoid matrix."""
 
 
 def surface_residual(e, point: np.ndarray) -> float:

@@ -158,6 +158,19 @@ class TestScan:
             with pytest.raises(DomainError):
                 scan_family(family, thetas, ps)
 
+    def test_rows_are_not_validated(self, monkeypatch):
+        # a row's endpoints are the table's projectors and products, valid on the checked grid
+        # (test_all_families_valid_on_grid), and its points their convex combinations
+        def never(*args, **kwargs):
+            raise AssertionError("a scan validated a state")
+
+        monkeypatch.setattr(families_mod, "validate_state", never)
+        for family in Family:
+            rows = scan_family(family, [0.0, math.pi / 4], [0.0, 0.5, 1.0])
+            assert [(theta, p) for theta, p, _ in rows] == [
+                (theta, p) for theta in (0.0, math.pi / 4) for p in (0.0, 0.5, 1.0)
+            ]
+
     def test_degenerate_points_carry_flags(self):
         rows = scan_family(Family.MM, [0.0], [0.5])
         _, _, report = rows[0]

@@ -19,6 +19,7 @@ from hqc import serde
 from hqc.montecarlo import EnvelopeRow
 
 from conftest import singlet_matrix
+from support import rmatrix_to_csv
 
 
 class TestStateJson:
@@ -57,7 +58,7 @@ class TestStateJson:
 class TestRMatrixCsv:
     def test_round_trip_exact(self):
         r = to_r_picture(sample_state(SeededRng(72, 0)))
-        back = serde.rmatrix_from_csv(serde.rmatrix_to_csv(r))
+        back = serde.rmatrix_from_csv(rmatrix_to_csv(r))
         np.testing.assert_array_equal(back.r, r.r)
 
     def test_corner_checked(self):

@@ -14,11 +14,9 @@ from hqc import (
     SIGMA,
     SeededRng,
     TraceNotOne,
-    ZeroProbability,
     from_r_picture,
     rho_qd,
     sample_state,
-    steered_bloch,
     to_r_picture,
     validate_state,
 )
@@ -32,6 +30,7 @@ from conftest import (
     rotation_of_unitary,
     singlet_matrix,
 )
+from support import ZeroProbability, steered_bloch
 
 
 def bloch_of_qubit(rho2: np.ndarray) -> np.ndarray:
