@@ -150,24 +150,24 @@ def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[Inaccess
     Each quantity comes from one batched call for the whole stack: the
     closed-form T T^T spectrum for B and F3, one normal-form eigensolve for both hidden
     values (NaN rows where the normal form vanishes), one eigensolve for PPT
-    and one call for both parties' centres. An unphysical spectrum in any row raises
+    and one pass per party for the centre magnitudes. An unphysical spectrum in any row raises
     ComplexSpectrum. The flags are one boolean matrix, objectives by flags by rows,
     whose comparisons run on both objectives at once.
     """
     th = th or _DEFAULT_THRESHOLDS
     b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
     hidden = hidden_values(r).T
-    c_a, c_b = centre_magnitudes(r)
+    c, _ = centre_magnitudes(r)
     entangled, _ = ppt_test(r)
 
-    cutoff = np.array([[th.c_chsh], [th.c_f3]])
+    cutoff = np.array([th.c_chsh, th.c_f3])[:, None, None]
     flags = np.empty((2, 6, len(r)), dtype=bool)
     np.less_equal(b, 1.0 + CLASSICAL_MARGIN, out=flags[0, 0])  # no violation
     np.less_equal(f3, 1.0 + CLASSICAL_MARGIN, out=flags[1, 0])
     np.greater(hidden, 1.0 + VIOLATION_MARGIN, out=flags[:, 1])  # False on NaN rows
     np.greater_equal(hidden, _MAXIMAL, out=flags[:, 2])
-    np.greater(c_b, cutoff, out=flags[:, 3])  # filters by Alice leave Bob's ellipsoid fixed
-    np.greater(c_a, cutoff, out=flags[:, 4])
+    # A's certificate reads c_B and B's reads c_A: filters by Alice leave Bob's ellipsoid fixed
+    np.greater(c[::-1], cutoff, out=flags[:, 3:5])
     flags[:, 1] &= flags[:, 0]  # hidden: no direct violation, but the normal form violates
     flags[:, 2] &= flags[:, 1]
     np.logical_and(flags[:, 3], flags[:, 4], out=flags[:, 5])
@@ -175,7 +175,7 @@ def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[Inaccess
 
     reports = []
     new = object.__new__
-    for vb, vf3, hb, hf3, ca, cb, ent, code in zip(*(x.tolist() for x in (b, f3, *hidden, c_a, c_b, entangled, codes))):
+    for vb, vf3, hb, hf3, ca, cb, ent, code in zip(*(x.tolist() for x in (b, f3, *hidden, *c, entangled, codes))):
         # the frozen dataclass's __init__ sets each field through object.__setattr__; filling
         # the instance's __dict__ builds the same report at a third of the cost
         report = new(InaccessibilityReport)

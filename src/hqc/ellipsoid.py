@@ -11,6 +11,7 @@ ellipsoid follows by swapping a <-> b and T -> T^T. When the steering
 party's marginal is pure the state is product-like and every steered state
 collapses to a single point; that limit is represented by a degenerate
 ellipsoid with q = 0 and centre at the steered party's Bloch vector.
+:func:`centre_magnitudes` is the one routine for both parties' |c|.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def _oriented(r: np.ndarray, party: Party) -> np.ndarray:
 
 
 def _steering(r: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(steer, steered, t, gamma_sq, centres, ok) for Bob's ellipsoids of a (..., 4, 4)
-    stack of pictures (see :func:`_oriented`): the steering and steered Bloch vectors,
+    """(steer, steered, t, gamma_sq, centres, ok) for Bob's ellipsoids of a (n, 4, 4)
+    batch of pictures (see :func:`_oriented`): the steering and steered Bloch vectors,
     T with the steering index first, gamma^2 (1 where ``ok`` is False) and the output
     of :func:`ellipsoid_centres`."""
     steer, steered, t = r[..., 1:, 0], r[..., 0, 1:], r[..., 1:, 1:]
@@ -76,16 +77,18 @@ def ellipsoid_centres(r: np.ndarray, party: Party) -> tuple[np.ndarray, np.ndarr
     return _steering(_oriented(r, party))[4:]
 
 
-def centre_magnitudes(r: np.ndarray) -> np.ndarray:
-    """|c_A| and |c_B| of a (n, 4, 4) batch of pictures, as a (2, n) array.
-
-    Both parties' centres are those of :func:`ellipsoid_centres`, computed in one pass
-    over the stacked pictures R^T and R; the norm sums the three squares in the order
-    ``np.linalg.norm`` does, so the magnitudes are its bits.
-    """
-    centres = _steering(np.array([_oriented(r, Party.A), r]))[4]
-    sq = centres * centres
-    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
+def centre_magnitudes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|c_A| and |c_B| of a (n, 4, 4) batch of pictures and their ``ok`` masks, as two (2, n)
+    arrays in party order (A, B): one :func:`ellipsoid_centres` pass per party over a view of
+    ``r``, so a row that is not ok has the point-ellipsoid centre's magnitude. The squares are
+    summed in ``np.linalg.norm``'s order, (s0 + s1) + s2, so the magnitudes are its bits."""
+    c = np.empty((2, len(r)))
+    ok = np.empty((2, len(r)), dtype=bool)
+    for k, party in enumerate(Party):
+        sq, ok[k] = ellipsoid_centres(r, party)
+        sq *= sq  # the centres are a fresh array
+        np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2], out=c[k])
+    return c, ok
 
 
 def compute_ellipsoid(r: RMatrix, party: Party) -> SteeringEllipsoid:
@@ -96,12 +99,7 @@ def compute_ellipsoid(r: RMatrix, party: Party) -> SteeringEllipsoid:
     """
     steer, steered, t, gamma_sq, centre, ok = (v[0] for v in _steering(_oriented(r.r[None], party)))
     if not ok:
-        return SteeringEllipsoid(
-            centre=centre,
-            q=np.zeros((3, 3)),
-            semiaxes=np.zeros(3),
-            degenerate=True,
-        )
+        return SteeringEllipsoid(centre=centre, q=np.zeros((3, 3)), semiaxes=np.zeros(3), degenerate=True)
     q = gamma_sq * (t.T - np.outer(steered, steer)) @ (np.eye(3) + gamma_sq * np.outer(steer, steer)) @ (
         t - np.outer(steer, steered)
     )

@@ -1,11 +1,12 @@
 """Random-state sweeps testing the centre-bound conjecture at desk scale.
 
 A sweep samples Ginibre random states (mixed ranks), computes per state
-the CHSH/F3 maxima and both ellipsoid centre magnitudes with
-:func:`sweep_stats`, bins running maxima against centre magnitude, and
-records any sample that violates the conjectured bounds. A violation
-would falsify the conjecture, so it is first-class data: the full state
-is serialised rather than discarded.
+the CHSH/F3 maxima and both ellipsoid centre magnitudes (classify's, from
+:func:`hqc.ellipsoid.centre_magnitudes`) with :func:`sweep_stats`, bins
+running maxima against each party's centre magnitude, and records any
+sample that violates the conjectured bounds. A violation would falsify the
+conjecture, so it is first-class data: the full state is serialised rather
+than discarded.
 
 The chunk is the unit of random draws and of merging: sampling is
 partitioned into fixed-size chunks, one deterministic RNG stream per chunk,
@@ -31,7 +32,7 @@ import numpy as np
 
 from .correlations import chsh_f3_maxima
 from .criteria import Thresholds, conjecture_bound_chsh
-from .ellipsoid import Party, ellipsoid_centres
+from .ellipsoid import Party, centre_magnitudes
 from .errors import DomainError
 from .states import SeededRng, ginibre_factors, pictures_from_factors, states_from_factors
 
@@ -147,27 +148,21 @@ class EnvelopeRow:
     count: int
 
 
-def sweep_stats(
-    x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sweep_stats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Correlation statistics for a batch of Ginibre factors G = x + i y.
 
     ``x`` and ``y`` are the (n, 4, 4) real and imaginary parts; state i is
     ``G[i] G[i]^dag`` normalised to unit trace, whose picture comes straight
     from the parts (:func:`hqc.states.pictures_from_factors`), with no complex
-    G or rho. Returns ``(b, f3, c_a, c_b, ok_a, ok_b)`` where ``ok_W``
-    marks samples whose steering party has a non-pure marginal (centre
-    well defined); ``c_W`` is 0 where not ok. The B/F3 and centre formulas
-    are the batched ones of the scalar API. A sweep calls it once per tile
-    and bins and scans that tile's statistics before the next.
+    G or rho. Returns ``(b, f3, c, ok)``, with :func:`hqc.ellipsoid.centre_magnitudes`'
+    (2, n) magnitudes and masks in party order (A, B); ``ok`` marks samples whose steering
+    party has a non-pure marginal, the only ones binned and scanned. The B/F3 and centre
+    formulas are the batched ones of the scalar API. A sweep calls it once per tile and
+    bins and scans that tile's statistics before the next.
     """
     r = pictures_from_factors(x, y)
     b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
-    centre_a, ok_a = ellipsoid_centres(r, Party.A)
-    centre_b, ok_b = ellipsoid_centres(r, Party.B)
-    c_a = np.where(ok_a, np.linalg.norm(centre_a, axis=1), 0.0)
-    c_b = np.where(ok_b, np.linalg.norm(centre_b, axis=1), 0.0)
-    return b, f3, c_a, c_b, ok_a, ok_b
+    return (b, f3, *centre_magnitudes(r))
 
 
 def _empty_side(bins: int) -> SideBins:
@@ -200,14 +195,15 @@ def _violations_in_chunk(
     config: SweepConfig, start: int, x: np.ndarray, y: np.ndarray, stats: tuple
 ) -> list[Violation]:
     """The samples of ``x + i y``, the first at index ``start``, whose :func:`sweep_stats` violate a bound."""
-    b, f3, c_a, c_b, ok_a, ok_b = stats
+    b, f3, c, ok = stats
     tol = VIOLATION_TOL
     th = config.thresholds
     checks = {}
-    for side, c, ok in (("cB", c_b, ok_b), ("cA", c_a, ok_a)):
-        checks[f"chsh_bound_{side}"] = ok & (b > conjecture_bound_chsh(c) + tol)
-        checks[f"chsh_above_threshold_{side}"] = ok & (b > 1.0 + tol) & (c > th.c_chsh)
-        checks[f"f3_above_threshold_{side}"] = ok & (f3 > 1.0 + tol) & (c > th.c_f3)
+    for party, c_w, ok_w in zip(Party, c, ok):
+        bound = conjecture_bound_chsh(np.where(ok_w, c_w, 0.0))  # a point's |c| may round above 1
+        checks[f"chsh_bound_c{party.value}"] = ok_w & (b > bound + tol)
+        checks[f"chsh_above_threshold_c{party.value}"] = ok_w & (b > 1.0 + tol) & (c_w > th.c_chsh)
+        checks[f"f3_above_threshold_c{party.value}"] = ok_w & (f3 > 1.0 + tol) & (c_w > th.c_f3)
     bad = np.nonzero(np.logical_or.reduce(list(checks.values())))[0]
     out = []
     for local, rho in zip(bad, states_from_factors(x[bad] + 1j * y[bad])):
@@ -216,8 +212,8 @@ def _violations_in_chunk(
                 index=start + int(local),
                 b=float(b[local]),
                 f3=float(f3[local]),
-                c_a=float(c_a[local]),
-                c_b=float(c_b[local]),
+                c_a=float(c[0, local]),
+                c_b=float(c[1, local]),
                 reasons=tuple(sorted(name for name, mask in checks.items() if mask[local])),
                 state=rho,
             )
@@ -232,9 +228,9 @@ def _timed(seconds: dict, stage: str):
     seconds[stage] += time.perf_counter() - started
 
 
-def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBins, list[Violation], dict]:
+def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[list[SideBins], list[Violation], dict]:
     """Draw one chunk, then compute, bin and scan it tile by tile. Returns its bins
-    against c_B and c_A, its violations and its wall seconds per stage."""
+    against c_A and c_B, its violations and its wall seconds per stage."""
     start = chunk_index * config.chunk_size
     count = min(config.chunk_size, config.n - start)
     seconds = dict.fromkeys(STAGES, 0.0)
@@ -242,21 +238,20 @@ def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[SideBins, SideBin
         gen = SeededRng(config.seed, chunk_index).generator()
         mix = np.asarray(config.rank_mix, dtype=float)
         x, y = ginibre_factors(gen, gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum()))
-    side_b = _empty_side(config.bins)
-    side_a = _empty_side(config.bins)
+    sides = [_empty_side(config.bins) for _ in Party]
     violations = []
     for lo in range(0, count, _TILE):
         tile = slice(lo, lo + _TILE)
         with _timed(seconds, "stats"):
             stats = sweep_stats(x[tile], y[tile])
-        b, f3, c_a, c_b, ok_a, ok_b = stats
+        b, f3, c, ok = stats
         with _timed(seconds, "bin"):
-            _bin_side(side_b, c_b, ok_b, b, f3)
-            _bin_side(side_a, c_a, ok_a, b, f3)
+            for k, side in enumerate(sides):
+                _bin_side(side, c[k], ok[k], b, f3)
         with _timed(seconds, "violation_scan"):
             violations += _violations_in_chunk(config, start + lo, x[tile], y[tile], stats)
-        del stats, b, f3, c_a, c_b, ok_a, ok_b  # not held while the next tile is computed
-    return side_b, side_a, violations, seconds
+        del stats, b, f3, c, ok  # not held while the next tile is computed
+    return sides, violations, seconds
 
 
 def run_sweep(config: SweepConfig) -> SweepSummary:
@@ -268,16 +263,14 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     """
     started = time.perf_counter()
     n_chunks = (config.n + config.chunk_size - 1) // config.chunk_size
-    vs_cb = _empty_side(config.bins)
-    vs_ca = _empty_side(config.bins)
+    sides = [_empty_side(config.bins) for _ in Party]
     violations: list[Violation] = []
     stage_seconds = dict.fromkeys(STAGES, 0.0)
     with ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else nullcontext() as pool:
-        for side_b, side_a, viol, seconds in (pool.map if pool else map)(
+        for chunk_sides, viol, seconds in (pool.map if pool else map)(
             lambda c: _run_chunk(config, c), range(n_chunks)
         ):
-            vs_cb = _merge_sides(vs_cb, side_b)
-            vs_ca = _merge_sides(vs_ca, side_a)
+            sides = [_merge_sides(side, chunk_side) for side, chunk_side in zip(sides, chunk_sides)]
             violations.extend(viol)
             for stage in STAGES:
                 stage_seconds[stage] += seconds[stage]
@@ -292,8 +285,8 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     }
     return SweepSummary(
         config=config,
-        vs_cb=vs_cb,
-        vs_ca=vs_ca,
+        vs_cb=sides[1],
+        vs_ca=sides[0],
         violations=tuple(violations),
         metadata=metadata,
         runtime_seconds=time.perf_counter() - started,

@@ -70,12 +70,20 @@ def state_from_dict(obj: Any, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return validate_state(m, tol)
 
 
-def _read_json(path: str) -> Any:
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_json(path: str) -> Any:
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting exhausts the decoder's recursion
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_state_json(path: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -122,8 +130,7 @@ def rmatrix_from_csv(text: str) -> RMatrix:
 
 
 def load_rmatrix_csv(path: str) -> RMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return rmatrix_from_csv(fh.read())
+    return rmatrix_from_csv(_read_text(path))
 
 
 def filter_to_dict(f: LocalFilter) -> dict:

@@ -143,6 +143,20 @@ class TestAnalyze:
         assert code == 2
         assert out["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "fmt, content",
+        # json's decoder gives up on deep nesting with a RecursionError, not a JSONDecodeError
+        [("json", b"\xff{}"), ("rcsv", b"\xff1,0,0,0"), ("json", b"[" * 200_000)],
+        ids=["non-utf8-json", "non-utf8-rcsv", "deeply-nested-json"],
+    )
+    def test_undecodable_input_exits_2(self, capsys, tmp_path, fmt, content):
+        path = tmp_path / f"state.{fmt}"
+        path.write_bytes(content)
+        code, out = run_cli(capsys, "analyze", str(path), "--format", fmt)
+        assert code == 2
+        assert out["error"]["type"] == "ParseError"
+        assert str(path) in out["error"]["message"]
+
 
 class TestCertify:
     def test_quasi_distillable(self, capsys, tmp_path):
@@ -191,6 +205,30 @@ class TestCertify:
                     assert doc["threshold"] == (th.c_chsh if objective is Objective.CHSH else th.c_f3)
         code, doc = run_cli(capsys, "certify", str(tmp_path / "ket00.json"), "--party", "A", "--objective", "chsh")
         assert doc["witness_degenerate"] is True and doc["certified_inaccessible"] is True
+
+
+@pytest.mark.usefixtures("recorded_platform")
+class TestReportGoldens:
+    """stdout of ``hqc analyze`` and of ``hqc certify`` for both parties and objectives, byte for
+    byte, recorded while classify and the sweep still computed |c| on separate paths. On
+    rho_m(0, 0.5) Bob's ellipsoid is a point, so c_b is the point-ellipsoid convention's exact
+    0.5 and party A's certificate has a degenerate witness. The platform guard is that of
+    ``TestOutputBitPins``."""
+
+    STATES = {"m_pi12_075": (math.pi / 12, 0.75), "m_0_05": (0.0, 0.5)}
+
+    @pytest.mark.parametrize("state", list(STATES))
+    @pytest.mark.parametrize(
+        "argv, suffix",
+        [(["analyze"], "")]
+        + [(["certify", "--party", p, "--objective", o], f"_{p}_{o}") for p in "AB" for o in ("chsh", "f3")],
+        ids=["analyze", "certify_A_chsh", "certify_A_f3", "certify_B_chsh", "certify_B_f3"],
+    )
+    def test_stdout(self, capsys, tmp_path, state, argv, suffix):
+        path = tmp_path / "state.json"
+        serde.dump_state_json(rho_m(*self.STATES[state]), str(path))
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{argv[0]}_{state}{suffix}.json").read_text()
 
 
 class TestScan:
@@ -460,6 +498,16 @@ class TestFilter:
         code, out = run_cli(capsys, "filter", str(path), "--filter-a", str(filter_path))
         assert code == 2
         assert out["error"]["type"] == "DomainError"
+
+    def test_non_utf8_filter_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        serde.dump_state_json(validate_state(werner_matrix(0.5)), str(path))
+        filter_path = tmp_path / "f.json"
+        filter_path.write_bytes(b"\xff{}")
+        code, out = run_cli(capsys, "filter", str(path), "--filter-a", str(filter_path))
+        assert code == 2
+        assert out["error"]["type"] == "ParseError"
+        assert str(filter_path) in out["error"]["message"]
 
     def test_optimize_werner_pinned(self, capsys, tmp_path):
         path = tmp_path / "w.json"

@@ -15,7 +15,7 @@ from hqc import (
     to_r_picture,
 )
 
-from hqc.ellipsoid import ellipsoid_centres
+from hqc.ellipsoid import centre_magnitudes, ellipsoid_centres
 
 from conftest import bounded_random_filter
 from support import steered_bloch
@@ -138,17 +138,23 @@ class TestCentreMagnitude:
 
 
     def test_batch_centres_independent_of_batch_and_layout(self):
-        # a row's centre is the same to the bit alone as inside a batch, for the strided view
-        # to_r_picture returns and for contiguous copies at any 8-byte offset
+        # a row's centres, and both parties' magnitudes and ok masks, are the same to the bit
+        # alone as inside a batch, for the strided view to_r_picture returns and for contiguous
+        # copies at any 8-byte offset
         pictures = [to_r_picture(sample_state(SeededRng(66, i), rank=k)).r for i in range(50) for k in (1, 2, 3, 4)]
-        for party in Party:
-            centres, _ = ellipsoid_centres(np.stack(pictures), party)
-            for k, r in enumerate(pictures):
-                rows = [r[None]] + [np.empty(16 + offset)[offset:].reshape(1, 4, 4) for offset in range(4)]
-                for row in rows[1:]:
-                    row[...] = r
-                for row in rows:
-                    np.testing.assert_array_equal(ellipsoid_centres(row, party)[0][0], centres[k])
+        batch = np.stack(pictures)
+        centres = [ellipsoid_centres(batch, party)[0] for party in Party]
+        magnitudes, ok = centre_magnitudes(batch)
+        for k, r in enumerate(pictures):
+            rows = [r[None]] + [np.empty(16 + offset)[offset:].reshape(1, 4, 4) for offset in range(4)]
+            for row in rows[1:]:
+                row[...] = r
+            for row in rows:
+                for party, party_centres in zip(Party, centres):
+                    np.testing.assert_array_equal(ellipsoid_centres(row, party)[0][0], party_centres[k])
+                row_magnitudes, row_ok = centre_magnitudes(row)
+                np.testing.assert_array_equal(row_magnitudes[:, 0], magnitudes[:, k])
+                np.testing.assert_array_equal(row_ok[:, 0], ok[:, k])
 
 
 class TestSurfaceResidual:

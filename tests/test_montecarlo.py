@@ -6,11 +6,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hqc import Party, SweepConfig, Thresholds, bin_envelope, chsh_max, compute_ellipsoid, run_sweep, serde
+from hqc import (
+    Party,
+    SweepConfig,
+    Thresholds,
+    bin_envelope,
+    chsh_max,
+    classify_batch,
+    compute_ellipsoid,
+    run_sweep,
+    serde,
+)
 from hqc.criteria import conjecture_bound_chsh
 from hqc.errors import DomainError
 from hqc.montecarlo import STAGES, _TILE, _bin_side, _empty_side, _run_chunk, _violations_in_chunk, sweep_stats
-from hqc.states import DensityMatrix, SeededRng, ginibre_factors, states_from_factors, to_r_picture
+from hqc.states import (
+    DensityMatrix,
+    SeededRng,
+    ginibre_factors,
+    pictures_from_factors,
+    states_from_factors,
+    to_r_picture,
+)
 
 from conftest import complex_path_states, ginibre_and_pure_marginal_factors
 from conftest import platform_math_digest as _platform_math_digest
@@ -81,11 +98,20 @@ class TestViolationMachinery:
         psi[1], psi[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         g[0, :, 0] = psi
         config = SweepConfig(n=1, seed=0)
-        b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g.real, g.imag)
+        b, f3, c, ok = stats = sweep_stats(g.real, g.imag)
         assert b[0] == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert c_b[0] == pytest.approx(0.0, abs=1e-12)
-        violations = _violations_in_chunk(config, 0, g.real, g.imag, (b, f3, c_a, c_b, ok_a, ok_b))
+        assert c[1, 0] == pytest.approx(0.0, abs=1e-12)
+        violations = _violations_in_chunk(config, 0, g.real, g.imag, stats)
         assert violations == []
+
+    def test_point_ellipsoid_magnitudes_reach_no_bound(self):
+        # the random pure product's point-ellipsoid magnitude rounds to 1 + 2^-52 here, outside
+        # the conjectured bound's domain; the scan reads only ok rows, so it does not raise
+        g = ginibre_and_pure_marginal_factors(SeededRng(5, 0).generator())
+        stats = sweep_stats(g.real, g.imag)
+        c, ok = stats[2:]
+        assert (c[~ok] > 1.0).any()
+        assert _violations_in_chunk(SweepConfig(n=len(g)), 0, g.real, g.imag, stats) == []
 
     def test_threshold_violations_are_recorded_with_state(self):
         # shrink the thresholds so ordinary violating states become
@@ -136,18 +162,28 @@ class TestKernelAgreement:
         # centres, whose gamma^2 (about 1,000 on the worst rank-1 state)
         # amplifies R's last-bit differences from the complex path.
         g = ginibre_and_pure_marginal_factors(SeededRng(1234, 0).generator())
-        b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g.real, g.imag)
-        assert list(ok_a[-4:]) == [False, False, True, False]
-        assert list(ok_b[-4:]) == [False, False, False, True]
+        b, f3, c, ok = sweep_stats(g.real, g.imag)
+        assert ok[:, -4:].tolist() == [[False, False, True, False], [False, False, False, True]]
         for i, rho in enumerate(states_from_factors(g)):
             r = to_r_picture(DensityMatrix(rho))
             s = np.array(chsh_max(r)[1])
             assert b[i] == pytest.approx(math.sqrt(s[0] ** 2 + s[1] ** 2), abs=1e-12)
             assert f3[i] == pytest.approx(math.sqrt(s @ s), abs=1e-12)
-            for c, ok, party in ((c_a, ok_a, Party.A), (c_b, ok_b, Party.B)):
+            for k, party in enumerate(Party):
                 e = compute_ellipsoid(r, party)
-                assert ok[i] == (not e.degenerate)
-                assert c[i] == pytest.approx(np.linalg.norm(e.centre) if ok[i] else 0.0, abs=1e-12)
+                assert ok[k, i] == (not e.degenerate)
+                assert c[k, i] == pytest.approx(np.linalg.norm(e.centre), abs=1e-12)
+
+    def test_sweep_and_classify_give_the_same_centre_bits(self):
+        # both read centre_magnitudes: on one tile of Ginibre states of ranks 1-4 and the four
+        # pure-marginal states, the sweep's magnitudes are classify's c_a and c_b to the bit,
+        # on the ok rows it bins and on the point-ellipsoid rows it does not
+        g = ginibre_and_pure_marginal_factors(SeededRng(1234, 0).generator())
+        _, _, c, ok = sweep_stats(g.real, g.imag)
+        reports = classify_batch(pictures_from_factors(g.real, g.imag))
+        classified = np.array([[report.c_a for report in reports], [report.c_b for report in reports]])
+        assert np.count_nonzero(~ok) == 6
+        assert c.tobytes() == classified.tobytes()
 
 
 def _whole_chunk_reference(config, chunk_index):
@@ -158,19 +194,18 @@ def _whole_chunk_reference(config, chunk_index):
     mix = np.asarray(config.rank_mix, dtype=float)
     ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
     x, y = ginibre_factors(gen, ranks)
-    stats = b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(x, y)
-    side_b = _empty_side(config.bins)
-    side_a = _empty_side(config.bins)
-    _bin_side(side_b, c_b, ok_b, b, f3)
-    _bin_side(side_a, c_a, ok_a, b, f3)
-    return side_b, side_a, _violations_in_chunk(config, start, x, y, stats)
+    stats = b, f3, c, ok = sweep_stats(x, y)
+    sides = [_empty_side(config.bins) for _ in Party]
+    for k, side in enumerate(sides):
+        _bin_side(side, c[k], ok[k], b, f3)
+    return sides, _violations_in_chunk(config, start, x, y, stats)
 
 
 def _assert_chunk_bitwise_equal(config, chunk_index):
-    side_b, side_a, violations, seconds = _run_chunk(config, chunk_index)
-    ref_b, ref_a, reference = _whole_chunk_reference(config, chunk_index)
+    sides, violations, seconds = _run_chunk(config, chunk_index)
+    ref_sides, reference = _whole_chunk_reference(config, chunk_index)
     assert list(seconds) == list(STAGES)
-    for got, want in ((side_b, ref_b), (side_a, ref_a)):
+    for got, want in zip(sides, ref_sides, strict=True):
         for field in ("max_b", "max_f3", "count"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         assert got.degenerate == want.degenerate
@@ -205,8 +240,8 @@ class TestTiledChunk:
         # random states never have a pure marginal, so the chunk tests above bin no degenerate
         # sample; here three per side are folded in one at a time, after two uneven pieces
         g = ginibre_and_pure_marginal_factors(SeededRng(7, 0).generator())
-        b, f3, c_a, c_b, ok_a, ok_b = sweep_stats(g.real, g.imag)
-        for c, ok in ((c_b, ok_b), (c_a, ok_a)):
+        b, f3, c_both, ok_both = sweep_stats(g.real, g.imag)
+        for c, ok in zip(c_both, ok_both):
             side = _empty_side(50)
             for piece in np.split(np.arange(len(b)), [3, 1000, 2001, 2002, 2003]):
                 _bin_side(side, c[piece], ok[piece], b[piece], f3[piece])
