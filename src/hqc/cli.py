@@ -34,17 +34,20 @@ from .families import Family, qd_centre_boundary, scan_family
 from .filtering import Objective, apply_filters, identity_filter, optimize_one_sided
 from .kernels import ACTIVE_KERNEL
 from .montecarlo import DEFAULT_RANK_MIX, SweepConfig, bin_envelope, run_sweep
-from .states import DEFAULT_TOL, DensityMatrix, from_r_picture, to_r_picture
+from .states import DEFAULT_TOL, DensityMatrix, RMatrix, from_r_picture, to_r_picture
 
 
 def _emit(payload: dict) -> None:
     serde.write_json(payload, sys.stdout)
 
 
-def _load_state(path: str, fmt: str, tol: float) -> DensityMatrix:
-    if fmt == "json":
-        return serde.load_state_json(path, tol)
-    return from_r_picture(serde.load_rmatrix_csv(path), tol)
+def _load_state(args: argparse.Namespace) -> tuple[DensityMatrix, RMatrix]:
+    """The input state and its picture. An R-CSV's picture is the R it gives, checked by rebuilding rho."""
+    if args.format == "json":
+        rho = serde.load_state_json(args.state_file, args.tol)
+        return rho, to_r_picture(rho)
+    r = serde.load_rmatrix_csv(args.state_file)
+    return from_r_picture(r, args.tol), r
 
 
 def _thresholds(args: argparse.Namespace) -> Thresholds:
@@ -96,8 +99,7 @@ def _resolve_seed(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    rho = _load_state(args.state_file, args.format, args.tol)
-    r = to_r_picture(rho)
+    _, r = _load_state(args)
     report = classify(r, _thresholds(args))
     _emit(
         {
@@ -110,8 +112,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    rho = _load_state(args.state_file, args.format, args.tol)
-    r = to_r_picture(rho)
+    _, r = _load_state(args)
     th = _thresholds(args)
     party = Party[args.party]
     objective = Objective[args.objective.upper()]
@@ -205,9 +206,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     if args.optimize and (args.filter_a or args.filter_b):
         raise DomainError("--optimize excludes --filter-a/--filter-b")
-    rho = _load_state(args.state_file, args.format, args.tol)
+    rho, r_before = _load_state(args)
     th = _thresholds(args)
-    r_before = to_r_picture(rho)
     try:
         if args.optimize:
             party_name, objective_name = args.optimize

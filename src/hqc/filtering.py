@@ -342,8 +342,10 @@ def optimize_one_sided(
     ``best_start`` is the index of the start whose optimum is reported.
 
     Every start minimises one objective, :func:`_search_objective`, built
-    once from rho's correlation picture R (``picture``, if the caller already
-    has it from :func:`hqc.states.to_r_picture`): each evaluation applies the
+    once from rho's correlation picture R: ``picture`` if given (the CLI
+    passes the R its input file gives, which for an R-CSV is the file's own
+    R, not the picture of the rho rebuilt from it), else
+    :func:`hqc.states.to_r_picture` of rho. Each evaluation applies the
     candidate's boost L(d, n) (see the module docstring) to R in Python
     floats, reads the success probability off the [0, 0] entry, and
     takes the maximum of the normalised T from

@@ -38,8 +38,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _complex_entry(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
+def _complex_rows(m: np.ndarray) -> list:
+    """A complex matrix as rows of ``{"re": x, "im": y}`` objects."""
+    return [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in m]
 
 
 def _complex_from(obj: Any, where: str) -> complex:
@@ -51,11 +52,15 @@ def _complex_from(obj: Any, where: str) -> complex:
         raise ParseError(f"{where}: non-numeric entry {obj!r}") from exc
 
 
+def _complex_matrix(rows: Any, n: int, key: str, what: str) -> np.ndarray:
+    """The n x n complex matrix that :func:`_complex_rows` wrote under ``key``, described as ``what`` in errors."""
+    if not isinstance(rows, list) or len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
+        raise ParseError(f"{what} must be a {n}x{n} array of {{re, im}} objects")
+    return np.array([[_complex_from(z, f"{key}[{i}][{j}]") for j, z in enumerate(row)] for i, row in enumerate(rows)])
+
+
 def state_to_dict(rho: DensityMatrix) -> dict:
-    return {
-        "dim": [2, 2],
-        "matrix": [[_complex_entry(z) for z in row] for row in rho.matrix],
-    }
+    return {"dim": [2, 2], "matrix": _complex_rows(rho.matrix)}
 
 
 def state_from_dict(obj: Any, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -63,11 +68,7 @@ def state_from_dict(obj: Any, tol: float = DEFAULT_TOL) -> DensityMatrix:
         raise ParseError(f"state document must be an object, got {type(obj).__name__}")
     if obj.get("dim") != [2, 2]:
         raise ParseError(f"state dim must be [2, 2], got {obj.get('dim')!r}")
-    rows = obj.get("matrix")
-    if not isinstance(rows, list) or len(rows) != 4 or any(not isinstance(r, list) or len(r) != 4 for r in rows):
-        raise ParseError("state matrix must be a 4x4 array of {re, im} objects")
-    m = np.array([[_complex_from(z, f"matrix[{i}][{j}]") for j, z in enumerate(row)] for i, row in enumerate(rows)])
-    return validate_state(m, tol)
+    return validate_state(_complex_matrix(obj.get("matrix"), 4, "matrix", "state matrix"), tol)
 
 
 def _read_text(path: str) -> str:
@@ -115,12 +116,14 @@ def rmatrix_from_csv(text: str) -> RMatrix:
     rows = [line for line in text.strip().splitlines() if line.strip()]
     if len(rows) != 4:
         raise ParseError(f"R-matrix CSV must have 4 rows, got {len(rows)}")
+    cells = [row.split(",") for row in rows]
+    for i, row in enumerate(cells):
+        if len(row) != 4:
+            raise ParseError(f"R-matrix CSV row {i} has {len(row)} entries, expected 4")
     try:
-        arr = np.array([[float(x) for x in row.split(",")] for row in rows])
+        arr = np.array([[float(x) for x in row] for row in cells])
     except ValueError as exc:
         raise ParseError(f"R-matrix CSV has non-numeric entries: {exc}") from exc
-    if arr.shape != (4, 4):
-        raise ParseError(f"R-matrix CSV must be 4x4, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ParseError("R-matrix CSV has non-finite entries")
     if abs(arr[0, 0] - 1.0) > 1e-9:
@@ -134,17 +137,13 @@ def load_rmatrix_csv(path: str) -> RMatrix:
 
 
 def filter_to_dict(f: LocalFilter) -> dict:
-    return {"f": [[_complex_entry(z) for z in row] for row in f.f]}
+    return {"f": _complex_rows(f.f)}
 
 
 def filter_from_dict(obj: Any) -> LocalFilter:
     if not isinstance(obj, dict) or "f" not in obj:
         raise ParseError("filter document must be an object with key 'f'")
-    rows = obj["f"]
-    if not isinstance(rows, list) or len(rows) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in rows):
-        raise ParseError("filter 'f' must be a 2x2 array of {re, im} objects")
-    m = np.array([[_complex_from(z, f"f[{i}][{j}]") for j, z in enumerate(row)] for i, row in enumerate(rows)])
-    return LocalFilter.from_matrix(m)
+    return LocalFilter.from_matrix(_complex_matrix(obj["f"], 2, "f", "filter 'f'"))
 
 
 def load_filter_json(path: str) -> LocalFilter:

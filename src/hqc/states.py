@@ -175,7 +175,7 @@ def _pauli_sums(components: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> 
     """The 16 entries of R, held as (16, n), from components held as (m, n): entry e sums its
     four terms (:func:`_term_rows`) in ascending order, each a component times its sign. Times
     -1.0 is an exact negation, so no negated copy of the components is held; the terms are
-    gathered one at a time."""
+    gathered one at a time. Both picture builders sum the map here."""
     terms, signs = rows
     r = components.take(terms[0], axis=0)
     r *= signs[0]
@@ -189,21 +189,13 @@ def _pauli_sums(components: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> 
 
 def r_pictures(rho: np.ndarray) -> np.ndarray:
     """Pictures R[n, i, j] = Tr[(sigma_i (x) sigma_j) rho[n]] of a (n, 4, 4) batch
-    of unit-trace states: the Pauli map applied to rho.real and rho.imag, with
-    R[n, 0, 0] exactly 1. The result is a C-contiguous real array.
-
-    The states stay rows, and each entry's four terms are gathered at once and summed
-    in :func:`_pauli_sums`' order, so a small batch takes few numpy calls; the sweep's
-    tiles take the terms one at a time instead, for their peak memory."""
-    components = np.ascontiguousarray(rho, dtype=complex).reshape(-1, 16).view(float)
-    terms, signs = _PAULI_ROWS
-    t = components.take(terms, axis=1)  # (n, 4, 16): term k of entry e
-    t *= signs[:, :, 0]
-    r = t[:, 0] + t[:, 1]
-    r += t[:, 2]
-    r += t[:, 3]
-    r[:, 0] = 1.0
-    return r.reshape(-1, 4, 4)
+    of unit-trace states: :func:`_pauli_sums` of rho's 32 real components (Re and
+    Im of each entry, held as (32, n)), with R[n, 0, 0] exactly 1. The result is a
+    C-contiguous real (n, 4, 4) array."""
+    components = np.ascontiguousarray(rho, dtype=complex).reshape(-1, 16).view(float).T
+    r = _pauli_sums(components, _PAULI_ROWS)
+    r[0] = 1.0
+    return np.ascontiguousarray(r.T).reshape(-1, 4, 4)
 
 
 def _add_column_term(
@@ -229,7 +221,7 @@ def pictures_from_factors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     factors given by its real and imaginary parts, without forming G or rho.
 
     G G^dag has real part x x^T + y y^T and imaginary part y x^T - x y^T, held
-    once each (10 and 6 entries) and fed to the Pauli map of :func:`r_pictures`;
+    once each (10 and 6 entries) and fed to the Pauli map, :func:`_pauli_sums`;
     the sums are divided by the trace, and R[n, 0, 0] is exactly 1. The sums run
     over G's columns in order, and only two columns of x and y are held
     transposed at a time. Every step is elementwise on the batch, held last,

@@ -17,12 +17,14 @@ from hqc import (
     DensityMatrix,
     Objective,
     Party,
+    SeededRng,
     Thresholds,
     apply_one_sided,
     classify,
     compute_ellipsoid,
     identity_filter,
     optimize_one_sided,
+    sample_state,
     serde,
     to_r_picture,
     validate_state,
@@ -83,14 +85,36 @@ class TestAnalyze:
         flags = set(doc["report"]["flags"])
         assert {"MAXIMAL_HIDDEN_CHSH", "AB_INACCESSIBLE_CHSH"} <= flags
 
-    def test_rcsv_format(self, capsys, tmp_path):
-        from hqc import to_r_picture
+    @pytest.mark.parametrize(
+        "make_state",
+        [
+            lambda: rho_qd(0.4),
+            lambda: sample_state(SeededRng(3, 1), rank=2),
+            lambda: rho_m(0.0, 0.5),  # Bob's ellipsoid is a point
+        ],
+        ids=["qd_04", "ginibre_rank2", "m_0_05"],
+    )
+    def test_rcsv_format(self, capsys, tmp_path, make_state):
+        # a state's JSON and the R-CSV of its picture are two files of one R: every report on it is the same
+        rho = make_state()
+        serde.dump_state_json(rho, str(tmp_path / "state.json"))
+        (tmp_path / "state.rcsv").write_text(rmatrix_to_csv(to_r_picture(rho)))
 
-        path = tmp_path / "state.rcsv"
-        path.write_text(rmatrix_to_csv(to_r_picture(rho_qd(0.4))))
-        code, doc = run_cli(capsys, "analyze", str(path), "--format", "rcsv")
-        assert code == 0
-        assert doc["report"]["c_a"] == pytest.approx(0.75, abs=1e-9)
+        def outputs(*argv: str) -> dict[str, str]:
+            outs = {}
+            for fmt in ("json", "rcsv"):
+                assert main([argv[0], str(tmp_path / f"state.{fmt}"), "--format", fmt, *argv[1:]]) == 0
+                outs[fmt] = capsys.readouterr().out
+            return outs
+
+        outs = outputs("analyze")
+        assert outs["rcsv"] == outs["json"]
+        for party in ("A", "B"):
+            for objective in ("chsh", "f3"):
+                outs = outputs("certify", "--party", party, "--objective", objective)
+                assert outs["rcsv"] == outs["json"], (party, objective)
+        outs = outputs("filter")
+        assert json.loads(outs["rcsv"])["before"] == json.loads(outs["json"])["before"]
 
     def test_malformed_input_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

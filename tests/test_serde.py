@@ -69,6 +69,16 @@ class TestRMatrixCsv:
         with pytest.raises(ParseError):
             serde.rmatrix_from_csv("1,0,0,0\n0,0,0,0\n")
 
+    @pytest.mark.parametrize(
+        "text, row, count",
+        [("1,0,0,0\n0,1,0\n0,0,1,0\n0,0,0,1\n", 1, 3), ("1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1,0\n", 3, 5)],
+        ids=["short-row", "long-row"],
+    )
+    def test_ragged_row_named(self, text, row, count):
+        with pytest.raises(ParseError) as exc:
+            serde.rmatrix_from_csv(text)
+        assert str(exc.value) == f"R-matrix CSV row {row} has {count} entries, expected 4"
+
     @pytest.mark.parametrize("corner,entry", [("nan", "0"), ("1", "nan"), ("1", "inf"), ("1", "-inf")])
     def test_non_finite_entry_rejected(self, corner, entry):
         # abs(nan - 1) > 1e-9 is False, so a NaN corner would otherwise pass the corner check
@@ -85,6 +95,53 @@ class TestFilterJson:
     def test_missing_key(self):
         with pytest.raises(ParseError):
             serde.filter_from_dict({"matrix": []})
+
+
+def _state(rows):
+    return serde.state_from_dict({"dim": [2, 2], "matrix": rows})
+
+
+def _filter(rows):
+    return serde.filter_from_dict({"f": rows})
+
+
+class TestComplexMatrixMessages:
+    """The state and filter readers' shape and entry errors, word for word."""
+
+    @pytest.mark.parametrize(
+        "read, rows, message",
+        [
+            (_state, [[{"re": 1, "im": 0}]], "state matrix must be a 4x4 array of {re, im} objects"),
+            (_state, [[{"re": 0, "im": 0}] * 4] * 3, "state matrix must be a 4x4 array of {re, im} objects"),
+            (_state, {"re": 1, "im": 0}, "state matrix must be a 4x4 array of {re, im} objects"),
+            (_filter, [[{"re": 1, "im": 0}] * 2] * 3, "filter 'f' must be a 2x2 array of {re, im} objects"),
+            (_filter, [[{"re": 1, "im": 0}] * 2, 7], "filter 'f' must be a 2x2 array of {re, im} objects"),
+        ],
+        ids=["state-one-entry", "state-three-rows", "state-not-a-list", "filter-three-rows", "filter-row-not-a-list"],
+    )
+    def test_shape_error(self, read, rows, message):
+        with pytest.raises(ParseError) as exc:
+            read(rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("read, n, name", [(_state, 4, "matrix"), (_filter, 2, "f")], ids=["state", "filter"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"re": "x", "im": 0}, "non-numeric entry {'re': 'x', 'im': 0}"),
+            ({"re": 1, "im": None}, "non-numeric entry {'re': 1, 'im': None}"),
+            ({"re": 1}, "expected {'re': x, 'im': y}, got {'re': 1}"),
+            (5, "expected {'re': x, 'im': y}, got 5"),
+        ],
+        ids=["non-numeric", "null", "missing-im", "not-an-object"],
+    )
+    def test_entry_error(self, read, n, name, entry, message):
+        rows = [[{"re": 0.5, "im": 0.0} for _ in range(n)] for _ in range(n)]
+        rows[1][0] = entry
+        rows[n - 1][n - 1] = "later"  # only the first bad entry, in row-major order, is named
+        with pytest.raises(ParseError) as exc:
+            read(rows)
+        assert str(exc.value) == f"{name}[1][0]: {message}"
 
 
 class TestReportAndEllipsoid:
