@@ -49,7 +49,7 @@ from .filtering import (
     normal_form_spectrum,
     optimize_one_sided,
 )
-from .montecarlo import EnvelopeRow, SweepConfig, SweepSummary, Violation, bin_envelope, run_sweep
+from .montecarlo import SweepConfig, SweepSummary, Violation, run_sweep
 from .states import (
     DensityMatrix,
     PAULI_KRON,

@@ -33,7 +33,7 @@ from .errors import DomainError, HqcError
 from .families import Family, qd_centre_boundary, scan_family
 from .filtering import Objective, apply_filters, identity_filter, optimize_one_sided
 from .kernels import ACTIVE_KERNEL
-from .montecarlo import DEFAULT_RANK_MIX, SweepConfig, bin_envelope, run_sweep
+from .montecarlo import DEFAULT_RANK_MIX, SweepConfig, run_sweep
 from .states import DEFAULT_TOL, DensityMatrix, RMatrix, from_r_picture, to_r_picture
 
 
@@ -171,11 +171,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     summary = run_sweep(config)
-    envelope = bin_envelope(summary)
     out_csv = args.out_prefix + "envelope.csv"
     os.makedirs(os.path.dirname(out_csv) or ".", exist_ok=True)
     with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write(serde.envelope_to_csv(envelope))
+        fh.write(serde.envelope_to_csv(summary.bins))
     dump_paths = []
     if summary.violations:
         states_dir = os.path.join(os.path.dirname(args.out_prefix) or ".", "states")
@@ -190,7 +189,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "workers": config.workers,
             "kernel": ACTIVE_KERNEL,
             "metadata": summary.metadata,
-            "degenerate": {"c_a": summary.vs_ca.degenerate, "c_b": summary.vs_cb.degenerate},
+            "degenerate": dict(zip(("c_a", "c_b"), summary.bins.degenerate.tolist())),
             "violations": len(summary.violations),
             "violation_dumps": dump_paths,
             "envelope_csv": out_csv,

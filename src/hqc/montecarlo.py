@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,13 +93,21 @@ class Violation:
 
 
 @dataclass
-class SideBins:
-    """Running per-bin maxima of B and F3 against one centre magnitude."""
+class Bins:
+    """Running per-bin maxima of B and F3 and per-bin counts against each party's centre
+    magnitude, in party order (A, B): ``max_b``, ``max_f3`` and ``count`` are (2, bins)
+    arrays, and ``degenerate`` is the (2,) count of samples left unbinned because that
+    party's ellipsoid is degenerate."""
 
     max_b: np.ndarray
     max_f3: np.ndarray
     count: np.ndarray
-    degenerate: int
+    degenerate: np.ndarray
+
+    def __eq__(self, other: object) -> bool:  # numpy fields need elementwise comparison
+        if not isinstance(other, Bins):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,7 @@ class SweepSummary:
     wall seconds (summed over chunks, keyed by :data:`STAGES`), which are not data."""
 
     config: SweepConfig
-    vs_cb: SideBins
-    vs_ca: SideBins
+    bins: Bins
     violations: tuple[Violation, ...]
     metadata: dict
     runtime_seconds: float = field(compare=False, default=0.0)
@@ -120,8 +127,7 @@ class SweepSummary:
             return NotImplemented
         return (
             self.config == other.config
-            and _bins_equal(self.vs_cb, other.vs_cb)
-            and _bins_equal(self.vs_ca, other.vs_ca)
+            and self.bins == other.bins
             and len(self.violations) == len(other.violations)
             and all(
                 v.index == w.index and v.reasons == w.reasons and np.array_equal(v.state, w.state)
@@ -129,23 +135,6 @@ class SweepSummary:
             )
             and self.metadata == other.metadata
         )
-
-
-def _bins_equal(x: SideBins, y: SideBins) -> bool:
-    return (
-        np.array_equal(x.max_b, y.max_b)
-        and np.array_equal(x.max_f3, y.max_f3)
-        and np.array_equal(x.count, y.count)
-        and x.degenerate == y.degenerate
-    )
-
-
-@dataclass(frozen=True)
-class EnvelopeRow:
-    c_mid: float
-    max_b: float
-    max_f3: float
-    count: int
 
 
 def sweep_stats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -165,29 +154,33 @@ def sweep_stats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return (b, f3, *centre_magnitudes(r))
 
 
-def _empty_side(bins: int) -> SideBins:
-    return SideBins(np.full(bins, -np.inf), np.full(bins, -np.inf), np.zeros(bins, dtype=np.int64), 0)
+def _empty_bins(bins: int) -> Bins:
+    shape = (len(Party), bins)
+    return Bins(
+        np.full(shape, -np.inf), np.full(shape, -np.inf), np.zeros(shape, np.int64), np.zeros(len(Party), np.int64)
+    )
 
 
-def _bin_side(side: SideBins, c: np.ndarray, ok: np.ndarray, b: np.ndarray, f3: np.ndarray) -> None:
-    """Fold a batch's samples into ``side`` in place, binned by centre magnitude ``c``."""
-    bins = len(side.count)
-    degenerate = len(ok) - int(np.count_nonzero(ok))
-    if degenerate:
-        c, b, f3 = c[ok], b[ok], f3[ok]
-    idx = np.minimum(c * bins, bins - 1).astype(np.int64)  # c is a norm, so never below 0
-    np.maximum.at(side.max_b, idx, b)
-    np.maximum.at(side.max_f3, idx, f3)
-    side.count += np.bincount(idx, minlength=bins)
-    side.degenerate += degenerate
+def _bin_side(bins: Bins, c: np.ndarray, ok: np.ndarray, b: np.ndarray, f3: np.ndarray) -> None:
+    """Fold a batch's samples into ``bins`` in place: party k's row is binned by its centre
+    magnitudes ``c[k]``, and its samples with a degenerate ellipsoid (``~ok[k]``) are counted
+    in ``degenerate``, not binned."""
+    n_bins = bins.count.shape[1]
+    for k, (c_k, ok_k) in enumerate(zip(c, ok)):
+        b_k, f3_k = b, f3
+        degenerate = len(ok_k) - int(np.count_nonzero(ok_k))
+        if degenerate:
+            c_k, b_k, f3_k = c_k[ok_k], b[ok_k], f3[ok_k]
+        idx = np.minimum(c_k * n_bins, n_bins - 1).astype(np.int64)  # c is a norm, so never below 0
+        np.maximum.at(bins.max_b[k], idx, b_k)
+        np.maximum.at(bins.max_f3[k], idx, f3_k)
+        bins.count[k] += np.bincount(idx, minlength=n_bins)
+        bins.degenerate[k] += degenerate
 
 
-def _merge_sides(x: SideBins, y: SideBins) -> SideBins:
-    return SideBins(
-        np.maximum(x.max_b, y.max_b),
-        np.maximum(x.max_f3, y.max_f3),
-        x.count + y.count,
-        x.degenerate + y.degenerate,
+def _merge(x: Bins, y: Bins) -> Bins:
+    return Bins(
+        np.maximum(x.max_b, y.max_b), np.maximum(x.max_f3, y.max_f3), x.count + y.count, x.degenerate + y.degenerate
     )
 
 
@@ -228,9 +221,9 @@ def _timed(seconds: dict, stage: str):
     seconds[stage] += time.perf_counter() - started
 
 
-def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[list[SideBins], list[Violation], dict]:
-    """Draw one chunk, then compute, bin and scan it tile by tile. Returns its bins
-    against c_A and c_B, its violations and its wall seconds per stage."""
+def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[Bins, list[Violation], dict]:
+    """Draw one chunk, then compute, bin and scan it tile by tile. Returns its bins,
+    its violations and its wall seconds per stage."""
     start = chunk_index * config.chunk_size
     count = min(config.chunk_size, config.n - start)
     seconds = dict.fromkeys(STAGES, 0.0)
@@ -238,7 +231,7 @@ def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[list[SideBins], l
         gen = SeededRng(config.seed, chunk_index).generator()
         mix = np.asarray(config.rank_mix, dtype=float)
         x, y = ginibre_factors(gen, gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum()))
-    sides = [_empty_side(config.bins) for _ in Party]
+    bins = _empty_bins(config.bins)
     violations = []
     for lo in range(0, count, _TILE):
         tile = slice(lo, lo + _TILE)
@@ -246,12 +239,11 @@ def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[list[SideBins], l
             stats = sweep_stats(x[tile], y[tile])
         b, f3, c, ok = stats
         with _timed(seconds, "bin"):
-            for k, side in enumerate(sides):
-                _bin_side(side, c[k], ok[k], b, f3)
+            _bin_side(bins, c, ok, b, f3)
         with _timed(seconds, "violation_scan"):
             violations += _violations_in_chunk(config, start + lo, x[tile], y[tile], stats)
         del stats, b, f3, c, ok  # not held while the next tile is computed
-    return sides, violations, seconds
+    return bins, violations, seconds
 
 
 def run_sweep(config: SweepConfig) -> SweepSummary:
@@ -263,14 +255,12 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     """
     started = time.perf_counter()
     n_chunks = (config.n + config.chunk_size - 1) // config.chunk_size
-    sides = [_empty_side(config.bins) for _ in Party]
+    bins = _empty_bins(config.bins)
     violations: list[Violation] = []
     stage_seconds = dict.fromkeys(STAGES, 0.0)
-    with ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else nullcontext() as pool:
-        for chunk_sides, viol, seconds in (pool.map if pool else map)(
-            lambda c: _run_chunk(config, c), range(n_chunks)
-        ):
-            sides = [_merge_sides(side, chunk_side) for side, chunk_side in zip(sides, chunk_sides)]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        for chunk_bins, viol, seconds in pool.map(lambda c: _run_chunk(config, c), range(n_chunks)):
+            bins = _merge(bins, chunk_bins)
             violations.extend(viol)
             for stage in STAGES:
                 stage_seconds[stage] += seconds[stage]
@@ -285,23 +275,10 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     }
     return SweepSummary(
         config=config,
-        vs_cb=sides[1],
-        vs_ca=sides[0],
+        bins=bins,
         violations=tuple(violations),
         metadata=metadata,
         runtime_seconds=time.perf_counter() - started,
         stage_seconds=stage_seconds,
     )
 
-
-def bin_envelope(summary: SweepSummary) -> list[EnvelopeRow]:
-    """Envelope table (c_mid, max_B, max_F3, count) for the occupied bins of
-    Bob's centre magnitude, in ascending centre order; the bins against
-    Alice's centre magnitude stay on ``summary.vs_ca``.
-    """
-    side = summary.vs_cb
-    bins = summary.config.bins
-    return [
-        EnvelopeRow((k + 0.5) / bins, float(side.max_b[k]), float(side.max_f3[k]), int(side.count[k]))
-        for k in np.flatnonzero(side.count).tolist()
-    ]

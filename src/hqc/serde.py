@@ -30,7 +30,7 @@ from .criteria import InaccessibilityReport
 from .ellipsoid import SteeringEllipsoid
 from .errors import ParseError
 from .filtering import LocalFilter, OneSidedResult
-from .montecarlo import EnvelopeRow, Violation
+from .montecarlo import Bins, Violation
 from .states import DEFAULT_TOL, DensityMatrix, RMatrix, validate_state
 
 
@@ -212,8 +212,12 @@ def scan_rows_to_csv(rows: list[tuple[float, float, InaccessibilityReport]]) -> 
 ENVELOPE_CSV_HEADER = "c_mid,max_B,max_F3,count"
 
 
-def envelope_to_csv(rows: list[EnvelopeRow]) -> str:
+def envelope_to_csv(bins: Bins) -> str:
+    """The envelope of Bob's row of ``bins``: one line per occupied bin k of his centre magnitude,
+    in ascending order, at the bin's midpoint c_mid = (k + 0.5) / bins."""
+    n_bins = bins.count.shape[1]
+    max_b, max_f3, count = bins.max_b[1].tolist(), bins.max_f3[1].tolist(), bins.count[1].tolist()
     lines = [ENVELOPE_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join([_fmt(row.c_mid), _fmt(row.max_b), _fmt(row.max_f3), str(row.count)]))
+    for k in np.flatnonzero(count).tolist():
+        lines.append(f"{_fmt((k + 0.5) / n_bins)},{_fmt(max_b[k])},{_fmt(max_f3[k])},{count[k]}")
     return "\n".join(lines) + "\n"

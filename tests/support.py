@@ -9,7 +9,9 @@ route, so none of them sits in the runtime:
 * :func:`steered_bloch` computes Bob's conditional Bloch vector for one of
   Alice's outcomes, which must lie on the steering ellipsoid;
 * :func:`rmatrix_to_csv` writes the correlation-picture CSV that
-  ``hqc.serde.rmatrix_from_csv`` reads.
+  ``hqc.serde.rmatrix_from_csv`` reads;
+* :func:`tight_chsh_picture` is the family on which the CHSH maximum meets
+  the conjectured centre bound.
 
 The CHSH oracle ``hqc.brute_force_chsh`` and its helpers stay in
 ``hqc.correlations``, because the benchmark's scan check imports it from
@@ -134,3 +136,17 @@ def steered_bloch(r: RMatrix, gamma: np.ndarray) -> tuple[np.ndarray, float]:
 
 def rmatrix_to_csv(r: RMatrix) -> str:
     return "\n".join(",".join(_fmt(x) for x in row) for row in r.r) + "\n"
+
+
+def tight_chsh_picture(c: float) -> RMatrix:
+    """R(c) = [[1, 0, 0, c], [0, -s, 0, 0], [0, 0, -s, 0], [0, 0, 0, -s^2]] with s = sqrt(1 - c).
+
+    Alice's Bloch vector is 0 and Bob's is (0, 0, c), so Bob's centre magnitude is c_B = c and
+    Alice's is c_A = c / (1 + c). T's two largest singular values are s and s, so the CHSH maximum
+    B = sqrt(2 (1 - c)) equals the conjectured bound f(c_B) for c <= 1/2. Filtering ``rho_qd`` on
+    Alice's side by rho_A^(-1/2) gives this family.
+    """
+    s = math.sqrt(1.0 - c)
+    return RMatrix(
+        np.array([[1.0, 0.0, 0.0, c], [0.0, -s, 0.0, 0.0], [0.0, 0.0, -s, 0.0], [0.0, 0.0, 0.0, -(1.0 - c)]])
+    )

@@ -463,16 +463,14 @@ class TestSweepCounterexamplePath:
         # wiring test: a (synthetic) recorded violation must produce exit
         # code 3 and a full-precision state dump
         import hqc.cli as cli_mod
-        from hqc.montecarlo import SideBins, SweepSummary, Violation
+        from hqc.montecarlo import SweepSummary, Violation, _empty_bins
 
         state = np.eye(4, dtype=complex) / 4
 
         def fake_run_sweep(config):
-            side = SideBins(np.full(config.bins, -np.inf), np.full(config.bins, -np.inf),
-                            np.zeros(config.bins, dtype=np.int64), 0)
             violation = Violation(index=5, b=1.5, f3=1.6, c_a=0.7, c_b=0.7,
                                   reasons=("chsh_bound_cB",), state=state)
-            return SweepSummary(config=config, vs_cb=side, vs_ca=side,
+            return SweepSummary(config=config, bins=_empty_bins(config.bins),
                                 violations=(violation,), metadata={}, runtime_seconds=0.0)
 
         monkeypatch.setattr(cli_mod, "run_sweep", fake_run_sweep)

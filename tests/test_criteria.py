@@ -2,6 +2,7 @@ import hashlib
 import math
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,10 @@ from hqc import (
     sample_state,
     to_r_picture,
 )
+from hqc.correlations import chsh_f3_maxima
+from hqc.montecarlo import VIOLATION_TOL
+
+from support import tight_chsh_picture
 
 
 class TestConjectureBound:
@@ -59,6 +64,45 @@ class TestConjectureBound:
     def test_non_increasing(self, c1, c2):
         lo, hi = min(c1, c2), max(c1, c2)
         assert conjecture_bound_chsh(hi) <= conjecture_bound_chsh(lo) + 1e-15
+
+
+class TestTightChshFamily:
+    """The family R(c) of :func:`support.tight_chsh_picture`, where B = sqrt(2 (1 - c)) meets the
+    conjectured bound f(c_B) for c <= 1/2 and Alice's certificate switches on above it.
+
+    Measured on this grid: B within 2.7e-16 relative of sqrt(2 (1 - c)) and 2.2e-16 of the 50-digit
+    value, c_B = c to the bit, c_A within 1.5e-14 relative of c / (1 + c), B - f(c_B) at most 2.2e-16,
+    and a least eigenvalue of rho of -5.6e-17.
+    """
+
+    GRID = np.linspace(0.0, 0.999, 200)
+
+    def test_chsh_maximum_is_the_closed_form(self):
+        t = np.array([tight_chsh_picture(float(c)).t for c in self.GRID])
+        b, _ = chsh_f3_maxima(t)
+        exact = np.sqrt(2.0 * (1.0 - self.GRID))
+        assert (np.abs(b - exact) <= 1e-14 * exact).all()
+        with mpmath.workdps(50):
+            for b_i, t_i in zip(b.tolist(), t):
+                m = mpmath.matrix(t_i.tolist())  # the float entries are exact
+                w = sorted(mpmath.eigsy(m * m.T, eigvals_only=True))
+                reference = mpmath.sqrt(w[1] + w[2])
+                assert abs(b_i - reference) <= 1e-15 * reference
+
+    def test_centres_and_bound(self):
+        for c in self.GRID.tolist():
+            r = tight_chsh_picture(c)
+            assert np.linalg.eigvalsh(from_r_picture(r).matrix).min() >= -1e-15  # a physical state
+            report = classify(r)
+            assert report.c_b == pytest.approx(c, rel=1e-15, abs=1e-15)
+            assert report.c_a == pytest.approx(c / (1.0 + c), rel=1e-13, abs=1e-15)
+            assert report.b - conjecture_bound_chsh(c) <= VIOLATION_TOL
+
+    def test_alice_certificate_switches_on_above_one_half(self):
+        below = classify(tight_chsh_picture(0.5 - 1e-9))
+        above = classify(tight_chsh_picture(0.5 + 1e-9))
+        assert "A_INACCESSIBLE_CHSH" not in below.flags
+        assert "A_INACCESSIBLE_CHSH" in above.flags
 
 
 class TestThresholds:

@@ -10,7 +10,6 @@ from hqc import (
     Party,
     SweepConfig,
     Thresholds,
-    bin_envelope,
     chsh_max,
     classify_batch,
     compute_ellipsoid,
@@ -19,7 +18,7 @@ from hqc import (
 )
 from hqc.criteria import conjecture_bound_chsh
 from hqc.errors import DomainError
-from hqc.montecarlo import STAGES, _TILE, _bin_side, _empty_side, _run_chunk, _violations_in_chunk, sweep_stats
+from hqc.montecarlo import STAGES, _TILE, _bin_side, _empty_bins, _run_chunk, _violations_in_chunk, sweep_stats
 from hqc.states import (
     DensityMatrix,
     SeededRng,
@@ -30,7 +29,6 @@ from hqc.states import (
 )
 
 from conftest import complex_path_states, ginibre_and_pure_marginal_factors
-from conftest import platform_math_digest as _platform_math_digest
 
 
 class TestConfig:
@@ -52,8 +50,8 @@ class TestRunSweep:
     def test_empty_sweep(self):
         summary = run_sweep(SweepConfig(n=0, seed=1))
         assert summary.violations == ()
-        assert bin_envelope(summary) == []
-        assert summary.vs_cb.count.sum() == 0
+        assert serde.envelope_to_csv(summary.bins) == "c_mid,max_B,max_F3,count\n"
+        assert summary.bins.count.sum() == 0
 
     def test_deterministic(self):
         a = run_sweep(SweepConfig(n=20_000, seed=9))
@@ -66,28 +64,38 @@ class TestRunSweep:
         assert a == dataclasses.replace(b, config=a.config)
 
     def test_no_violations_and_bound_respected(self):
+        # both parties' envelopes lie under the bound at their bins' lower edges; the least
+        # margins measured are 0.0044 against c_A and 0.0025 against c_B
         summary = run_sweep(SweepConfig(n=100_000, seed=42, workers=2))
         assert summary.violations == ()
-        rows = bin_envelope(summary)
-        assert summary.vs_cb.count.sum() == 100_000
-        for row in rows:
-            lower_edge = row.c_mid - 0.5 / summary.config.bins
-            assert row.max_b <= conjecture_bound_chsh(lower_edge) + 1e-6
-            assert row.max_b <= math.sqrt(2) + 1e-8
-            assert row.max_f3 <= math.sqrt(3) + 1e-8
-        assert rows == sorted(rows, key=lambda r: r.c_mid)
+        bins = summary.bins
+        assert bins.count.sum(axis=1).tolist() == [100_000, 100_000]
+        lower_edge = np.arange(summary.config.bins) / summary.config.bins
+        for party, max_b, max_f3, count in zip(Party, bins.max_b, bins.max_f3, bins.count, strict=True):
+            occupied = count > 0
+            assert (max_b[occupied] <= conjecture_bound_chsh(lower_edge[occupied]) + 1e-6).all(), party
+            assert (max_b[occupied] <= math.sqrt(2) + 1e-8).all(), party
+            assert (max_f3[occupied] <= math.sqrt(3) + 1e-8).all(), party
+            assert np.isneginf(max_b[~occupied]).all() and np.isneginf(max_f3[~occupied]).all(), party
+        # the envelope CSV holds Bob's occupied bins in ascending centre order
+        rows = [[float(x) for x in line.split(",")] for line in serde.envelope_to_csv(bins).splitlines()[1:]]
+        occupied = np.flatnonzero(bins.count[1])
+        assert [row[0] for row in rows] == ((occupied + 0.5) / summary.config.bins).tolist()
+        assert [row[1:] for row in rows] == np.stack(
+            [bins.max_b[1, occupied], bins.max_f3[1, occupied], bins.count[1, occupied]], axis=1
+        ).tolist()
         # near-Bell-diagonal samples populate the lowest centre bin, whose
         # running maximum climbs towards sqrt(2) with sample size
-        assert rows[0].c_mid < 0.01
-        assert rows[0].max_b > 1.2
+        assert rows[0][0] < 0.01
+        assert rows[0][1] > 1.2
 
     def test_rank_one_reenabled(self):
         summary = run_sweep(SweepConfig(n=5_000, seed=3, rank_mix=(0.25, 0.25, 0.25, 0.25)))
-        assert summary.vs_cb.count.sum() + summary.vs_cb.degenerate == 5_000
+        assert (summary.bins.count.sum(axis=1) + summary.bins.degenerate).tolist() == [5_000, 5_000]
 
     def test_counts_split_by_side(self):
         summary = run_sweep(SweepConfig(n=10_000, seed=8))
-        assert summary.vs_ca.count.sum() + summary.vs_ca.degenerate == 10_000
+        assert (summary.bins.count.sum(axis=1) + summary.bins.degenerate).tolist() == [10_000, 10_000]
 
 
 class TestViolationMachinery:
@@ -195,20 +203,18 @@ def _whole_chunk_reference(config, chunk_index):
     ranks = gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum())
     x, y = ginibre_factors(gen, ranks)
     stats = b, f3, c, ok = sweep_stats(x, y)
-    sides = [_empty_side(config.bins) for _ in Party]
-    for k, side in enumerate(sides):
-        _bin_side(side, c[k], ok[k], b, f3)
-    return sides, _violations_in_chunk(config, start, x, y, stats)
+    bins = _empty_bins(config.bins)
+    _bin_side(bins, c, ok, b, f3)
+    return bins, _violations_in_chunk(config, start, x, y, stats)
 
 
 def _assert_chunk_bitwise_equal(config, chunk_index):
-    sides, violations, seconds = _run_chunk(config, chunk_index)
-    ref_sides, reference = _whole_chunk_reference(config, chunk_index)
+    bins, violations, seconds = _run_chunk(config, chunk_index)
+    ref_bins, reference = _whole_chunk_reference(config, chunk_index)
     assert list(seconds) == list(STAGES)
-    for got, want in zip(sides, ref_sides, strict=True):
-        for field in ("max_b", "max_f3", "count"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-        assert got.degenerate == want.degenerate
+    for field in dataclasses.fields(bins):
+        got, want = getattr(bins, field.name), getattr(ref_bins, field.name)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
     assert len(violations) == len(reference)
     for v, w in zip(violations, reference):
         assert (v.index, v.reasons, v.state.tobytes()) == (w.index, w.reasons, w.state.tobytes())
@@ -238,19 +244,20 @@ class TestTiledChunk:
 
     def test_folded_pieces_keep_degenerate_samples_out(self):
         # random states never have a pure marginal, so the chunk tests above bin no degenerate
-        # sample; here three per side are folded in one at a time, after two uneven pieces
+        # sample; here three per party are folded in one at a time, after two uneven pieces, and
+        # the last two pieces each hold a sample that is degenerate for one party only
         g = ginibre_and_pure_marginal_factors(SeededRng(7, 0).generator())
-        b, f3, c_both, ok_both = sweep_stats(g.real, g.imag)
-        for c, ok in zip(c_both, ok_both):
-            side = _empty_side(50)
-            for piece in np.split(np.arange(len(b)), [3, 1000, 2001, 2002, 2003]):
-                _bin_side(side, c[piece], ok[piece], b[piece], f3[piece])
-            assert side.degenerate == np.count_nonzero(~ok) == 3
-            idx = np.minimum((c[ok] * 50).astype(np.int64), 49)
-            assert side.count.tolist() == [np.count_nonzero(idx == k) for k in range(50)]
+        b, f3, c, ok = sweep_stats(g.real, g.imag)
+        bins = _empty_bins(50)
+        for piece in np.split(np.arange(len(b)), [3, 1000, 2001, 2002, 2003]):
+            _bin_side(bins, c[:, piece], ok[:, piece], b[piece], f3[piece])
+        assert bins.degenerate.tolist() == np.count_nonzero(~ok, axis=1).tolist() == [3, 3]
+        for row, (c_w, ok_w) in enumerate(zip(c, ok)):
+            idx = np.minimum((c_w[ok_w] * 50).astype(np.int64), 49)
+            assert bins.count[row].tolist() == [np.count_nonzero(idx == k) for k in range(50)]
             for k in range(50):
-                assert side.max_b[k] == b[ok][idx == k].max(initial=-np.inf)
-                assert side.max_f3[k] == f3[ok][idx == k].max(initial=-np.inf)
+                assert bins.max_b[row, k] == b[ok_w][idx == k].max(initial=-np.inf)
+                assert bins.max_f3[row, k] == f3[ok_w][idx == k].max(initial=-np.inf)
 
     def test_one_state_last_tile(self):
         config = SweepConfig(n=_TILE + 1, seed=4, rank_mix=(1, 1, 1, 1), thresholds=Thresholds(0.01, 0.02))
@@ -308,15 +315,17 @@ class TestTiledChunk:
         assert summary.metadata["chunk_size"] == 4000 and summary.metadata["tile_size"] == _TILE
 
 
-def _bins_digest(side) -> str:
+def _bins_digest(bins, k) -> str:
+    """The digest of party k's row of ``bins``."""
     h = hashlib.sha256()
-    for part in (side.max_b, side.max_f3, side.count, np.int64(side.degenerate)):
+    for part in (bins.max_b[k], bins.max_f3[k], bins.count[k], np.int64(bins.degenerate[k])):
         h.update(np.asarray(part).tobytes())
     return h.hexdigest()
 
 
+@pytest.mark.usefixtures("recorded_platform")
 class TestOutputBitPins:
-    """SHA-256 digests of both sides' bins (max_B, max_F3, count, degenerate) and of the
+    """SHA-256 digests of both parties' bins (max_B, max_F3, count, degenerate) and of the
     violation dumps, recorded with 4,096-state tiles and B/F3 on the Gram matrix's nine
     entries: a rewrite of the sweep's kernels keeps every output bit.
 
@@ -325,13 +334,8 @@ class TestOutputBitPins:
     the platform's, not the program's.
     """
 
-    @pytest.fixture(autouse=True)
-    def _recorded_platform(self):
-        if _platform_math_digest() != "e63f121bdfe1d58cde451e8698bbea1f7fdeb04db16947e96ee56fd2c8ef03b9":
-            pytest.skip("numpy's arccos, cos or normal stream differ from the platform the digests were recorded on")
-
     @pytest.mark.parametrize(
-        "config, vs_cb, vs_ca",
+        "config, digest_b, digest_a",
         [
             (
                 SweepConfig(n=131072, seed=1),
@@ -346,9 +350,9 @@ class TestOutputBitPins:
         ],
         ids=["default", "ci_rank_mix"],
     )
-    def test_bins(self, config, vs_cb, vs_ca):
+    def test_bins(self, config, digest_b, digest_a):
         summary = run_sweep(config)
-        assert (_bins_digest(summary.vs_cb), _bins_digest(summary.vs_ca)) == (vs_cb, vs_ca)
+        assert (_bins_digest(summary.bins, 1), _bins_digest(summary.bins, 0)) == (digest_b, digest_a)
 
     def test_violation_dumps(self, tmp_path):
         # shrunken thresholds make 437 ordinary samples "counterexamples", in every tile
@@ -360,7 +364,7 @@ class TestOutputBitPins:
             with open(serde.dump_violation_json(v, str(tmp_path)), "rb") as fh:
                 dumps.update(fh.read())
         assert dumps.hexdigest() == "25cce40b1ea417c3837e93918a67d45ffe3c64988671d00912cc3e40994e3820"
-        assert (_bins_digest(summary.vs_cb), _bins_digest(summary.vs_ca)) == (
+        assert (_bins_digest(summary.bins, 1), _bins_digest(summary.bins, 0)) == (
             "2b35eb297e66e5b70dc69df95f2bd14cd0e4edb1cc40e7ddf1ec9ee4e2f69a80",
             "e4b9a764082ed22d4802ff71b51f44350619e5a29a10205a9dd5a3b46fe8dacb",
         )

@@ -16,7 +16,7 @@ from hqc import (
     validate_state,
 )
 from hqc import serde
-from hqc.montecarlo import EnvelopeRow
+from hqc.montecarlo import _empty_bins
 
 from conftest import singlet_matrix
 from support import rmatrix_to_csv
@@ -183,6 +183,9 @@ class TestCsvTables:
         assert lines[1].split(",")[1] == "0.2"
 
     def test_envelope_csv(self):
-        rows = [EnvelopeRow(c_mid=0.0025, max_b=1.2, max_f3=1.5, count=17)]
-        text = serde.envelope_to_csv(rows)
+        # Bob's occupied bin 0 of 200 is written; Alice's occupied bin 3 is not
+        bins = _empty_bins(200)
+        bins.max_b[1, 0], bins.max_f3[1, 0], bins.count[1, 0] = 1.2, 1.5, 17
+        bins.max_b[0, 3], bins.max_f3[0, 3], bins.count[0, 3] = 1.1, 1.4, 5
+        text = serde.envelope_to_csv(bins)
         assert text == "c_mid,max_B,max_F3,count\n0.0025,1.2,1.5,17\n"
