@@ -40,6 +40,7 @@ from .filtering import (
     LocalFilter,
     NormalFormSpectrum,
     Objective,
+    OneSidedF3,
     OneSidedResult,
     apply_filters,
     apply_one_sided,
@@ -47,6 +48,7 @@ from .filtering import (
     hidden_f3,
     identity_filter,
     normal_form_spectrum,
+    one_sided_f3_suprema,
     optimize_one_sided,
 )
 from .montecarlo import SweepConfig, SweepSummary, Violation, run_sweep

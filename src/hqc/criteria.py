@@ -145,7 +145,17 @@ def _flag_set(code: int) -> frozenset[str]:
 
 
 def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[InaccessibilityReport]:
-    """Reports for a (n, 4, 4) stack of pictures of validated states, one per row.
+    """Reports for a (n, 4, 4) stack of pictures of validated states, one per row: the reports of
+    :func:`classify_batch_with_masks`."""
+    return classify_batch_with_masks(r, th)[0]
+
+
+def classify_batch_with_masks(
+    r: np.ndarray, th: Thresholds | None = None
+) -> tuple[list[InaccessibilityReport], np.ndarray]:
+    """Reports for a (n, 4, 4) stack of pictures of validated states, one per row, and the (2, n)
+    ``ok`` masks of their centre pass in party order (A, B), False where that party's ellipsoid is
+    a point and its centre the point-ellipsoid convention's (see :func:`centre_magnitudes`).
 
     Each quantity comes from one batched call for the whole stack: the
     closed-form T T^T spectrum for B and F3, one normal-form eigensolve for both hidden
@@ -157,7 +167,7 @@ def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[Inaccess
     th = th or _DEFAULT_THRESHOLDS
     b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
     hidden = hidden_values(r).T
-    c, _ = centre_magnitudes(r)
+    c, ok = centre_magnitudes(r)
     entangled, _ = ppt_test(r)
 
     cutoff = np.array([th.c_chsh, th.c_f3])[:, None, None]
@@ -193,7 +203,7 @@ def classify_batch(r: np.ndarray, th: Thresholds | None = None) -> list[Inaccess
             conjecture_conditional=True,
         )
         reports.append(report)
-    return reports
+    return reports, ok
 
 
 def classify(r: RMatrix, th: Thresholds | None = None) -> InaccessibilityReport:

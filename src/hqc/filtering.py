@@ -24,8 +24,10 @@ supremum is 1, approached by filters tending to rank one, which drive
 any state towards a pure product state (e.g. a random state with hidden
 CHSH 0.550 reaches 0.999996 under diag(1, 1e-3) on both sides). Hidden F3
 is a lower bound on the best F3 value. One-sided optima (one party
-filters, the other does nothing) have no closed form and are estimated
-numerically; they are bounded by max(1, hidden CHSH).
+filters, the other does nothing) of CHSH are bounded by max(1, hidden
+CHSH) and estimated numerically; the one-sided F3 optimum over the
+optimiser's filters is solved exactly, as a trust-region subproblem
+(:func:`one_sided_f3_suprema`).
 
 In the correlation picture a filter f on Alice acts as
 R -> Lambda R / (Lambda R)[0, 0], with Lambda_ij = Tr(sigma_j f^dag sigma_i f) / 2
@@ -42,17 +44,26 @@ vector, and
     c = (d^2 + 1) / 2,  s = (d^2 - 1) / 2,
 
 is d times a Lorentz boost of rapidity |ln d| along n. The one-sided
-optimiser therefore searches the three parameters (d, n). Its objective
-unpacks R (R^T for Bob, since R . L^T is the transpose of L . R^T) into
-Python floats once per call; each evaluation then takes the 16 entries
-of L(d, n) from :func:`_boost`, the one rendition of the formula above,
-forms the 10 entries of L . R that the value needs (the success
-probability and T, not row 0's marginal part) and reads the value with
-:func:`hqc.correlations.chsh_f3_value`, the float rendition of the
-closed-form B/F3 formula of :func:`hqc.correlations.chsh_f3_maxima`,
-which reports the final value. Its search is the package's own bounded
+optimiser therefore works on the three parameters (d, n), with d in
+[SCALE_FLOOR, 1].
+
+For F3, L's first row l enters only through F3^2 = l^T B l / (l . c_0)^2
+(c_0 the first column of R, or of R^T for Bob), and the admissible l
+form a cone; normalising l . c_0 = 1 leaves a quadratic over an
+ellipsoid, whose maximum is one 3x3 eigensolve and one secular equation
+(Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553, 1983). The solve
+is batch-first over (n, 4, 4) stacks; the optimiser runs a batch of one.
+
+For CHSH the optimiser searches (d, n) with the package's own bounded
 Nelder-Mead, :func:`hqc.neldermead.minimize`, bound here as
-``minimize``.
+``minimize``. Its objective unpacks R (R^T for Bob, since R . L^T is the
+transpose of L . R^T) into Python floats once per call; each evaluation
+then takes the 16 entries of L(d, n) from :func:`_boost`, the one
+rendition of the formula above, forms the 10 entries of L . R that the
+value needs (the success probability and T, not row 0's marginal part)
+and reads the value with :func:`hqc.correlations.chsh_f3_value`, the
+float rendition of the closed-form B/F3 formula of
+:func:`hqc.correlations.chsh_f3_maxima`, which reports the final value.
 """
 
 from __future__ import annotations
@@ -75,6 +86,15 @@ _ETA_SIGNS = np.outer([1, -1, -1, -1], [1, -1, -1, -1])  # eta R eta = R * _ETA_
 
 SCALE_FLOOR = 1e-4  # lower bound on the filter's small singular value during optimisation
 FATOL = 1e-11  # Nelder-Mead's stopping tolerance on the objective, per start
+SECULAR_MAX_ITERS = 60  # cap on the exact F3 solve's Newton steps
+
+# the filters' cone kappa |u| <= l_0 for d in [SCALE_FLOOR, 1], and kappa^2 - 1 without cancellation
+_KAPPA = (1.0 + SCALE_FLOOR**2) / (1.0 - SCALE_FLOOR**2)
+_KAPPA_SQ_M1 = (2.0 * SCALE_FLOOR / (1.0 - SCALE_FLOOR**2)) ** 2
+_EPS = float(np.finfo(float).eps)
+_EYE3 = np.eye(3)
+_PLUS_MINUS = np.array([-1.0, 1.0])  # the secular solve's trials, in steps from its Newton point
+_IDENTITY_BOOST = np.array([1.0, 0.0, 0.0])  # (d, theta, phi) of the identity filter
 
 
 class Objective(Enum):
@@ -316,63 +336,197 @@ def _search_objective(r: np.ndarray, party: Party, objective: Objective) -> Call
     return negated_value
 
 
-def optimize_one_sided(
-    rho: DensityMatrix,
-    party: Party,
-    objective: Objective,
-    starts: int = 32,
-    max_iters: int = 500,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    picture: RMatrix | None = None,
-) -> OneSidedResult:
-    """Maximise the filtered CHSH/F3 optimum over one party's filters.
+def _sum3(x: np.ndarray) -> np.ndarray:
+    """Sum over a last axis of length 3, term by term, whatever the array's memory layout: a row's
+    bits then do not depend on its batch, as the roundoff of matmul, einsum and of a reduction's
+    loop order can."""
+    return x[..., 0] + x[..., 1] + x[..., 2]
 
-    Multi-start Nelder-Mead (:func:`hqc.neldermead.minimize`, at most
-    ``max_iters >= 1`` iterations a start) over x = (d, theta, phi): the
-    Hermitian filter h(d, n) of the module docstring, with d in
-    [SCALE_FLOOR, 1] and n at polar angle theta and azimuth phi. Every
-    filter is a unitary times such an h, and the unitary cannot change
-    the maximum, so the three parameters reach every one-sided value.
-    Start 0 is the identity filter, so the result never falls below the
-    unfiltered value. Start k draws from ``SeededRng(seed, k)``, so a seed
-    must be non-negative, and ties resolve to the lowest start index. The
-    search stops early once a start reaches the quantum maximum; ``starts_used`` counts the
-    starts run, ``evaluations`` their objective evaluations and
-    ``best_start`` is the index of the start whose optimum is reported.
 
-    Every start minimises one objective, :func:`_search_objective`, built
-    once from rho's correlation picture R: ``picture`` if given (the CLI
-    passes the R its input file gives, which for an R-CSV is the file's own
-    R, not the picture of the rho rebuilt from it), else
-    :func:`hqc.states.to_r_picture` of rho. Each evaluation applies the
-    candidate's boost L(d, n) (see the module docstring) to R in Python
-    floats, reads the success probability off the [0, 0] entry, and
-    takes the maximum of the normalised T from
-    :func:`hqc.correlations.chsh_f3_value`, the float rendition of the
-    closed-form B/F3 formula. No density matrix or array is formed during
-    the search; positivity needs no check there, because a filter is a
-    congruence of the already validated rho.
+def _dual_terms(lam: np.ndarray, p: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For multipliers ``lam`` (n, k) and P's eigenvalues ``p`` and squared components ``h2``
+    (n, 1, 3): the terms h_i^2 / (lam - p_i) of the dual and the inverse gaps 1 / (lam - p_i),
+    both (n, k, 3), with a zero gap's term and inverse set to 0 (its h_i is 0 in a hard case)."""
+    gap = lam[..., None] - p
+    inv = 1.0 / np.where(gap > 0.0, gap, np.inf)
+    return h2 * inv, inv
 
-    The winning filter is then applied once through ``apply_one_sided``,
-    whose ``validate_state`` checks the filtered state with ``tol`` (the
-    tolerance rho itself was accepted with), and the value is
-    recomputed from that state's picture by
-    :func:`hqc.correlations.chsh_f3_maxima`; this is the value reported,
-    alongside that filtered state, its picture and its success
-    probability. If it differs from the search's value by more than 1e-9,
-    ``OptimumMismatch`` is raised. ``stage_seconds`` holds the wall
-    seconds of the search (``"search"``) and of this verification
-    (``"verify"``).
+
+class OneSidedF3(NamedTuple):
+    """Exact one-sided F3 suprema of a stack of pictures, one entry per row."""
+
+    value: np.ndarray  # (n,) the supremum of F3 over the party's filters with d in [SCALE_FLOOR, 1]
+    params: np.ndarray  # (n, 3) the boost (d, theta, phi) that attains it
+    iterations: np.ndarray  # (n,) Newton steps on the secular equation (0 where no root was needed)
+    converged: np.ndarray  # (n,) the secular root's bracket closed
+
+
+def one_sided_f3_suprema(r: np.ndarray, party: Party) -> OneSidedF3:
+    """The supremum of F3 over one party's filters h(d, n), d in [SCALE_FLOOR, 1], for a (n, 4, 4)
+    stack of pictures, and the boost (d, theta, phi) that attains it.
+
+    Write C = R (Alice) or R^T (Bob), c_0..c_3 for its columns, a = c_0[1:]
+    for the filtering party's Bloch vector, eta = diag(1, -1, -1, -1) and
+    l for the first row of the scaled boost L(d, n). L / d is a Lorentz
+    transformation, so it keeps each column's eta-norm, and
+
+        F3^2 = l^T B l / (l . c_0)^2,  B = sum_j c_j c_j^T - K eta,  K = sum_j c_j^T eta c_j
+
+    (j = 1..3). The ratio does not depend on l's scale. With l . c_0 = 1,
+    l = (1 - a . u, u), and d in [SCALE_FLOOR, 1] is the cone
+    kappa |u| <= 1 - a . u, kappa = (1 + SCALE_FLOOR^2) / (1 - SCALE_FLOOR^2):
+    the solid ellipsoid u^T (kappa^2 - a a^T) u + 2 a . u <= 1, on which
+    l . c_j = c_j[0] + m_j . u with m_j = c_j[1:] - c_j[0] a and
+    l^T eta l = ((1 - a . u)^2 - kappa^2 |u|^2) + (kappa^2 - 1) |u|^2.
+
+    The map u = -a / e + W z, e = kappa^2 - |a|^2,
+    W = 1 / sqrt(e) + a a^T / (e (kappa + sqrt(e))), takes the unit ball
+    onto the ellipsoid, where the first bracket is (kappa^2 / e) (1 - |z|^2).
+    In z, F3^2 = q_c + z^T P z + 2 h . z with y_j = c_j[0] - a . m_j / e,
+    w_j = W m_j and
+
+        P = sum_j w_j w_j^T + (K / e) (1 - (kappa^2 - 1) a a^T / e),
+        h = sum_j y_j w_j + K (kappa^2 - 1) (kappa / e^2) a,
+        q_c = sum_j y_j^2 - (K / e) (kappa^2 + (kappa^2 - 1) |a|^2 / e),
+
+    written so that a pure marginal (m_j = 0, 1 - |a|^2 = 0) gives its
+    value exactly. Maximising this over |z| <= 1 is a trust-region
+    subproblem. Its maximum is the minimum over lam >= max(p_max, 0) of
+    the dual D(lam) = lam + sum_i h_i^2 / (lam - p_i) in P's eigenbasis
+    (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553, 1983), where
+    D' = 1 - |z(lam)|^2 and z(lam) = (lam - P)^-1 h:
+
+    * interior: p_max < 0 and |z(0)| <= 1;
+    * hard case: h has no component along P's top eigenvector and
+      |z(p_max)| < 1 without it; lam = p_max, and the top component fills
+      z to the unit sphere;
+    * otherwise lam is the root of the secular equation 1 / |z(lam)| = 1.
+      No root lies below max(0, max_i p_i + |h_i|), where Newton starts:
+      1 / |z| is concave, so Newton from below climbs to the root without
+      passing it. Each step also tries the points a little either side of
+      its Newton point (1e-4 of the top gap lam - p_max, and at least 64
+      ulp of lam and of the spectrum's width), which closes the root's
+      bracket once Newton has come that close; a last Newton step from
+      the bracket's lower end squares the error that remains.
+
+    The value is D at that lam, whose error is second order in lam's, and
+    z(lam), scaled onto the sphere unless the optimum is interior, gives
+    the boost: d^2 = l^T eta l / (l_0 + |u|)^2 and n = -u / |u| (the
+    identity, d = 1 and theta = phi = 0, at u = 0). Every sum is written
+    term by term, the eigensolve runs per matrix, and a row that is done
+    repeats its last evaluation while others iterate, so a row's bits do
+    not depend on its batch. A Bloch vector with |a|^2 >= kappa^2
+    (an input far outside the state space) raises DomainError.
     """
-    if starts < 1:
-        raise DomainError(f"starts must be >= 1, got {starts}")
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
-    SeededRng(seed)  # rejects a negative seed, even when no start draws from it
+    c = r if party is Party.A else r.swapaxes(-1, -2)
+    a, top, t = c[:, 1:, 0], c[:, 0, 1:], c[:, 1:, 1:]  # t[:, i, j] is entry i + 1 of c_{j + 1}
+    s = _sum3(a * a)
+    e = _KAPPA_SQ_M1 + (1.0 - s)
+    if not np.minimum.reduce(e) > 0.0:
+        i = int(np.flatnonzero(~(e > 0.0))[0])
+        raise DomainError(f"row {i}: Bloch vector length^2 {s[i]!r} leaves the filters' cone unbounded")
+    sq = c[:, :, 1:] * c[:, :, 1:]
+    k = _sum3(sq[:, 0] - sq[:, 1] - sq[:, 2] - sq[:, 3])  # sum_j c_j^T eta c_j
+    root_e = np.sqrt(e)
+    alpha = 1.0 / (e * (_KAPPA + root_e))
+    m = t - a[:, :, None] * top[:, None, :]
+    am = _sum3((a[:, :, None] * m).swapaxes(-1, -2))  # a . m_j
+    y = top - am / e[:, None]
+    w = m / root_e[:, None, None] + (alpha[:, None] * a)[:, :, None] * am[:, None, :]  # column j is w_j
+    k_e = k / e
+    pmat = _sum3(w[:, :, None, :] * w[:, None, :, :])
+    pmat += k_e[:, None, None] * (_EYE3 - (_KAPPA_SQ_M1 / e)[:, None, None] * (a[:, :, None] * a[:, None, :]))
+    h = _sum3(w * y[:, None, :]) + (k_e * (_KAPPA_SQ_M1 * _KAPPA) / e)[:, None] * a
+    q_c = _sum3(y * y) - k_e * (_KAPPA * _KAPPA + _KAPPA_SQ_M1 * s / e)
+
+    p, vecs = np.linalg.eigh(pmat)  # ascending
+    ht = _sum3(vecs.swapaxes(-1, -2) * h[:, None, :])
+    p3, h2 = p[:, None, :], (ht * ht)[:, None, :]
+    p_max = p[:, 2]
+    # each term of |z|^2 is at most 1 at the root, and |z| <= |h| / (lam - p_max)
+    lam_l = np.maximum(np.maximum.reduce(p + np.abs(ht), axis=-1), np.maximum(p_max, 0.0))
+    lam_u = np.maximum(p_max, 0.0) + np.sqrt(_sum3(h2[:, 0]))
+    # the trials' offset from a Newton point: 1e-4 of the top gap (the last Newton step squares the
+    # error), and at least 64 ulp of lam and of the spectrum's width
+    step = np.maximum(64.0 * _EPS * (np.abs(lam_u) + (lam_u - p[:, 0])), 1e-4 * (lam_l - p_max))
+    offsets = step[:, None] * _PLUS_MINUS
+    terms, inv = _dual_terms(lam_l[:, None], p3, h2)
+    terms *= inv
+    n2_l, s3_l = _sum3(terms)[:, 0], _sum3(terms * inv)[:, 0]
+    active = n2_l > 1.0
+    lam_u = np.where(active, lam_u, lam_l)
+    s3_l = np.where(active, s3_l, 1.0)
+    iterations = np.zeros(len(r), dtype=np.int64)
+    rows = np.arange(len(r))
+    for _ in range(SECULAR_MAX_ITERS):
+        if not active.any():
+            break
+        # Newton on 1 / |z| - 1 from the lower end, and a trial a step either side of its point; a
+        # row that is done tries its lower end again, which moves none of its bits
+        newton = np.minimum(lam_l + n2_l * (np.sqrt(n2_l) - 1.0) / s3_l, lam_u)
+        trial = np.where(active[:, None], np.maximum(newton[:, None] + offsets, lam_l[:, None]), lam_l[:, None])
+        terms, inv = _dual_terms(trial, p3, h2)
+        terms *= inv
+        n2, s3 = _sum3(terms), _sum3(terms * inv)
+        # |z| falls as lam grows: the lower end moves to the higher trial below the root, the upper
+        # end to the lower trial past it
+        below = n2 > 1.0
+        k = below[:, 1].view(np.int8)
+        lam_l = np.where(below[:, 0], trial[rows, k], lam_l)
+        n2_l = np.where(below[:, 0], n2[rows, k], n2_l)
+        s3_l = np.where(below[:, 0], s3[rows, k], s3_l)
+        lam_u = np.where(below[:, 1], lam_u, trial[rows, below[:, 0].view(np.int8)])
+        iterations += active
+        active &= lam_u - lam_l > 2.5 * step
+
+    # a last Newton step from the lower end: the dual's error is second order in lam's, z's first
+    lam = np.minimum(np.maximum(lam_l + n2_l * (np.sqrt(n2_l) - 1.0) / s3_l, lam_l), lam_u)
+    terms, inv = _dual_terms(lam[:, None], p3, h2)
+    value = np.sqrt(np.maximum(q_c + lam + _sum3(terms[:, 0]), 0.0))
+
+    zt = ht * inv[:, 0]
+    interior = (lam == 0.0) & (p_max < 0.0)
+    hard = inv[:, 0, 2] == 0.0
+    if hard.any():  # a zero top gap: the top component fills z to the sphere
+        fill = np.where(hard, np.sqrt(np.maximum(1.0 - _sum3(zt * zt), 0.0)), 0.0)
+        zt[:, 2] += np.copysign(fill, ht[:, 2])
+    zsq = _sum3(zt * zt)
+    zt /= np.where(interior, 1.0, np.sqrt(zsq))[:, None]
+    z = _sum3(vecs * zt[:, None, :])
+    u = z / root_e[:, None] + (alpha * _sum3(a * z) - 1.0 / e)[:, None] * a
+    norm_u = np.sqrt(_sum3(u * u))
+    eta_norm = np.where(interior, (_KAPPA * _KAPPA / e) * (1.0 - zsq), 0.0) + _KAPPA_SQ_M1 * norm_u * norm_u
+    params = np.empty((len(r), 3))
+    np.minimum(np.maximum(np.sqrt(eta_norm) / ((1.0 - _sum3(a * u)) + norm_u), SCALE_FLOOR), 1.0, out=params[:, 0])
+    np.arctan2(np.hypot(u[:, 0], u[:, 1]), -u[:, 2], out=params[:, 1])
+    np.arctan2(-u[:, 1], -u[:, 0], out=params[:, 2])
+    params[norm_u == 0.0] = _IDENTITY_BOOST
+    return OneSidedF3(value, params, iterations, ~active)
+
+
+class _Search(NamedTuple):
+    """What a one-sided search found and did, in :class:`OneSidedResult`'s terms."""
+
+    x: tuple[float, float, float]  # the winning (d, theta, phi)
+    value: float
+    converged: bool
+    starts_used: int
+    best_start: int
+    evaluations: int
+
+
+def _nelder_mead_search(
+    r: np.ndarray, party: Party, objective: Objective, starts: int, max_iters: int, seed: int
+) -> _Search:
+    """Multi-start Nelder-Mead over x = (d, theta, phi) on :func:`_search_objective` of the picture ``r``.
+
+    Start 0 is the identity filter, so the result never falls below the
+    unfiltered value; start k draws from ``SeededRng(seed, k)``, and ties
+    resolve to the lowest start index. The search stops early once a start
+    reaches the quantum maximum.
+    """
+    fun = _search_objective(r, party, objective)
     maxval = SQRT2 if objective is Objective.CHSH else SQRT3
-    began = time.perf_counter()
-    fun = _search_objective((to_r_picture(rho) if picture is None else picture).r, party, objective)
     bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
     identity = (1.0, 0.0, 0.0)  # d = 1
     best_x, best_val, best_start = identity, -fun(identity), 0
@@ -394,24 +548,96 @@ def optimize_one_sided(
             best_val, best_x, best_start = -res.fun, res.x, start
         if best_val >= maxval - 1e-12:
             break  # cannot improve on the quantum maximum
+    return _Search(best_x, best_val, converged, start + 1, best_start, evaluations)
+
+
+def optimize_one_sided(
+    rho: DensityMatrix,
+    party: Party,
+    objective: Objective,
+    starts: int = 32,
+    max_iters: int = 500,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    picture: RMatrix | None = None,
+) -> OneSidedResult:
+    """Maximise the filtered CHSH/F3 optimum over one party's filters.
+
+    Both objectives search the Hermitian filters h(d, n) of the module
+    docstring, with d in [SCALE_FLOOR, 1] and n at polar angle theta and
+    azimuth phi. Every filter is a unitary times such an h, and the
+    unitary cannot change the maximum, so the three parameters reach
+    every one-sided value. Both start from rho's correlation picture R:
+    ``picture`` if given (the CLI passes the R its input file gives, which
+    for an R-CSV is the file's own R, not the picture of the rho rebuilt
+    from it), else :func:`hqc.states.to_r_picture` of rho.
+
+    F3 is solved exactly: the result is :func:`one_sided_f3_suprema` of a
+    batch of one, with ``starts_used`` 1, ``best_start`` 0, ``evaluations``
+    its Newton steps on the secular equation and ``converged`` whether
+    their bracket closed. ``starts``, ``max_iters`` and ``seed`` are
+    validated but not used.
+
+    CHSH is searched by multi-start Nelder-Mead
+    (:func:`hqc.neldermead.minimize`, at most ``max_iters >= 1``
+    iterations a start) over x = (d, theta, phi). Start 0 is the identity
+    filter, so the result never falls below the unfiltered value. Start k
+    draws from ``SeededRng(seed, k)``, so a seed must be non-negative, and
+    ties resolve to the lowest start index. The search stops early once a
+    start reaches the quantum maximum; ``starts_used`` counts the starts
+    run, ``evaluations`` their objective evaluations and ``best_start`` is
+    the index of the start whose optimum is reported. Every start
+    minimises :func:`_search_objective`, built once from R. Each
+    evaluation applies the candidate's boost L(d, n) (see the module
+    docstring) to R in Python floats, reads the success probability off
+    the [0, 0] entry, and takes the maximum of the normalised T from
+    :func:`hqc.correlations.chsh_f3_value`, the float rendition of the
+    closed-form B/F3 formula. No density matrix or array is formed during
+    the search; positivity needs no check there, because a filter is a
+    congruence of the already validated rho.
+
+    The winning filter is then applied once through ``apply_one_sided``,
+    whose ``validate_state`` checks the filtered state with ``tol`` (the
+    tolerance rho itself was accepted with), and the value is
+    recomputed from that state's picture by
+    :func:`hqc.correlations.chsh_f3_maxima`; this is the value reported,
+    alongside that filtered state, its picture and its success
+    probability. If it differs from the search's value by more than 1e-9,
+    ``OptimumMismatch`` is raised. ``stage_seconds`` holds the wall
+    seconds of the search or solve (``"search"``) and of this verification
+    (``"verify"``).
+    """
+    if starts < 1:
+        raise DomainError(f"starts must be >= 1, got {starts}")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
+    SeededRng(seed)  # rejects a negative seed, even when no start draws from it
+    began = time.perf_counter()
+    r = (to_r_picture(rho) if picture is None else picture).r
+    if objective is Objective.F3:
+        exact = one_sided_f3_suprema(r[None], party)
+        x = tuple(exact.params[0].tolist())
+        search = _Search(x, float(exact.value[0]), bool(exact.converged[0]), 1, 0, int(exact.iterations[0]))
+    else:
+        search = _nelder_mead_search(r, party, objective, starts, max_iters, seed)
     searched = time.perf_counter()
-    best = LocalFilter(_filter_from_params(best_x))
+    best = LocalFilter(_filter_from_params(search.x))
     filtered, prob = apply_one_sided(rho, best, party, tol)
     picture = to_r_picture(filtered)
     b, f3 = chsh_f3_maxima(picture.t)
     value = float(b if objective is Objective.CHSH else f3)
-    if abs(value - best_val) > 1e-9:
-        raise OptimumMismatch(f"boost value {best_val!r} but the filtered state gives {value!r}")
+    if abs(value - search.value) > 1e-9:
+        raise OptimumMismatch(f"search value {search.value!r} but the filtered state gives {value!r}")
     return OneSidedResult(
         value=value,
         filter=best,
         objective=objective,
         party=party,
-        converged=converged,
-        starts_used=start + 1,
-        best_start=best_start,
-        evaluations=evaluations,
-        at_scale_floor=bool(best_x[0] <= SCALE_FLOOR * 1.01),
+        converged=search.converged,
+        starts_used=search.starts_used,
+        best_start=search.best_start,
+        evaluations=search.evaluations,
+        at_scale_floor=bool(search.x[0] <= SCALE_FLOOR * 1.01),
         filtered_state=filtered,
         filtered_picture=picture,
         success_probability=prob,

@@ -11,7 +11,10 @@ route, so none of them sits in the runtime:
 * :func:`rmatrix_to_csv` writes the correlation-picture CSV that
   ``hqc.serde.rmatrix_from_csv`` reads;
 * :func:`tight_chsh_picture` is the family on which the CHSH maximum meets
-  the conjectured centre bound.
+  the conjectured centre bound;
+* :func:`exact_f3_oracle` solves the one-sided F3 subproblem of
+  ``hqc.filtering.one_sided_f3_suprema`` in 50-digit ``mpmath``, through
+  the ellipsoid's own eigendecomposition and a bisection on the dual.
 
 The CHSH oracle ``hqc.brute_force_chsh`` and its helpers stay in
 ``hqc.correlations``, because the benchmark's scan check imports it from
@@ -22,9 +25,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from hqc.correlations import GRID_DENSITY, REFINE_ITERS, SQRT3, _safe_normalize, _unit, fibonacci_sphere
+from hqc.ellipsoid import Party
 from hqc.errors import DomainError, HqcError
 from hqc.neldermead import minimize
 from hqc.serde import _fmt
@@ -150,3 +155,60 @@ def tight_chsh_picture(c: float) -> RMatrix:
     return RMatrix(
         np.array([[1.0, 0.0, 0.0, c], [0.0, -s, 0.0, 0.0], [0.0, 0.0, -s, 0.0], [0.0, 0.0, 0.0, -(1.0 - c)]])
     )
+
+
+def exact_f3_oracle(r: np.ndarray, party: Party, dps: int = 50):
+    """The one-sided F3 supremum of the 4x4 picture ``r`` over filters with d in [SCALE_FLOOR, 1],
+    solved in ``dps``-digit ``mpmath`` arithmetic from the subproblem's definition.
+
+    C is R for Alice and R^T for Bob; B = sum_j c_j c_j^T - K eta with
+    K = sum_j c_j^T eta c_j, and l = (1 - a . u, u) = e_0 + M u. The quadratic l^T B l is taken
+    to the unit ball through Q = kappa^2 - a a^T's own eigendecomposition, and the trust-region
+    subproblem's maximum is the minimum of its dual D(lam) = lam + sum_i h_i^2 / (lam - p_i) over
+    lam >= max(p_max, 0), located by bisection on the sign of D' = 1 - |z(lam)|^2 (a hard case ends
+    on the interval's lower end). Returns the mpf value of F3.
+    """
+    from hqc.filtering import SCALE_FLOOR
+
+    with mpmath.workdps(dps):
+        c = mpmath.matrix([[mpmath.mpf(x) for x in row] for row in (r if party is Party.A else r.T).tolist()])
+        eta = mpmath.diag([1, -1, -1, -1])
+        cols = [c[:, j] for j in range(4)]
+        k = sum((cols[j].T * eta * cols[j])[0] for j in range(1, 4))
+        b = sum((cols[j] * cols[j].T for j in range(1, 4)), mpmath.zeros(4, 4)) - k * eta
+        a = mpmath.matrix([c[i, 0] for i in range(1, 4)])
+        m = mpmath.zeros(4, 3)
+        for i in range(3):
+            m[0, i] = -a[i]
+            m[i + 1, i] = 1
+        e0 = mpmath.matrix([1, 0, 0, 0])
+        hmat, g, beta = m.T * b * m, m.T * b * e0, (e0.T * b * e0)[0]
+        f = mpmath.mpf(SCALE_FLOOR)
+        kappa = (1 + f * f) / (1 - f * f)
+        # u^T Q u + 2 a . u <= 1 is |Q^(1/2) (u - u_c)| <= rho with u_c = -Q^-1 a, rho^2 = 1 + a^T Q^-1 a
+        qw, qv = mpmath.eigsy(kappa**2 * mpmath.eye(3) - a * a.T)
+        q_inv = qv * mpmath.diag([1 / w for w in qw]) * qv.T
+        u_c = -(q_inv * a)
+        rho = mpmath.sqrt(1 + (a.T * q_inv * a)[0])
+        w = rho * qv * mpmath.diag([1 / mpmath.sqrt(x) for x in qw]) * qv.T
+        pmat = w.T * hmat * w
+        h = w.T * (hmat * u_c + g)
+        q_c = beta + 2 * (g.T * u_c)[0] + (u_c.T * hmat * u_c)[0]
+        p, v = mpmath.eigsy(pmat)
+        ht = v.T * h
+        terms = [(p[i], ht[i] ** 2) for i in range(3)]
+        lo = max(max(p[i] for i in range(3)), mpmath.mpf(0))
+        hi = lo + mpmath.sqrt(sum(x for _, x in terms)) + 1
+
+        def norm_sq(lam):
+            return sum(x / (lam - pi) ** 2 for pi, x in terms if lam > pi)
+
+        for _ in range(4 * dps):
+            mid = (lo + hi) / 2
+            if norm_sq(mid) > 1:
+                lo = mid
+            else:
+                hi = mid
+        lam = hi
+        dual = lam + sum(x / (lam - pi) for pi, x in terms if lam > pi)
+        return mpmath.sqrt(q_c + dual)

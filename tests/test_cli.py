@@ -230,6 +230,19 @@ class TestCertify:
         code, doc = run_cli(capsys, "certify", str(tmp_path / "ket00.json"), "--party", "A", "--objective", "chsh")
         assert doc["witness_degenerate"] is True and doc["certified_inaccessible"] is True
 
+    def test_one_centre_pass_per_party(self, capsys, tmp_path, monkeypatch):
+        # the witness's degeneracy comes from classify's own centre pass, not a second one
+        from hqc import ellipsoid
+
+        calls = []
+        steering = ellipsoid._steering
+        monkeypatch.setattr(ellipsoid, "_steering", lambda r: calls.append(1) or steering(r))
+        path = tmp_path / "point.json"
+        serde.dump_state_json(rho_m(0.0, 0.5), str(path))
+        code, doc = run_cli(capsys, "certify", str(path), "--party", "A", "--objective", "chsh")
+        assert code == 0 and doc["witness_degenerate"] is True
+        assert len(calls) == 2
+
 
 @pytest.mark.usefixtures("recorded_platform")
 class TestReportGoldens:
@@ -649,6 +662,21 @@ class TestFilter:
         out = io.StringIO()
         serde.write_json(expected, out)
         assert captured.out == out.getvalue()
+
+    def test_exact_f3_writes_its_iterations_to_stderr(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        rho = sample_state(SeededRng(1, 4), rank=4)
+        serde.dump_state_json(rho, str(path))
+        assert main(["filter", str(path), "--optimize", "A", "f3", "--starts", "2"]) == 0
+        captured = capsys.readouterr()
+        line = re.fullmatch(
+            r"filter: exact F3 solve, (\d+) secular iterations; search \d+\.\d{6}s; verify \d+\.\d{4}s\n",
+            captured.err,
+        )
+        assert line, captured.err
+        opt = json.loads(captured.out)["optimizer"]
+        assert int(line[1]) == opt["evaluations"] > 0
+        assert (opt["starts_used"], opt["best_start"], opt["converged"], opt["at_scale_floor"]) == (1, 0, True, True)
 
     def test_filter_file_output_is_pinned(self, capsys, tmp_path):
         # stdout of the non-optimising branch, as it was while each report was its own classify call
