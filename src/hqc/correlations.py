@@ -99,8 +99,13 @@ def _cofactors(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def _gram(t: np.ndarray) -> np.ndarray:
-    """The six entries of M = T T^T, held as (6, n), of T held as (3, 3, n)."""
+def gram_entries(t: np.ndarray) -> np.ndarray:
+    """The six entries of M = T T^T, held as (6, n), of a (..., 3, 3) stack of float
+    correlation matrices: the step of :func:`chsh_f3_maxima` that reads T. Every later
+    step reads M alone, through :func:`gram_maxima`, so a caller may drop T first."""
+    # components first and the stack last (a view), so that every ufunc loops over the stack;
+    # sums of three terms are written out, which fixes their order whatever the stack's length
+    t = t.reshape(-1, 3, 3).transpose(1, 2, 0)
     prod = np.empty((6,) + t.shape[1:])
     np.multiply(t, t, prod[:3])
     np.multiply(t[:1], t[1:], prod[3:5])
@@ -195,18 +200,24 @@ def chsh_f3_maxima(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Against 50-digit references both branches hold B and F3 to a relative
     1e-15 (``tests/test_correlations.py::TestPrecisionOracle``). Every step
     is elementwise on the stack, so each row's bits do not depend on the
-    rest of the stack. :func:`chsh_f3_value` is the same arithmetic on
-    Python floats, for the optimiser's objective.
+    rest of the stack. The work is :func:`gram_entries`, then
+    :func:`gram_maxima` on its output; the sweep calls the two apart, so
+    that it holds no picture through the second. :func:`chsh_f3_value` is
+    the same arithmetic on Python floats, for the optimiser's objective.
     """
     t = np.asarray(t, dtype=float)
     shape = t.shape[:-2]
-    # components first and the stack last (a view), so that every ufunc loops over the stack;
-    # sums of three terms are written out, which fixes their order whatever the stack's length
-    m = _gram(t.reshape(-1, 3, 3).transpose(1, 2, 0))
+    b, f3 = gram_maxima(gram_entries(t))
+    return b.reshape(shape), f3.reshape(shape)
+
+
+def gram_maxima(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B and F3 of each column of M = T T^T held as (6, n) (:func:`gram_entries`): every
+    step of :func:`chsh_f3_maxima` after the Gram matrix, as (n,) arrays."""
     tr, neg, l = _trigonometric(m)
     b2 = l + _deflated_mid(m, l)  # every row is deflated; where r < 0, l is l_min and b2 is tr - l
     np.subtract(tr, l, out=b2, where=neg)
-    return np.sqrt(b2).reshape(shape), np.sqrt(tr).reshape(shape)
+    return np.sqrt(b2), np.sqrt(tr)
 
 
 def chsh_f3_value(t, chsh: bool) -> float:

@@ -8,17 +8,21 @@ sample that violates the conjectured bounds. A violation would falsify the
 conjecture, so it is first-class data: the full state is serialised rather
 than discarded.
 
-The chunk is the unit of random draws and of merging: sampling is
+The chunk is the unit of random streams and of merging: sampling is
 partitioned into fixed-size chunks, one deterministic RNG stream per chunk,
 and merging uses only associative max/sum reductions, so results are
 independent of worker count and scheduling. The tile is the unit of
-compute: a chunk's statistics, binning and violation scan run on
-consecutive tiles of ``_TILE`` states. Every numpy call on a tile costs a
-fixed dispatch, paid under the GIL when workers run as threads, so a larger
-tile means fewer calls per state; the tile's temporaries are kept to a few
-MB. Each row's bits do not depend on the rest of its tile, and each tile is
-folded into its chunk's bins with the same max/sum reductions, so tiling
-changes no output.
+compute, and of the draws that need not be whole: a chunk draws its
+factors' real parts at once, as its stream orders them, and each tile of
+``_TILE`` states then draws its imaginary parts into one reused tile-sized
+buffer, masks both parts by rank, and is computed, binned and scanned
+before the next (:func:`hqc.states.ginibre_tiles`). A worker so holds one
+chunk-sized array, not three, and frees no chunk-sized memory between
+tiles. Every numpy call on a tile costs a fixed dispatch, so a larger tile
+means fewer calls per state; the tile's temporaries are kept to a few MB.
+Each row's bits do not depend on the rest of its tile, each tile consumes
+the stream the whole chunk would, and each tile is folded into its chunk's
+bins with the same max/sum reductions, so tiling changes no output.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlations import chsh_f3_maxima
+from .correlations import gram_entries, gram_maxima
 from .criteria import Thresholds, conjecture_bound_chsh
 from .ellipsoid import Party, centre_magnitudes
 from .errors import DomainError
-from .states import SeededRng, ginibre_factors, pictures_from_factors, states_from_factors
+from .states import SeededRng, ginibre_tiles, pictures_from_factors, states_from_factors
 
 VIOLATION_TOL = 1e-9  # margin a sample must exceed a bound by to count as a violation
 
@@ -42,7 +46,7 @@ DEFAULT_RANK_MIX = (0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 STAGES = ("draw", "stats", "bin", "violation_scan")  # the timed stages of a chunk, in order
 
-_TILE = 8192  # states per compute tile; one tile's sweep_stats peaks at 3.2 MB (tracemalloc)
+_TILE = 8192  # states per compute tile; one tile's sweep_stats peaks at 3.15 MB (tracemalloc)
 
 
 @dataclass(frozen=True)
@@ -146,12 +150,15 @@ def sweep_stats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     G or rho. Returns ``(b, f3, c, ok)``, with :func:`hqc.ellipsoid.centre_magnitudes`'
     (2, n) magnitudes and masks in party order (A, B); ``ok`` marks samples whose steering
     party has a non-pure marginal, the only ones binned and scanned. The B/F3 and centre
-    formulas are the batched ones of the scalar API. A sweep calls it once per tile and
-    bins and scans that tile's statistics before the next.
+    formulas are the batched ones of the scalar API: the centres are taken first, then
+    T T^T, and R is dropped before B/F3's eigenvalue stage. A sweep calls it once per tile
+    and bins and scans that tile's statistics before the next.
     """
     r = pictures_from_factors(x, y)
-    b, f3 = chsh_f3_maxima(r[:, 1:, 1:])
-    return (b, f3, *centre_magnitudes(r))
+    c, ok = centre_magnitudes(r)
+    m = gram_entries(r[:, 1:, 1:])
+    del r  # B/F3 read only M from here on: R is not held through the deflation, a tile's peak memory
+    return (*gram_maxima(m), c, ok)
 
 
 def _empty_bins(bins: int) -> Bins:
@@ -222,26 +229,28 @@ def _timed(seconds: dict, stage: str):
 
 
 def _run_chunk(config: SweepConfig, chunk_index: int) -> tuple[Bins, list[Violation], dict]:
-    """Draw one chunk, then compute, bin and scan it tile by tile. Returns its bins,
-    its violations and its wall seconds per stage."""
+    """Draw one chunk tile by tile, and compute, bin and scan each tile before the next
+    is drawn. Returns its bins, its violations and its wall seconds per stage; ``draw``
+    sums the chunk's real parts and every tile's imaginary parts."""
     start = chunk_index * config.chunk_size
     count = min(config.chunk_size, config.n - start)
     seconds = dict.fromkeys(STAGES, 0.0)
     with _timed(seconds, "draw"):
         gen = SeededRng(config.seed, chunk_index).generator()
         mix = np.asarray(config.rank_mix, dtype=float)
-        x, y = ginibre_factors(gen, gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum()))
+        tiles = ginibre_tiles(gen, gen.choice(np.arange(1, 5), size=count, p=mix / mix.sum()), _TILE)
     bins = _empty_bins(config.bins)
     violations = []
     for lo in range(0, count, _TILE):
-        tile = slice(lo, lo + _TILE)
+        with _timed(seconds, "draw"):
+            x, y = next(tiles)  # the first tile draws the chunk's real parts; each draws its own y
         with _timed(seconds, "stats"):
-            stats = sweep_stats(x[tile], y[tile])
+            stats = sweep_stats(x, y)
         b, f3, c, ok = stats
         with _timed(seconds, "bin"):
             _bin_side(bins, c, ok, b, f3)
         with _timed(seconds, "violation_scan"):
-            violations += _violations_in_chunk(config, start + lo, x[tile], y[tile], stats)
+            violations += _violations_in_chunk(config, start + lo, x, y, stats)
         del stats, b, f3, c, ok  # not held while the next tile is computed
     return bins, violations, seconds
 

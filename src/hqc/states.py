@@ -276,20 +276,38 @@ def pauli_expansion(r: np.ndarray) -> np.ndarray:
 _RANK_COLUMNS = np.arange(16) % 4 < np.arange(5)[:, None]
 
 
+def ginibre_tiles(gen: np.random.Generator, ranks: np.ndarray, tile: int):
+    """The Ginibre factors G = x + i y of :func:`ginibre_factors`, one (4, 4) matrix per
+    entry of ``ranks``, yielded as (x, y) parts of consecutive tiles of ``tile`` samples.
+
+    The stream is the whole batch's: all real parts are drawn at once, straight into one
+    (n, 4, 4) array, and each tile's imaginary parts are drawn when that tile is asked
+    for, into one tile-sized buffer that every tile reuses. A yielded ``y`` is therefore
+    overwritten by the next tile's. Each tile's columns from its ranks on are zeroed in
+    both parts. A batch of none is one empty tile.
+    """
+    n = len(ranks)
+    x = np.empty((n, 4, 4))
+    gen.standard_normal(out=x)
+    y = np.empty((min(tile, n), 4, 4))
+    for lo in range(0, max(n, 1), tile):
+        x_t = x[lo : lo + tile]
+        y_t = y[: len(x_t)]
+        gen.standard_normal(out=y_t)
+        keep = _RANK_COLUMNS[ranks[lo : lo + tile]]  # one contiguous row per sample, not a broadcast (n, 1, 4) mask
+        for part in (x_t.reshape(-1, 16), y_t.reshape(-1, 16)):
+            part *= keep
+        yield x_t, y_t
+
+
 def ginibre_factors(gen: np.random.Generator, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts (x, y) of Ginibre factors G = x + i y, one (4, 4)
-    matrix per entry of ``ranks``, with the columns from each rank on zeroed. Every
-    sample consumes 32 standard normals whatever its rank, so mixed-rank streams
-    stay aligned and reproducible: all real parts are drawn before all imaginary
-    parts, straight into the two (n, 4, 4) arrays, with no temporary."""
-    x = np.empty((len(ranks), 4, 4))
-    y = np.empty_like(x)
-    gen.standard_normal(out=x)
-    gen.standard_normal(out=y)
-    keep = _RANK_COLUMNS[ranks]  # (n, 16): one contiguous row per sample, not a broadcast (n, 1, 4) mask
-    for part in (x.reshape(-1, 16), y.reshape(-1, 16)):
-        part *= keep
-    return x, y
+    matrix per entry of ``ranks``, with the columns from each rank on zeroed: the one
+    tile of :func:`ginibre_tiles`. Every sample consumes 32 standard normals whatever
+    its rank, so mixed-rank streams stay aligned and reproducible: all real parts are
+    drawn before all imaginary parts, straight into the two (n, 4, 4) arrays, with no
+    temporary."""
+    return next(ginibre_tiles(gen, ranks, max(len(ranks), 1)))
 
 
 def states_from_factors(g: np.ndarray) -> np.ndarray:

@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 import hqc.criteria as criteria_mod
 import hqc.filtering as filtering_mod
 from hqc import (
+    PAULI_KRON,
     ComplexSpectrum,
     DegenerateNormalForm,
     DomainError,
+    LocalFilter,
     Objective,
     Party,
     RMatrix,
     SeededRng,
     Thresholds,
+    apply_one_sided,
     chsh_max,
     classify,
     classify_batch,
@@ -28,6 +31,7 @@ from hqc import (
     from_r_picture,
     hidden_chsh,
     hidden_f3,
+    one_sided_f3_suprema,
     optimize_one_sided,
     ppt_entangled,
     rho_m,
@@ -103,6 +107,89 @@ class TestTightChshFamily:
         above = classify(tight_chsh_picture(0.5 + 1e-9))
         assert "A_INACCESSIBLE_CHSH" not in below.flags
         assert "A_INACCESSIBLE_CHSH" in above.flags
+
+
+def _f3_bound_on_tight_family(c):
+    """f_F3(c) = sqrt(1 + (2 - 3c)^2 / (2 - 2c - c^2)), the one-sided F3 supremum of R(c) for c <= 2/3."""
+    return np.sqrt(1.0 + (2.0 - 3.0 * c) ** 2 / (2.0 - 2.0 * c - c * c))
+
+
+def _alice_filter_f3_squared(c, d):
+    """F3^2 = 1 + d^2 [(8 - 12c) - 4c(1 - c) d^2] / (1 + d^2)^2 of R(c) after Alice's filter diag(d, 1),
+    in the arithmetic of its arguments (floats or mpmath numbers)."""
+    d2 = d * d
+    return 1 + d2 * ((8 - 12 * c) - 4 * c * (1 - c) * d2) / (1 + d2) ** 2
+
+
+def _filtered_f3_squared_50_digits(c, d):
+    """F3^2 of R(c) after Alice's filter diag(d, 1), by the density route in 50-digit mpmath:
+    rho = (1/4) sum R_ij sigma_i (x) sigma_j, then K rho K / Tr with K = diag(d, d, 1, 1)."""
+    with mpmath.workdps(50):
+        c, d = mpmath.mpf(c), mpmath.mpf(d)
+        s = mpmath.sqrt(1 - c)
+        r = [[1, 0, 0, c], [0, -s, 0, 0], [0, 0, -s, 0], [0, 0, 0, -(1 - c)]]
+        pauli = [[mpmath.matrix(PAULI_KRON[i, j].tolist()) for j in range(4)] for i in range(4)]  # exact entries
+        rho = sum((r[i][j] * pauli[i][j] for i in range(4) for j in range(4)), mpmath.zeros(4, 4)) / 4
+        k = mpmath.diag([d, d, 1, 1])
+        rho = k * rho * k
+        tr = sum(rho[a, a] for a in range(4))
+        return sum(
+            mpmath.re(sum((pauli[i][j] * rho)[a, a] for a in range(4)) / tr) ** 2 for i in range(1, 4) for j in range(1, 4)
+        )
+
+
+class TestKnownF3Counterexample:
+    """A known counterexample to the F3 literal 0.66 of ``Thresholds.c_f3``, pinned as the program
+    stands: these tests record that the certificate is refuted, and do not require it to be.
+
+    On R(c) (:func:`support.tight_chsh_picture`, c_B = c), Alice's filter diag(d, 1) gives exactly
+    F3(d)^2 = 1 + d^2 [(8 - 12c) - 4c(1 - c) d^2] / (1 + d^2)^2, whose maximum over d is f_F3(c) =
+    sqrt(1 + (2 - 3c)^2 / (2 - 2c - c^2)) > 1 for every c < 2/3. So for c_B in (0.66, 2/3) the
+    report's A_INACCESSIBLE_F3 sits next to a filter that reveals F3 > 1, and ``rho_qd``, on whose
+    Alice orbit R(c_B) lies, is certified F3-inaccessible by both parties for p in (0.5, 0.50746],
+    although either party alone reaches F3 > 1.
+
+    Measured: the filtered state's F3 within 2.2e-16 of the closed form and 2.5e-16 of the 50-digit
+    value, the closed form within 5.4e-51 of the 50-digit value, and the exact solve within 4.4e-16
+    of f_F3 on c in [0, 0.66].
+    """
+
+    def test_alice_filter_closed_form(self):
+        for c in np.linspace(0.0, 0.66, 12).tolist():
+            rho = from_r_picture(tight_chsh_picture(c))
+            for d in (1.0, 0.5, 0.2, 0.05, 0.01):
+                filtered, _ = apply_one_sided(rho, LocalFilter(np.diag([d, 1.0])), Party.A)
+                f3 = float(chsh_f3_maxima(to_r_picture(filtered).t)[1])
+                assert abs(f3 - math.sqrt(_alice_filter_f3_squared(c, d))) <= 1e-15
+                with mpmath.workdps(50):
+                    reference = _filtered_f3_squared_50_digits(c, d)
+                    closed = _alice_filter_f3_squared(mpmath.mpf(c), mpmath.mpf(d))
+                    assert abs(closed - reference) <= mpmath.mpf("1e-45")
+                    assert abs(f3 - mpmath.sqrt(reference)) <= 1e-15
+
+    def test_exact_solve_is_the_closed_form_supremum(self):
+        c = np.linspace(0.0, 0.66, 67)
+        exact = one_sided_f3_suprema(np.stack([tight_chsh_picture(x).r for x in c.tolist()]), Party.A)
+        assert exact.converged.all()
+        assert np.abs(exact.value - _f3_bound_on_tight_family(c)).max() <= 1e-15
+
+    def test_certified_tight_family_state_reaches_f3_above_one(self):
+        r = tight_chsh_picture(0.661)
+        assert "A_INACCESSIBLE_F3" in classify(r).flags
+        res = optimize_one_sided(from_r_picture(r), Party.A, Objective.F3, picture=r)
+        assert res.value > 1.0 + 1e-4
+        assert res.value == pytest.approx(_f3_bound_on_tight_family(0.661), abs=1e-12)
+
+    def test_certified_quasi_distillable_state_reaches_f3_above_one(self):
+        p = 0.505
+        rho = rho_qd(p)
+        report = classify(to_r_picture(rho))
+        assert "AB_INACCESSIBLE_F3" in report.flags and report.f3 < 1.0
+        c_b = 2.0 * (1.0 - p) / (2.0 - p)  # the closed-form QD centre
+        for party in Party:
+            value = optimize_one_sided(rho, party, Objective.F3).value
+            assert value > 1.0 + 1e-4, party
+            assert value == pytest.approx(_f3_bound_on_tight_family(c_b), abs=1e-9), party
 
 
 class TestThresholds:

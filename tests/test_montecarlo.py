@@ -23,6 +23,7 @@ from hqc.states import (
     DensityMatrix,
     SeededRng,
     ginibre_factors,
+    ginibre_tiles,
     pictures_from_factors,
     states_from_factors,
     to_r_picture,
@@ -274,13 +275,30 @@ class TestTiledChunk:
             assert part.shape == (1000, 4, 4) and part.flags["C_CONTIGUOUS"]
             assert part.tobytes() == (gen.standard_normal((1000, 4, 4)) * keep).tobytes()
 
+    def test_streamed_tiles_are_the_whole_draw(self):
+        # the real parts are drawn whole and each tile's imaginary parts when it is asked for,
+        # into one reused buffer: tile by tile, the bits of one whole-batch draw, uneven last
+        # tile included; a batch of none is one empty tile
+        ranks = SeededRng(5, 0).generator().integers(1, 5, size=10_000)
+        x, y = ginibre_factors(SeededRng(6, 0).generator(), ranks)
+        lo = 0
+        for x_t, y_t in ginibre_tiles(SeededRng(6, 0).generator(), ranks, 4096):
+            hi = lo + len(x_t)
+            assert (x_t.tobytes(), y_t.tobytes()) == (x[lo:hi].tobytes(), y[lo:hi].tobytes())
+            lo = hi
+        assert lo == 10_000
+        empty = ginibre_factors(SeededRng(6, 0).generator(), ranks[:0])
+        assert [part.shape for part in empty] == [(0, 4, 4), (0, 4, 4)]
+
     def test_one_chunk_peak_memory(self):
         # 59 MB before tiling (G built from two complex temporaries, whole-chunk
         # rho, Pauli product and R); 25.7 MB with 4,096-state tiles; 22.4 MB with
         # the factor parts drawn in place (no 8.4 MB draw temporary) and each
-        # tile's R built from them (no complex rho); 20.2 MB with each tile binned
-        # on its own (no whole-chunk statistic arrays). The bound is that
-        # measurement plus 1.4 MB (7 %), below the 22.4 MB of whole-chunk binning.
+        # tile's R built from them (no complex rho); 20.05 MB with each tile binned
+        # on its own (no whole-chunk statistic arrays); 13.27 MB with the imaginary
+        # parts drawn and both parts masked a tile at a time (no 8.4 MB chunk-sized
+        # y, no 1 MB chunk-sized mask). The bound is that measurement plus 0.93 MB
+        # (7 %), below the 20.05 MB of a whole-chunk y.
         run_sweep(SweepConfig(n=1000, seed=1))  # first-call allocations stay outside the measurement
         tracemalloc.start()
         try:
@@ -288,14 +306,15 @@ class TestTiledChunk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 21.6e6
+        assert peak < 14.2e6
 
     def test_one_tile_peak_memory(self):
-        # one full tile's sweep_stats peaks at 3.24 MB with 8,192 states, in B/F3's deflation
-        # while R is held; the Pauli map's stage reaches 3.15 MB. Before, the transposed factor
-        # parts, the (2, 4, 4, n) product buffer, the [c; -c] stack and B/F3's nine-entry
-        # temporaries made it 5.39 MB at 8,192 states (2.69 MB at 4,096). The bound is the
-        # measurement plus 0.21 MB (6 %).
+        # one full tile's sweep_stats peaks at 3.15 MB with 8,192 states, in the Pauli map's
+        # stage. It peaked at 3.24 MB in B/F3's deflation while R was held; R is now dropped
+        # after the centres and T T^T, and the deflation reaches 2.34 MB. Before that, the
+        # transposed factor parts, the (2, 4, 4, n) product buffer, the [c; -c] stack and B/F3's
+        # nine-entry temporaries made it 5.39 MB at 8,192 states (2.69 MB at 4,096). The bound
+        # is the measurement plus 0.20 MB (6 %).
         x, y = ginibre_factors(SeededRng(1, 0).generator(), np.full(_TILE, 4))
         sweep_stats(x[:8], y[:8])  # first-call allocations stay outside the measurement
         tracemalloc.start()
@@ -304,7 +323,7 @@ class TestTiledChunk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.45e6
+        assert peak < 3.35e6
 
     def test_stage_seconds_are_summed_and_not_data(self):
         summary = run_sweep(SweepConfig(n=10_000, seed=4, chunk_size=4000))
