@@ -93,7 +93,6 @@ _KAPPA = (1.0 + SCALE_FLOOR**2) / (1.0 - SCALE_FLOOR**2)
 _KAPPA_SQ_M1 = (2.0 * SCALE_FLOOR / (1.0 - SCALE_FLOOR**2)) ** 2
 _EPS = float(np.finfo(float).eps)
 _EYE3 = np.eye(3)
-_PLUS_MINUS = np.array([-1.0, 1.0])  # the secular solve's trials, in steps from its Newton point
 _IDENTITY_BOOST = np.array([1.0, 0.0, 0.0])  # (d, theta, phi) of the identity filter
 
 
@@ -344,10 +343,10 @@ def _sum3(x: np.ndarray) -> np.ndarray:
 
 
 def _dual_terms(lam: np.ndarray, p: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For multipliers ``lam`` (n, k) and P's eigenvalues ``p`` and squared components ``h2``
-    (n, 1, 3): the terms h_i^2 / (lam - p_i) of the dual and the inverse gaps 1 / (lam - p_i),
-    both (n, k, 3), with a zero gap's term and inverse set to 0 (its h_i is 0 in a hard case)."""
-    gap = lam[..., None] - p
+    """For multipliers ``lam`` (n,) and P's eigenvalues ``p`` and squared components ``h2``
+    (n, 3): the terms h_i^2 / (lam - p_i) of the dual and the inverse gaps 1 / (lam - p_i),
+    both (n, 3), with a zero gap's term and inverse set to 0 (its h_i is 0 in a hard case)."""
+    gap = lam[:, None] - p
     inv = 1.0 / np.where(gap > 0.0, gap, np.inf)
     return h2 * inv, inv
 
@@ -357,8 +356,8 @@ class OneSidedF3(NamedTuple):
 
     value: np.ndarray  # (n,) the supremum of F3 over the party's filters with d in [SCALE_FLOOR, 1]
     params: np.ndarray  # (n, 3) the boost (d, theta, phi) that attains it
-    iterations: np.ndarray  # (n,) Newton steps on the secular equation (0 where no root was needed)
-    converged: np.ndarray  # (n,) the secular root's bracket closed
+    iterations: np.ndarray  # (n,) Newton steps taken on the secular equation (0 where none moved lam)
+    converged: np.ndarray  # (n,) Newton stopped within SECULAR_MAX_ITERS steps
 
 
 def one_sided_f3_suprema(r: np.ndarray, party: Party) -> OneSidedF3:
@@ -403,19 +402,18 @@ def one_sided_f3_suprema(r: np.ndarray, party: Party) -> OneSidedF3:
     * otherwise lam is the root of the secular equation 1 / |z(lam)| = 1.
       No root lies below max(0, max_i p_i + |h_i|), where Newton starts:
       1 / |z| is concave, so Newton from below climbs to the root without
-      passing it. Each step also tries the points a little either side of
-      its Newton point (1e-4 of the top gap lam - p_max, and at least 64
-      ulp of lam and of the spectrum's width), which closes the root's
-      bracket once Newton has come that close; a last Newton step from
-      the bracket's lower end squares the error that remains.
+      passing it, and every iterate has |z| >= 1. A row takes each
+      positive step and stops after one of at most 4 ulp of
+      |lam| + lam - p_min (a scale that also stops a root near 0), or at
+      a step that is not positive.
 
     The value is D at that lam, whose error is second order in lam's, and
     z(lam), scaled onto the sphere unless the optimum is interior, gives
     the boost: d^2 = l^T eta l / (l_0 + |u|)^2 and n = -u / |u| (the
     identity, d = 1 and theta = phi = 0, at u = 0). Every sum is written
-    term by term, the eigensolve runs per matrix, and a row that is done
-    repeats its last evaluation while others iterate, so a row's bits do
-    not depend on its batch. A Bloch vector with |a|^2 >= kappa^2
+    term by term, the eigensolve runs per matrix, and a row that has
+    stopped keeps its lam while others iterate, so a row's bits do not
+    depend on its batch. A Bloch vector with |a|^2 >= kappa^2
     (an input far outside the state space) raises DomainError.
     """
     c = r if party is Party.A else r.swapaxes(-1, -2)
@@ -441,52 +439,31 @@ def one_sided_f3_suprema(r: np.ndarray, party: Party) -> OneSidedF3:
 
     p, vecs = np.linalg.eigh(pmat)  # ascending
     ht = _sum3(vecs.swapaxes(-1, -2) * h[:, None, :])
-    p3, h2 = p[:, None, :], (ht * ht)[:, None, :]
-    p_max = p[:, 2]
-    # each term of |z|^2 is at most 1 at the root, and |z| <= |h| / (lam - p_max)
-    lam_l = np.maximum(np.maximum.reduce(p + np.abs(ht), axis=-1), np.maximum(p_max, 0.0))
-    lam_u = np.maximum(p_max, 0.0) + np.sqrt(_sum3(h2[:, 0]))
-    # the trials' offset from a Newton point: 1e-4 of the top gap (the last Newton step squares the
-    # error), and at least 64 ulp of lam and of the spectrum's width
-    step = np.maximum(64.0 * _EPS * (np.abs(lam_u) + (lam_u - p[:, 0])), 1e-4 * (lam_l - p_max))
-    offsets = step[:, None] * _PLUS_MINUS
-    terms, inv = _dual_terms(lam_l[:, None], p3, h2)
-    terms *= inv
-    n2_l, s3_l = _sum3(terms)[:, 0], _sum3(terms * inv)[:, 0]
-    active = n2_l > 1.0
-    lam_u = np.where(active, lam_u, lam_l)
-    s3_l = np.where(active, s3_l, 1.0)
+    h2 = ht * ht
+    # each term of |z|^2 is at most 1 at the root, so Newton starts below it
+    lam = np.maximum(np.maximum.reduce(p + np.abs(ht), axis=-1), 0.0)
+    active = np.ones(len(r), dtype=bool)
     iterations = np.zeros(len(r), dtype=np.int64)
-    rows = np.arange(len(r))
     for _ in range(SECULAR_MAX_ITERS):
+        terms, inv = _dual_terms(lam, p, h2)
+        zsq_terms = terms * inv
+        n2, s3 = _sum3(zsq_terms), _sum3(zsq_terms * inv)
+        # Newton on 1 / |z| - 1 (s3 is 0 only where z is, whose step is then 0); a row stops, and
+        # keeps its bits, after a step of a few ulp or none
+        step = n2 * (np.sqrt(n2) - 1.0) / np.where(s3 > 0.0, s3, 1.0)
+        active &= step > 0.0
         if not active.any():
             break
-        # Newton on 1 / |z| - 1 from the lower end, and a trial a step either side of its point; a
-        # row that is done tries its lower end again, which moves none of its bits
-        newton = np.minimum(lam_l + n2_l * (np.sqrt(n2_l) - 1.0) / s3_l, lam_u)
-        trial = np.where(active[:, None], np.maximum(newton[:, None] + offsets, lam_l[:, None]), lam_l[:, None])
-        terms, inv = _dual_terms(trial, p3, h2)
-        terms *= inv
-        n2, s3 = _sum3(terms), _sum3(terms * inv)
-        # |z| falls as lam grows: the lower end moves to the higher trial below the root, the upper
-        # end to the lower trial past it
-        below = n2 > 1.0
-        k = below[:, 1].view(np.int8)
-        lam_l = np.where(below[:, 0], trial[rows, k], lam_l)
-        n2_l = np.where(below[:, 0], n2[rows, k], n2_l)
-        s3_l = np.where(below[:, 0], s3[rows, k], s3_l)
-        lam_u = np.where(below[:, 1], lam_u, trial[rows, below[:, 0].view(np.int8)])
+        lam = np.where(active, lam + step, lam)
         iterations += active
-        active &= lam_u - lam_l > 2.5 * step
+        active &= step > 4.0 * _EPS * (np.abs(lam) + (lam - p[:, 0]))
+    else:  # the cap came after a step: evaluate where it led
+        terms, inv = _dual_terms(lam, p, h2)
+    value = np.sqrt(np.maximum(q_c + lam + _sum3(terms), 0.0))
 
-    # a last Newton step from the lower end: the dual's error is second order in lam's, z's first
-    lam = np.minimum(np.maximum(lam_l + n2_l * (np.sqrt(n2_l) - 1.0) / s3_l, lam_l), lam_u)
-    terms, inv = _dual_terms(lam[:, None], p3, h2)
-    value = np.sqrt(np.maximum(q_c + lam + _sum3(terms[:, 0]), 0.0))
-
-    zt = ht * inv[:, 0]
-    interior = (lam == 0.0) & (p_max < 0.0)
-    hard = inv[:, 0, 2] == 0.0
+    zt = ht * inv
+    interior = (lam == 0.0) & (p[:, 2] < 0.0)
+    hard = inv[:, 2] == 0.0
     if hard.any():  # a zero top gap: the top component fills z to the sphere
         fill = np.where(hard, np.sqrt(np.maximum(1.0 - _sum3(zt * zt), 0.0)), 0.0)
         zt[:, 2] += np.copysign(fill, ht[:, 2])
@@ -575,7 +552,7 @@ def optimize_one_sided(
     F3 is solved exactly: the result is :func:`one_sided_f3_suprema` of a
     batch of one, with ``starts_used`` 1, ``best_start`` 0, ``evaluations``
     its Newton steps on the secular equation and ``converged`` whether
-    their bracket closed. ``starts``, ``max_iters`` and ``seed`` are
+    they stopped within the cap. ``starts``, ``max_iters`` and ``seed`` are
     validated but not used.
 
     CHSH is searched by multi-start Nelder-Mead

@@ -12,9 +12,11 @@ route, so none of them sits in the runtime:
   ``hqc.serde.rmatrix_from_csv`` reads;
 * :func:`tight_chsh_picture` is the family on which the CHSH maximum meets
   the conjectured centre bound;
-* :func:`exact_f3_oracle` solves the one-sided F3 subproblem of
+* :func:`exact_f3_solution` solves the one-sided F3 subproblem of
   ``hqc.filtering.one_sided_f3_suprema`` in 50-digit ``mpmath``, through
-  the ellipsoid's own eigendecomposition and a bisection on the dual.
+  the ellipsoid's own eigendecomposition and a bisection on the dual, and
+  gives its value, its secular root and its boost direction;
+  :func:`exact_f3_oracle` is its value.
 
 The CHSH oracle ``hqc.brute_force_chsh`` and its helpers stay in
 ``hqc.correlations``, because the benchmark's scan check imports it from
@@ -159,14 +161,23 @@ def tight_chsh_picture(c: float) -> RMatrix:
 
 def exact_f3_oracle(r: np.ndarray, party: Party, dps: int = 50):
     """The one-sided F3 supremum of the 4x4 picture ``r`` over filters with d in [SCALE_FLOOR, 1],
-    solved in ``dps``-digit ``mpmath`` arithmetic from the subproblem's definition.
+    solved in ``dps``-digit ``mpmath`` arithmetic: the value of :func:`exact_f3_solution`."""
+    return exact_f3_solution(r, party, dps)[0]
+
+
+def exact_f3_solution(r: np.ndarray, party: Party, dps: int = 50):
+    """The one-sided F3 supremum of the 4x4 picture ``r`` over filters with d in [SCALE_FLOOR, 1],
+    the secular root lam and the boost direction n that attain it, solved in ``dps``-digit
+    ``mpmath`` arithmetic from the subproblem's definition.
 
     C is R for Alice and R^T for Bob; B = sum_j c_j c_j^T - K eta with
     K = sum_j c_j^T eta c_j, and l = (1 - a . u, u) = e_0 + M u. The quadratic l^T B l is taken
     to the unit ball through Q = kappa^2 - a a^T's own eigendecomposition, and the trust-region
     subproblem's maximum is the minimum of its dual D(lam) = lam + sum_i h_i^2 / (lam - p_i) over
     lam >= max(p_max, 0), located by bisection on the sign of D' = 1 - |z(lam)|^2 (a hard case ends
-    on the interval's lower end). Returns the mpf value of F3.
+    on the interval's lower end, where z's top component, taken with the sign of h's, fills it to
+    the sphere). z(lam), scaled onto the sphere unless the optimum is interior, gives u, and
+    n = -u / |u|. Returns the mpf value of F3, lam and n as a 3-list of mpf (None where u = 0).
     """
     from hqc.filtering import SCALE_FLOOR
 
@@ -203,12 +214,23 @@ def exact_f3_oracle(r: np.ndarray, party: Party, dps: int = 50):
         def norm_sq(lam):
             return sum(x / (lam - pi) ** 2 for pi, x in terms if lam > pi)
 
+        root_at_lo = norm_sq(lo) <= 1
         for _ in range(4 * dps):
             mid = (lo + hi) / 2
             if norm_sq(mid) > 1:
                 lo = mid
             else:
                 hi = mid
-        lam = hi
+        lam = lo if root_at_lo else hi
         dual = lam + sum(x / (lam - pi) for pi, x in terms if lam > pi)
-        return mpmath.sqrt(q_c + dual)
+        zt = [ht[i] / (lam - p[i]) if lam > p[i] else mpmath.mpf(0) for i in range(3)]
+        top = max(range(3), key=lambda i: p[i])
+        if not root_at_lo:  # on the sphere
+            scale = mpmath.sqrt(sum(x * x for x in zt))
+            zt = [x / scale for x in zt]
+        elif lam == p[top]:  # the hard case; otherwise the optimum is interior
+            zt[top] = (1 if ht[top] >= 0 else -1) * mpmath.sqrt(max(1 - sum(x * x for x in zt), 0))
+        u = u_c + w * (v * mpmath.matrix(zt))
+        norm_u = mpmath.sqrt(sum(u[i] ** 2 for i in range(3)))
+        n = None if norm_u == 0 else [-u[i] / norm_u for i in range(3)]
+        return mpmath.sqrt(q_c + dual), lam, n

@@ -268,6 +268,34 @@ class TestReportGoldens:
         assert capsys.readouterr().out == (GOLDEN / f"{argv[0]}_{state}{suffix}.json").read_text()
 
 
+@pytest.mark.usefixtures("recorded_platform")
+class TestKnownF3CounterexampleGoldens:
+    """stdout of ``hqc filter --optimize X f3`` on the known counterexamples to the F3 literal 0.66,
+    byte for byte, recorded while the exact F3 solve still bracketed its secular root: R(0.661)
+    as an R-CSV with ``repr`` entries, and ``rho_qd(0.505)`` as a state JSON. Each run is pinned
+    as the program stands, not as a requirement: its value exceeds 1 while its ``before`` report
+    certifies the party's F3 inaccessible. The platform guard is that of ``TestOutputBitPins``."""
+
+    @pytest.mark.parametrize(
+        "state_file, fmt, party, flag",
+        [
+            ("tight_chsh_0_661.rcsv", "rcsv", "A", "A_INACCESSIBLE_F3"),
+            ("rho_qd_0_505.json", "json", "A", "AB_INACCESSIBLE_F3"),
+            ("rho_qd_0_505.json", "json", "B", "AB_INACCESSIBLE_F3"),
+        ],
+        ids=["tight_chsh_0_661_A", "rho_qd_0_505_A", "rho_qd_0_505_B"],
+    )
+    def test_stdout(self, capsys, monkeypatch, state_file, fmt, party, flag):
+        monkeypatch.delenv("HQC_SEED", raising=False)
+        argv = ["filter", str(GOLDEN / state_file), "--format", fmt, "--optimize", party, "f3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"filter_{Path(state_file).stem}_{party}_f3.json").read_text()
+        doc = json.loads(out)
+        assert doc["optimizer"]["value"] > 1.0 + 1e-4
+        assert flag in doc["before"]["flags"]
+
+
 class TestScan:
     def test_qd_scan_with_boundaries(self, capsys, tmp_path):
         out = tmp_path / "qd.csv"

@@ -35,6 +35,7 @@ from hqc import (
 
 from hqc import filtering
 from hqc.correlations import chsh_f3_maxima
+from hqc.states import ginibre_states, r_pictures
 from hqc.filtering import (
     SCALE_FLOOR,
     _boost,
@@ -45,7 +46,7 @@ from hqc.filtering import (
 )
 
 from conftest import bounded_random_filter, singlet_matrix, werner_matrix
-from support import exact_f3_oracle
+from support import exact_f3_oracle, exact_f3_solution
 
 
 def normal_form_r(r: RMatrix) -> RMatrix:
@@ -623,3 +624,48 @@ class TestExactOneSidedF3:
         r[0, 3, 0] = 1.0 + 1e-6  # |a|^2 exceeds kappa^2 = 1 + 4e-8
         with pytest.raises(DomainError):
             filtering.one_sided_f3_suprema(r, Party.A)
+
+    def test_boost_direction_agrees_with_50_digit_oracle(self):
+        # The direction n of the boost, as a unit vector (phi wraps, and is undefined at theta = 0).
+        # On ORACLE_CASES it is unique except on Alice's side of the product states rho_m(0, p),
+        # where F3 is flat, and in the hard case rho_qd(0.26), where z's top component may take
+        # either sign. On 1,000 Ginibre states of each rank it is checked where it is hardest to
+        # get: on the 40 rows per party at the scale floor whose n moves most when R is scaled by
+        # 1 + 2^-40, as it does near a hard case, and on the row with the smallest positive secular
+        # root, where the stop rule's scale is least (rows 1484, lam = 1.30e-4, for Alice and 2598,
+        # lam = 1.73e-4, for Bob, found by the oracle on every row). The bound is 3.7 times the
+        # worst error measured, 1.34e-7; the bracketed search this solve replaced missed by up to
+        # 4.2e-6 on these rows.
+        not_unique = {
+            ("rho_m-pure-a-0.3", Party.A),
+            ("rho_m-pure-a-0.8", Party.A),
+            ("rho_qd-0.26", Party.A),
+            ("rho_qd-0.26", Party.B),
+        }
+        cases = np.stack([to_r_picture(state()).r for _, state in self.ORACLE_CASES])
+        gen = SeededRng(2027).generator()
+        batch = r_pictures(np.concatenate([ginibre_states(gen, 1000, rank) for rank in (1, 2, 3, 4)]))
+        for party, smallest_root in ((Party.A, 1484), (Party.B, 2598)):
+            assert 0.0 < exact_f3_solution(batch[smallest_root], party)[1] < 2e-4
+            params = filtering.one_sided_f3_suprema(batch, party).params
+            moved = np.abs(filtering.one_sided_f3_suprema(batch * (1.0 + 2.0**-40), party).params - params).max(axis=1)
+            moved[params[:, 0] > SCALE_FLOOR * 1.01] = -1.0
+            hardest = [*np.argsort(-moved, kind="stable")[:40].tolist(), smallest_root]
+            unique = [i for i, (label, _) in enumerate(self.ORACLE_CASES) if (label, party) not in not_unique]
+            for r, rows in ((cases, unique), (batch, hardest)):
+                x = filtering.one_sided_f3_suprema(r, party).params[rows]
+                n = np.stack([np.sin(x[:, 1]) * np.cos(x[:, 2]), np.sin(x[:, 1]) * np.sin(x[:, 2]), np.cos(x[:, 1])], 1)
+                oracle = np.array([[float(v) for v in exact_f3_solution(r[i], party)[2]] for i in rows])
+                errors = np.sqrt(np.add.reduce((n - oracle) ** 2, axis=1))
+                assert errors.max() <= 5e-7, (party, rows[int(np.argmax(errors))], errors.max())
+
+    def test_newton_cap_reports_no_convergence(self, monkeypatch):
+        # this row takes 5 Newton steps; capped at 1, its value is the dual's above the root, an
+        # upper bound on the supremum
+        r = to_r_picture(sample_state(SeededRng(1, 4), rank=4)).r[None]
+        exact = filtering.one_sided_f3_suprema(r, Party.A)
+        assert exact.converged[0] and exact.iterations[0] == 5
+        monkeypatch.setattr(filtering, "SECULAR_MAX_ITERS", 1)
+        capped = filtering.one_sided_f3_suprema(r, Party.A)
+        assert not capped.converged[0] and capped.iterations[0] == 1
+        assert capped.value[0] > exact.value[0]
