@@ -10,9 +10,9 @@ closed form for the spectrum of T T^T with no eigensolve: the sweep,
 one-sided optimiser's objective runs the same arithmetic on Python floats
 (:func:`chsh_f3_value`). :func:`brute_force_chsh` maximises the raw CHSH
 expression over explicit measurement directions and exists to cross-check
-the closed form independently; its last refinement step is the package's
-own Nelder-Mead, :func:`hqc.neldermead.minimize`. The F3 oracle, which
-shares its seeding helpers, is test code (``tests/support.py``).
+the closed form independently, by a see-saw run to convergence from
+Fibonacci-sphere seeds. The F3 oracle, which shares its seeding helpers,
+is test code (``tests/support.py``).
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .neldermead import minimize
 from .states import RMatrix, pauli_expansion
 
 SQRT2 = math.sqrt(2.0)  # quantum maximum of CHSH
 SQRT3 = math.sqrt(3.0)  # quantum maximum of F3, and its normalisation
-GRID_DENSITY = 24  # Fibonacci-sphere points seeding the brute-force oracles
-REFINE_ITERS = 200  # Nelder-Mead iterations refining the oracles' best seed
+GRID_DENSITY = 24  # Fibonacci-sphere points seeding the CHSH oracle's see-saws and the F3 oracle's frames
+SEESAW_MAX_STEPS = 2000  # cap on one seed's see-saw in the CHSH oracle; slow inputs need about 500
 
 
 class SingularTriple(NamedTuple):
@@ -328,15 +327,6 @@ def _safe_normalize(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return v / n if n > 1e-14 else fallback
 
 
-def _sph(angles: np.ndarray) -> np.ndarray:
-    th, ph = angles
-    return np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
-
-
-def _angles_of(v: np.ndarray) -> np.ndarray:
-    return np.array([math.acos(np.clip(v[2], -1.0, 1.0)), math.atan2(v[1], v[0])])
-
-
 def _chsh_given_alphas(t: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray) -> float:
     # Optimal Bob directions are closed form for fixed Alice directions.
     return 0.5 * (np.linalg.norm(t.T @ (alpha1 + alpha2)) + np.linalg.norm(t.T @ (alpha1 - alpha2)))
@@ -345,12 +335,13 @@ def _chsh_given_alphas(t: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray) ->
 def brute_force_chsh(r: RMatrix) -> float:
     """Maximise :func:`chsh_value` over the four measurement directions.
 
-    Deterministic pipeline: Fibonacci-sphere seeding of Alice's pair, a
-    see-saw alternation (each side's optimum is closed form given the
-    other), then Nelder-Mead refinement on the spherical coordinates of
-    Alice's directions. The returned number is chsh_value evaluated at
-    explicit unit vectors, so it can never exceed the true maximum by more
-    than roundoff.
+    Deterministic pipeline: Fibonacci-sphere seeding of Alice's pair, then
+    a see-saw alternation from each of the 8 best seed pairs (each side's
+    optimum is closed form given the other). A see-saw stops at its first
+    step that lowers the value or that moves neither of Alice's directions
+    by more than 1e-15, and keeps the last pair that did not lower it. The
+    returned number is chsh_value evaluated at explicit unit vectors, so it
+    can never exceed the true maximum by more than roundoff.
     """
     t = r.t
     pts = fibonacci_sphere(GRID_DENSITY)
@@ -366,30 +357,26 @@ def brute_force_chsh(r: RMatrix) -> float:
 
     def seesaw(a1, a2):
         val = _chsh_given_alphas(t, a1, a2)
-        for _ in range(60):
+        for _ in range(SEESAW_MAX_STEPS):
             b1 = _safe_normalize(t.T @ (a1 + a2), np.array([1.0, 0, 0]))
             b2 = _safe_normalize(t.T @ (a1 - a2), np.array([1.0, 0, 0]))
-            a1 = _safe_normalize(t @ (b1 + b2), a1)
-            a2 = _safe_normalize(t @ (b1 - b2), a2)
-            new = _chsh_given_alphas(t, a1, a2)
-            if new - val < 1e-13:
-                val = new
+            n1 = _safe_normalize(t @ (b1 + b2), a1)
+            n2 = _safe_normalize(t @ (b1 - b2), a2)
+            new = _chsh_given_alphas(t, n1, n2)
+            if new < val:
                 break
-            val = new
+            moved = max(np.abs(n1 - a1).max(), np.abs(n2 - a2).max())
+            val, a1, a2 = new, n1, n2
+            if moved <= 1e-15:
+                break
         return val, a1, a2
 
     best_val, best_a1, best_a2 = -np.inf, None, None
     for a1, a2 in best_pairs:
-        val, a1, a2 = seesaw(a1.copy(), a2.copy())
+        val, a1, a2 = seesaw(a1, a2)
         if val > best_val:
             best_val, best_a1, best_a2 = val, a1, a2
 
-    x0 = np.concatenate([_angles_of(best_a1), _angles_of(best_a2)])
-    res = minimize(
-        lambda x: -_chsh_given_alphas(t, _sph(x[:2]), _sph(x[2:])), x0, max_iters=REFINE_ITERS, xatol=1e-12, fatol=1e-14
-    )
-    if -res.fun > best_val:
-        best_a1, best_a2 = _sph(res.x[:2]), _sph(res.x[2:])
     b1 = _safe_normalize(t.T @ (best_a1 + best_a2), np.array([1.0, 0, 0]))
     b2 = _safe_normalize(t.T @ (best_a1 - best_a2), np.array([1.0, 0, 0]))
     return chsh_value(r, best_a1, best_a2, b1, b2)

@@ -300,10 +300,8 @@ def _search_objective(r: np.ndarray, party: Party, objective: Objective) -> Call
     :func:`chsh_f3_maxima` with no array built. It raises
     ZeroSuccessProbability where p <= 1e-12.
     """
-    if party is Party.A:
-        (c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), (c30, c31, c32, c33) = r.tolist()
-    else:
-        (c00, c10, c20, c30), (c01, c11, c21, c31), (c02, c12, c22, c32), (c03, c13, c23, c33) = r.tolist()
+    c = r if party is Party.A else r.T
+    (c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), (c30, c31, c32, c33) = c.tolist()
     chsh = objective is Objective.CHSH
 
     def negated_value(x: Point) -> float:

@@ -83,6 +83,14 @@ class SweepConfig:
             raise DomainError(f"rank_mix must be 4 finite weights >= 0 with positive finite sum, got {self.rank_mix}")
 
 
+def _fields_equal(self, other: object) -> bool:
+    """Equality of two records of one dataclass that holds numpy arrays, field by field with
+    ``np.array_equal``."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class Violation:
     """A sample exceeding a conjectured bound (a would-be counterexample)."""
@@ -94,6 +102,8 @@ class Violation:
     c_b: float
     reasons: tuple[str, ...]
     state: np.ndarray
+
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -108,10 +118,7 @@ class Bins:
     count: np.ndarray
     degenerate: np.ndarray
 
-    def __eq__(self, other: object) -> bool:  # numpy fields need elementwise comparison
-        if not isinstance(other, Bins):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -125,20 +132,6 @@ class SweepSummary:
     metadata: dict
     runtime_seconds: float = field(compare=False, default=0.0)
     stage_seconds: dict = field(compare=False, default_factory=dict)
-
-    def __eq__(self, other: object) -> bool:  # numpy fields need elementwise comparison
-        if not isinstance(other, SweepSummary):
-            return NotImplemented
-        return (
-            self.config == other.config
-            and self.bins == other.bins
-            and len(self.violations) == len(other.violations)
-            and all(
-                v.index == w.index and v.reasons == w.reasons and np.array_equal(v.state, w.state)
-                for v, w in zip(self.violations, other.violations)
-            )
-            and self.metadata == other.metadata
-        )
 
 
 def sweep_stats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Bounded Nelder-Mead simplex search over tuples of floats.
 
-The one-sided optimiser and the brute-force oracles minimise objectives
-of three or four variables; this module is their one minimiser. It
+The one-sided CHSH optimiser minimises an objective of three variables
+with it, and the tests' F3 oracle polishes its see-saw with it. It
 repeats, step for step and in the same floating-point operations,
 scipy's ``_minimize_neldermead`` (``scipy/optimize/_optimize.py``) with
 its default, non-adaptive coefficients (Nelder & Mead, Comput. J. 7, 308,

@@ -20,7 +20,10 @@ route, so none of them sits in the runtime:
 
 The CHSH oracle ``hqc.brute_force_chsh`` and its helpers stay in
 ``hqc.correlations``, because the benchmark's scan check imports it from
-there; :func:`brute_force_f3` shares those helpers.
+there; :func:`brute_force_f3` shares those helpers. The CHSH oracle
+converges by see-saw alone, but the F3 oracle's Procrustes see-saw stops
+short of ||T||_F, so a Nelder-Mead polish (``hqc.neldermead.minimize``)
+finishes it.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ import math
 import mpmath
 import numpy as np
 
-from hqc.correlations import GRID_DENSITY, REFINE_ITERS, SQRT3, _safe_normalize, _unit, fibonacci_sphere
+from hqc.correlations import GRID_DENSITY, SQRT3, _safe_normalize, _unit, fibonacci_sphere
 from hqc.ellipsoid import Party
 from hqc.errors import DomainError, HqcError
 from hqc.neldermead import minimize
 from hqc.serde import _fmt
 from hqc.states import RMatrix
+
+REFINE_ITERS = 200  # Nelder-Mead iterations refining the F3 oracle's best see-saw frame
 
 
 class ZeroProbability(HqcError):

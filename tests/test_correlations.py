@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import mpmath
@@ -12,6 +14,7 @@ from hqc import (
     brute_force_chsh,
     chsh_max,
     chsh_value,
+    correlations,
     f3_max,
     ppt_entangled,
     rho_m,
@@ -27,7 +30,7 @@ from hqc.filtering import _boost
 from hqc.states import RMatrix, ginibre_states, r_pictures, states_from_factors
 
 from conftest import ginibre_and_pure_marginal_factors, haar_unitary_2, rotation_of_unitary, werner_matrix
-from support import brute_force_f3, f3_value
+from support import brute_force_f3, f3_value, tight_chsh_picture
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -324,6 +327,38 @@ class TestBruteForceOracles:
             bf3 = brute_force_f3(r)
             assert bf3 <= f3 + 1e-9
             assert bf3 == pytest.approx(f3, abs=1e-6)
+
+
+class TestBruteForceChshSeesaw:
+    """The CHSH oracle's see-saw alone reaches the closed form, also where it is slowest."""
+
+    # Ginibre states whose see-saws take over 100 steps, pure states with s2 = s3 (rho_mm at
+    # theta = 0.7 takes over 400 a seed), and the family on which B meets the conjectured bound
+    SLOW = (
+        [
+            pytest.param(to_r_picture(sample_state(SeededRng(3, i), rank=1 + i % 4)), id=f"ginibre-{i}")
+            for i in (40, 82, 85, 136, 144, 146, 172, 205, 213, 232)
+        ]
+        + [pytest.param(to_r_picture(rho_mm(theta, 1.0)), id=f"rho_mm-{theta}") for theta in (0.1, 0.3, 0.5, 0.7)]
+        + [pytest.param(tight_chsh_picture(c), id=f"tight-{c}") for c in (0.1, 0.4, 0.661)]
+    )
+
+    @pytest.mark.parametrize("r", SLOW)
+    def test_reaches_the_closed_form(self, r):
+        b = float(chsh_f3_maxima(r.t)[0])
+        bf = brute_force_chsh(r)
+        assert bf <= b + 1e-15
+        assert b - bf <= 1e-14
+
+    def test_needs_no_nelder_mead(self):
+        tree = ast.parse(inspect.getsource(correlations))
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names += [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+        assert "neldermead" not in {part for name in names for part in name.split(".")}
 
 
 @st.composite
