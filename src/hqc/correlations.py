@@ -10,9 +10,10 @@ closed form for the spectrum of T T^T with no eigensolve: the sweep,
 one-sided optimiser's objective runs the same arithmetic on Python floats
 (:func:`chsh_f3_value`). :func:`brute_force_chsh` maximises the raw CHSH
 expression over explicit measurement directions and exists to cross-check
-the closed form independently, by a see-saw run to convergence from
-Fibonacci-sphere seeds. The F3 oracle, which shares its seeding helpers,
-is test code (``tests/support.py``).
+the closed form independently, by one see-saw over its 8 best
+Fibonacci-sphere seed pairs at once, run until no pair's value rises. The
+F3 oracle, which shares its seeding and normalising helpers, is test code
+(``tests/support.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .states import RMatrix, pauli_expansion
 SQRT2 = math.sqrt(2.0)  # quantum maximum of CHSH
 SQRT3 = math.sqrt(3.0)  # quantum maximum of F3, and its normalisation
 GRID_DENSITY = 24  # Fibonacci-sphere points seeding the CHSH oracle's see-saws and the F3 oracle's frames
-SEESAW_MAX_STEPS = 2000  # cap on one seed's see-saw in the CHSH oracle; slow inputs need about 500
+SEESAW_MAX_STEPS = 2000  # cap on the CHSH oracle's see-saw; 578 test states take a median 15 steps, 478 at most
 
 
 class SingularTriple(NamedTuple):
@@ -293,6 +294,7 @@ def f3_max(r: RMatrix) -> float:
 
 
 _TRANSPOSE_B = np.array([1.0, 1.0, -1.0, 1.0])  # R's columns under rho -> rho^{T_B}
+_E0 = np.array([1.0, 0.0, 0.0])  # Bob's direction where Alice's pair leaves him none
 
 
 def ppt_test(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,60 +325,47 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 
 def _safe_normalize(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    return v / n if n > 1e-14 else fallback
+    """Each vector along ``v``'s last axis over its norm, or ``fallback``'s where that norm is at
+    most 1e-14; a 1-D ``v`` is a batch of one, and ``fallback`` broadcasts against ``v``."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.where(n > 1e-14, v / np.maximum(n, 1e-14), fallback)
 
 
-def _chsh_given_alphas(t: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray) -> float:
-    # Optimal Bob directions are closed form for fixed Alice directions.
-    return 0.5 * (np.linalg.norm(t.T @ (alpha1 + alpha2)) + np.linalg.norm(t.T @ (alpha1 - alpha2)))
+def _chsh_given_alphas(t: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray) -> np.ndarray:
+    """The CHSH value of Alice's directions along the last axis, with Bob's optimal for them
+    (closed form): |T^T (a1 + a2)| / 2 + |T^T (a1 - a2)| / 2."""
+    return 0.5 * (np.linalg.norm((alpha1 + alpha2) @ t, axis=-1) + np.linalg.norm((alpha1 - alpha2) @ t, axis=-1))
 
 
 def brute_force_chsh(r: RMatrix) -> float:
     """Maximise :func:`chsh_value` over the four measurement directions.
 
     Deterministic pipeline: Fibonacci-sphere seeding of Alice's pair, then
-    a see-saw alternation from each of the 8 best seed pairs (each side's
-    optimum is closed form given the other). A see-saw stops at its first
-    step that lowers the value or that moves neither of Alice's directions
-    by more than 1e-15, and keeps the last pair that did not lower it. The
-    returned number is chsh_value evaluated at explicit unit vectors, so it
+    one see-saw alternation (each side's optimum is closed form given the
+    other) over the 8 best seed pairs at once, held as (8, 3) stacks. A pair
+    keeps its directions at its first step that does not raise its value,
+    and the see-saw ends once no pair's value rises. The returned number is
+    chsh_value evaluated at explicit unit vectors of the best pair, so it
     can never exceed the true maximum by more than roundoff.
     """
     t = r.t
     pts = fibonacci_sphere(GRID_DENSITY)
-    # score every seed pair with the beta-optimised objective
-    tp = pts @ t  # row k = pts[k]^T T
-    scores = np.empty((GRID_DENSITY, GRID_DENSITY))
-    for i in range(GRID_DENSITY):
-        sums = np.linalg.norm(tp[i] + tp, axis=1)
-        diffs = np.linalg.norm(tp[i] - tp, axis=1)
-        scores[i] = 0.5 * (sums + diffs)
-    flat = np.argsort(scores, axis=None)[::-1][:8]
-    best_pairs = [(pts[k // GRID_DENSITY], pts[k % GRID_DENSITY]) for k in flat]
+    scores = _chsh_given_alphas(t, pts[:, None], pts)  # every seed pair, with Bob optimal
+    best = np.argsort(scores, axis=None)[::-1][:8]
+    a1, a2 = pts[best // GRID_DENSITY], pts[best % GRID_DENSITY]
+    val = _chsh_given_alphas(t, a1, a2)
+    for _ in range(SEESAW_MAX_STEPS):
+        b1 = _safe_normalize((a1 + a2) @ t, _E0)
+        b2 = _safe_normalize((a1 - a2) @ t, _E0)
+        n1 = _safe_normalize((b1 + b2) @ t.T, a1)
+        n2 = _safe_normalize((b1 - b2) @ t.T, a2)
+        new = _chsh_given_alphas(t, n1, n2)
+        rises = new > val  # a pair that does not rise recomputes the same step, so it stays put
+        if not rises.any():
+            break
+        up = rises[:, None]
+        a1, a2, val = np.where(up, n1, a1), np.where(up, n2, a2), np.where(rises, new, val)
 
-    def seesaw(a1, a2):
-        val = _chsh_given_alphas(t, a1, a2)
-        for _ in range(SEESAW_MAX_STEPS):
-            b1 = _safe_normalize(t.T @ (a1 + a2), np.array([1.0, 0, 0]))
-            b2 = _safe_normalize(t.T @ (a1 - a2), np.array([1.0, 0, 0]))
-            n1 = _safe_normalize(t @ (b1 + b2), a1)
-            n2 = _safe_normalize(t @ (b1 - b2), a2)
-            new = _chsh_given_alphas(t, n1, n2)
-            if new < val:
-                break
-            moved = max(np.abs(n1 - a1).max(), np.abs(n2 - a2).max())
-            val, a1, a2 = new, n1, n2
-            if moved <= 1e-15:
-                break
-        return val, a1, a2
-
-    best_val, best_a1, best_a2 = -np.inf, None, None
-    for a1, a2 in best_pairs:
-        val, a1, a2 = seesaw(a1, a2)
-        if val > best_val:
-            best_val, best_a1, best_a2 = val, a1, a2
-
-    b1 = _safe_normalize(t.T @ (best_a1 + best_a2), np.array([1.0, 0, 0]))
-    b2 = _safe_normalize(t.T @ (best_a1 - best_a2), np.array([1.0, 0, 0]))
-    return chsh_value(r, best_a1, best_a2, b1, b2)
+    k = np.argmax(val)  # the first of the best, as the pairs rank
+    a1, a2 = a1[k], a2[k]
+    return chsh_value(r, a1, a2, _safe_normalize((a1 + a2) @ t, _E0), _safe_normalize((a1 - a2) @ t, _E0))

@@ -93,7 +93,7 @@ _KAPPA = (1.0 + SCALE_FLOOR**2) / (1.0 - SCALE_FLOOR**2)
 _KAPPA_SQ_M1 = (2.0 * SCALE_FLOOR / (1.0 - SCALE_FLOOR**2)) ** 2
 _EPS = float(np.finfo(float).eps)
 _EYE3 = np.eye(3)
-_IDENTITY_BOOST = np.array([1.0, 0.0, 0.0])  # (d, theta, phi) of the identity filter
+_IDENTITY_BOOST = (1.0, 0.0, 0.0)  # (d, theta, phi) of the identity filter: d = 1
 
 
 class Objective(Enum):
@@ -503,13 +503,12 @@ def _nelder_mead_search(
     fun = _search_objective(r, party, objective)
     maxval = SQRT2 if objective is Objective.CHSH else SQRT3
     bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
-    identity = (1.0, 0.0, 0.0)  # d = 1
-    best_x, best_val, best_start = identity, -fun(identity), 0
+    best_x, best_val, best_start = _IDENTITY_BOOST, -fun(_IDENTITY_BOOST), 0
     converged = False
     evaluations = 0
     for start in range(starts):
         if start == 0:
-            x0 = identity
+            x0 = _IDENTITY_BOOST
         else:
             gen = SeededRng(seed, start).generator()
             d, th = gen.uniform(0.05, 1.0), gen.uniform(0.0, math.pi / 2)

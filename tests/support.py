@@ -20,10 +20,11 @@ route, so none of them sits in the runtime:
 
 The CHSH oracle ``hqc.brute_force_chsh`` and its helpers stay in
 ``hqc.correlations``, because the benchmark's scan check imports it from
-there; :func:`brute_force_f3` shares those helpers. The CHSH oracle
-converges by see-saw alone, but the F3 oracle's Procrustes see-saw stops
-short of ||T||_F, so a Nelder-Mead polish (``hqc.neldermead.minimize``)
-finishes it.
+there; :func:`brute_force_f3` shares those helpers, and normalises its three
+directions in one batch-first ``_safe_normalize`` call a step. The CHSH
+oracle converges by one batched see-saw alone, but the F3 oracle's
+Procrustes see-saw stops short of ||T||_F, so a Nelder-Mead polish
+(``hqc.neldermead.minimize``) finishes it.
 """
 
 from __future__ import annotations
@@ -87,9 +88,7 @@ def brute_force_f3(r: RMatrix) -> float:
     def seesaw(o: np.ndarray) -> tuple[float, np.ndarray]:
         val = frame_value(o)
         for _ in range(100):
-            alphas = np.empty((3, 3))
-            for k in range(3):
-                alphas[:, k] = _safe_normalize(t @ o[:, k], o[:, k])
+            alphas = _safe_normalize((t @ o).T, o.T).T  # column k: T o_k normalised
             u, _, vt = np.linalg.svd(t.T @ alphas)
             o = u @ vt
             new = frame_value(o)

@@ -332,8 +332,8 @@ class TestBruteForceOracles:
 class TestBruteForceChshSeesaw:
     """The CHSH oracle's see-saw alone reaches the closed form, also where it is slowest."""
 
-    # Ginibre states whose see-saws take over 100 steps, pure states with s2 = s3 (rho_mm at
-    # theta = 0.7 takes over 400 a seed), and the family on which B meets the conjectured bound
+    # Ginibre states whose see-saws took over 100 steps a seed pair, pure states with s2 = s3 (rho_mm
+    # at theta = 0.7 takes about 400 steps), and the family on which B meets the conjectured bound
     SLOW = (
         [
             pytest.param(to_r_picture(sample_state(SeededRng(3, i), rank=1 + i % 4)), id=f"ginibre-{i}")
@@ -350,6 +350,15 @@ class TestBruteForceChshSeesaw:
         assert bf <= b + 1e-15
         assert b - bf <= 1e-14
 
+    def test_tied_singular_values_take_few_evaluations(self, monkeypatch):
+        # T's two largest singular values tie on pure rho_mm(theta, 1), where the see-saw converges only
+        # linearly: about 400 batched steps, each one evaluation for all 8 seed pairs
+        calls = []
+        evaluate = correlations._chsh_given_alphas
+        monkeypatch.setattr(correlations, "_chsh_given_alphas", lambda *args: calls.append(1) or evaluate(*args))
+        brute_force_chsh(to_r_picture(rho_mm(0.7, 1.0)))
+        assert len(calls) <= 600
+
     def test_needs_no_nelder_mead(self):
         tree = ast.parse(inspect.getsource(correlations))
         names = []
@@ -359,6 +368,34 @@ class TestBruteForceChshSeesaw:
             elif isinstance(node, ast.Import):
                 names += [alias.name for alias in node.names]
         assert "neldermead" not in {part for name in names for part in name.split(".")}
+
+
+class TestBatchFirstHelpers:
+    """The oracles' helpers read a stack along its last axis, and a 1-D vector is a batch of one."""
+
+    V = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1e-3, -2.0, 7.5], [1e-15, 0.0, 0.0]])
+    FALLBACK = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+
+    def test_safe_normalize_falls_back_on_null_rows(self):
+        out = correlations._safe_normalize(self.V, self.FALLBACK)
+        assert out.shape == self.V.shape
+        np.testing.assert_array_equal(out[[1, 3]], self.FALLBACK[[1, 3]])
+        np.testing.assert_allclose(np.linalg.norm(out[[0, 2]], axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(out[0], [0.6, 0.8, 0.0])
+
+    def test_safe_normalize_rows_are_one_dimensional_calls(self):
+        out = correlations._safe_normalize(self.V, self.FALLBACK)
+        for k in range(len(self.V)):
+            np.testing.assert_array_equal(out[k], correlations._safe_normalize(self.V[k], self.FALLBACK[k]))
+
+    def test_chsh_given_alphas_rows_are_one_dimensional_calls(self):
+        t = to_r_picture(sample_state(SeededRng(5, 0), rank=2)).t
+        gen = SeededRng(5, 1).generator()
+        a1, a2 = gen.standard_normal((2, 6, 3))
+        values = correlations._chsh_given_alphas(t, a1, a2)
+        assert values.shape == (6,)
+        for k in range(6):
+            assert values[k] == correlations._chsh_given_alphas(t, a1[k], a2[k])
 
 
 @st.composite
