@@ -158,10 +158,11 @@ def classify_batch_with_masks(
     a point and its centre the point-ellipsoid convention's (see :func:`centre_magnitudes`).
 
     Each quantity comes from one batched call for the whole stack: the
-    closed-form T T^T spectrum for B and F3, one normal-form eigensolve for both hidden
+    closed-form T T^T spectrum for B and F3, one ``eigh`` of rho (formed once, unvalidated, by
+    :func:`hqc.states.pauli_expansion`) and one SVD of its spin-flip matrix for both hidden
     values (NaN rows where the normal form vanishes), one eigensolve for PPT
-    and one pass per party for the centre magnitudes. An unphysical spectrum in any row raises
-    ComplexSpectrum. The flags are one boolean matrix, objectives by flags by rows,
+    and one pass per party for the centre magnitudes. A row whose rho has an eigenvalue
+    below -1e-8 raises ComplexSpectrum. The flags are one boolean matrix, objectives by flags by rows,
     whose comparisons run on both objectives at once.
     """
     th = th or _DEFAULT_THRESHOLDS

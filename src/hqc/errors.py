@@ -26,7 +26,8 @@ class ZeroSuccessProbability(HqcError):
 
 
 class ComplexSpectrum(HqcError):
-    """Correlation-spectrum eigenvalues are not real; input is unphysical."""
+    """The normal-form spectrum is undefined: the picture's rho has an eigenvalue below -1e-8,
+    so the input is unphysical."""
 
 
 class DegenerateNormalForm(HqcError):

@@ -14,9 +14,13 @@ correlation maxima are
     hidden CHSH = sqrt((nu_1 + nu_2) / nu_0),
     hidden F3   = sqrt((nu_1 + nu_2 + nu_3) / nu_0).
 
-Both are computed for whole (..., 4, 4) stacks of pictures, one batched
-eigensolve per stack (:func:`hidden_values`, NaN where the normal form
-vanishes); the single-picture functions are those on a batch of one.
+That matrix is not symmetric and is defective on every rank <= 2 state,
+so nu is read from Hermitian solves: the squares of the Hadamard
+combinations of Wootters' spin-flip lambda (Wootters, PRL 80, 2245, 1998;
+:func:`normal_form_spectra`). Both values are computed for whole
+(..., 4, 4) stacks of pictures, one ``eigh`` of rho and one SVD per stack
+(:func:`hidden_values`, NaN where the normal form vanishes); the
+single-picture functions are those on a batch of one.
 
 The normal-form CHSH value is the supremum of CHSH over two-sided
 filtering when it is at least the classical bound 1; below 1 the
@@ -80,9 +84,9 @@ from .correlations import SQRT2, SQRT3, chsh_f3_maxima, chsh_f3_value
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
 from .neldermead import Point, minimize
-from .states import DEFAULT_TOL, SIGMA, DensityMatrix, RMatrix, SeededRng, to_r_picture, validate_state
+from .states import DEFAULT_TOL, SIGMA, DensityMatrix, RMatrix, SeededRng, pauli_expansion, to_r_picture, validate_state
 
-_ETA_SIGNS = np.outer([1, -1, -1, -1], [1, -1, -1, -1])  # eta R eta = R * _ETA_SIGNS for eta = diag(1, -1, -1, -1)
+_SPIN_FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])  # (sigma_y (x) sigma_y) u = u[::-1] * these, row by row
 
 SCALE_FLOOR = 1e-4  # lower bound on the filter's small singular value during optimisation
 FATOL = 1e-11  # Nelder-Mead's stopping tolerance on the objective, per start
@@ -182,40 +186,33 @@ def apply_one_sided(
 
 
 def normal_form_spectra(r: np.ndarray) -> np.ndarray:
-    """Spectra of eta R eta R^T for a (..., 4, 4) stack of pictures, each sorted decreasing.
+    """Spectra of eta R eta R^T for a (..., 4, 4) stack of pictures, each sorted decreasing,
+    from one Hermitian eigensolve and one SVD of the spin-flip matrix.
 
-    The matrix is not symmetric, and on some families (the
-    quasi-distillable line in particular) it is defective: exact
-    eigenvalue multiplicities split numerically by ~sqrt(machine eps),
-    in a random direction in the complex plane. Small residues are
-    therefore cleaned up per row in two scale-aware steps: imaginary
-    parts below max(1e-8, 5e-7 ||M||) are truncated, and runs of sorted
-    real values whose neighbours lie within that tolerance are merged to
-    their cluster mean (which is accurate to second order for a defective
-    pair). A larger imaginary part or a negative value in any row signals
-    an unphysical input and raises ComplexSpectrum.
+    rho = :func:`hqc.states.pauli_expansion` of the stack, unvalidated, and
+    rho = V diag(w) V^dag. Eigenvalues w <= 1e-14 count as 0 (the rank
+    cut: the square roots of roundoff eigenvalues would put rho_qd(0.505)'s
+    hidden CHSH 2.1e-8 below sqrt(2)); a least eigenvalue below -1e-8 marks an
+    unphysical input and raises ComplexSpectrum. The singular values x_1 >= ... >= x_4 of
+    D V^T Y V D, with D = diag(sqrt(w)) and Y = sigma_y (x) sigma_y, are
+    Wootters' lambda, and their Hadamard combinations
+    (x_1 + x_2 + x_3 + x_4, x_1 + x_2 - x_3 - x_4, x_1 + x_3 - x_2 - x_4,
+    x_1 + x_4 - x_2 - x_3) are the Lorentz singular values of R, whose
+    squares are the spectrum, already in decreasing order. Every step is
+    per row, so a row's bits do not depend on the rest of the stack.
     """
-    m = (r * _ETA_SIGNS) @ r.swapaxes(-1, -2)
-    w = np.linalg.eigvals(m)
-    # The reductions are the ufunc methods that np.linalg.norm, np.sort, np.cumsum and
-    # ndarray.max/sum/any call after their Python argument handling: the same bits in fewer
-    # interpreted steps, which is what a small batch pays for.
-    # Defective splits scale with sqrt(eps * ||M||), not with the eigenvalues.
-    tol = np.maximum(1e-8, 5e-7 * np.sqrt(np.add.reduce(m * m, axis=(-2, -1))))
-    nu = w.real.copy()
-    nu.sort(axis=-1)
-    nu = nu[..., ::-1]
-    imag, low = np.maximum.reduce(np.abs(w.imag), axis=-1), nu[..., -1]
-    bad = np.maximum(imag, -low) > tol
+    w, v = np.linalg.eigh(pauli_expansion(r))
+    low = w[..., 0]
+    bad = low < -1e-8
     if np.logical_or.reduce(bad, axis=None):
         i = np.flatnonzero(bad)[0]
-        raise ComplexSpectrum(f"row {i}: |Im eigenvalue| {imag.flat[i]:.3e}, min {low.flat[i]:.3e}; input unphysical")
-    nu = np.maximum(nu, 0.0)  # what np.clip(nu, 0.0, None) calls
-    # a cluster is a run of sorted values whose neighbours lie within tol; number the runs
-    run = np.zeros(nu.shape, dtype=np.int64)
-    np.add.accumulate(nu[..., :-1] - nu[..., 1:] > tol[..., None], axis=-1, dtype=np.int64, out=run[..., 1:])
-    same = run[..., :, None] == run[..., None, :]
-    return np.add.reduce(np.where(same, nu[..., None, :], 0.0), axis=-1) / np.add.reduce(same, axis=-1)
+        raise ComplexSpectrum(f"row {i}: rho has eigenvalue {low.flat[i]:.3e} < -1e-8; input unphysical")
+    u = v * np.sqrt(np.where(w > 1e-14, w, 0.0))[..., None, :]  # V D, past the rank cut
+    x = np.linalg.svd(u.swapaxes(-1, -2) @ (u[..., ::-1, :] * _SPIN_FLIP_SIGNS), compute_uv=False)
+    x1, x2, x3, x4 = np.moveaxis(x, -1, 0)
+    s12, d12, s34, d34 = x1 + x2, x1 - x2, x3 + x4, x3 - x4
+    nu = np.stack([s12 + s34, s12 - s34, d12 + d34, d12 - d34], axis=-1)
+    return nu * nu
 
 
 def normal_form_spectrum(r: RMatrix) -> NormalFormSpectrum:
@@ -231,9 +228,9 @@ def hidden_values(r: np.ndarray) -> np.ndarray:
     form, e.g. a pure product state) get NaN for both.
     """
     nu = normal_form_spectra(r)
-    # nu1 + nu2, then + nu3, accumulated in one call; a NaN divisor marks a vanishing normal form
-    sums = np.add.accumulate(nu[..., 1:], axis=-1)[..., 1:]
-    return np.sqrt(sums / np.where(nu[..., :1] > 1e-12, nu[..., :1], np.nan))
+    # nu_k / nu0 first, so that equal values sum to exactly 2 and 3; a NaN divisor marks a vanishing normal form
+    ratios = nu[..., 1:] / np.where(nu[..., :1] > 1e-12, nu[..., :1], np.nan)
+    return np.sqrt(np.add.accumulate(ratios, axis=-1)[..., 1:])
 
 
 def _hidden(r: RMatrix) -> tuple[float, float]:

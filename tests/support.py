@@ -16,7 +16,11 @@ route, so none of them sits in the runtime:
   ``hqc.filtering.one_sided_f3_suprema`` in 50-digit ``mpmath``, through
   the ellipsoid's own eigendecomposition and a bisection on the dual, and
   gives its value, its secular root and its boost direction;
-  :func:`exact_f3_oracle` is its value.
+  :func:`exact_f3_oracle` is its value;
+* :func:`spin_flip_spectrum` gives the normal-form spectrum of
+  ``hqc.filtering.normal_form_spectra`` in 50-digit ``mpmath`` from an
+  exact-rank factor G of the state (Ginibre's, or :func:`family_factor`'s
+  for ``rho_m``, ``rho_mm`` and ``rho_qd``), never from a float rho.
 
 The CHSH oracle ``hqc.brute_force_chsh`` and its helpers stay in
 ``hqc.correlations``, because the benchmark's scan check imports it from
@@ -238,3 +242,47 @@ def exact_f3_solution(r: np.ndarray, party: Party, dps: int = 50):
         norm_u = mpmath.sqrt(sum(u[i] ** 2 for i in range(3)))
         n = None if norm_u == 0 else [-u[i] / norm_u for i in range(3)]
         return mpmath.sqrt(q_c + dual), lam, n
+
+
+# sigma_y (x) sigma_y is the signed reversal of the four basis vectors
+_SPIN_FLIP = ((0, 3, -1), (1, 2, 1), (2, 1, 1), (3, 0, -1))
+
+
+def spin_flip_spectrum(g, dps: int = 50) -> list:
+    """The normal-form spectrum (nu_0, ..., nu_3) of the state G G^dag / Tr, as 4 mpf, in ``dps``-digit
+    ``mpmath`` arithmetic from the factor G (an mpmath or nested-list matrix with 4 rows and any number
+    of columns), never from a float rho.
+
+    Wootters' lambda of the state are the singular values of G^T (sigma_y (x) sigma_y) G / Tr G G^dag,
+    decreasing and padded with zeros to four; nu is the squares of their Hadamard combinations
+    (x_1 + x_2 + x_3 + x_4, x_1 + x_2 - x_3 - x_4, x_1 + x_3 - x_2 - x_4, x_1 + x_4 - x_2 - x_3).
+    """
+    with mpmath.workdps(dps):
+        g = mpmath.matrix(g)
+        yg = mpmath.matrix(4, g.cols)
+        for i, j, s in _SPIN_FLIP:
+            for k in range(g.cols):
+                yg[i, k] = s * g[j, k]
+        trace = sum(abs(g[i, k]) ** 2 for i in range(4) for k in range(g.cols))
+        x = sorted(mpmath.svd_c(g.T * yg, compute_uv=False), reverse=True) + [mpmath.mpf(0)] * 4
+        x1, x2, x3, x4 = (v / trace for v in x[:4])
+        return [(x1 + x2 + x3 + x4) ** 2, (x1 + x2 - x3 - x4) ** 2, (x1 + x3 - x2 - x4) ** 2, (x1 + x4 - x2 - x3) ** 2]
+
+
+def family_factor(family: str, theta: float, p: float, dps: int = 50) -> list:
+    """A factor G with G G^dag the state of ``family`` ("m", "mm" or "qd") at (theta, p), built in
+    ``dps``-digit ``mpmath`` from the families' formulas: one column per term of
+    p |phi><phi| + (1 - p) noise, each a basis or Bell vector of exact rank one."""
+    with mpmath.workdps(dps):
+        theta, p = mpmath.mpf(theta), mpmath.mpf(p)
+        c, s, q = mpmath.cos(theta), mpmath.sin(theta), mpmath.sqrt(1 - p)
+        if family == "qd":
+            h = mpmath.sqrt(p / 2)
+            signal, noise = [0, h, -h, 0], [[q, 0, 0, 0]]
+        else:
+            signal = [mpmath.sqrt(p) * c, 0, 0, mpmath.sqrt(p) * s]
+            # rho_A (x) 1/2 for m, rho_A (x) rho_B for mm: diagonal, so one column per basis vector
+            h = 1 / mpmath.sqrt(2)
+            weights = (c * h, c * h, s * h, s * h) if family == "m" else (c * c, c * s, s * c, s * s)
+            noise = [[q * w if i == k else 0 for i in range(4)] for k, w in enumerate(weights)]
+        return [list(col) for col in zip(signal, *noise)]

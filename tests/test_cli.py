@@ -42,7 +42,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _complex_spectrum_state() -> DensityMatrix:
-    """A state with eigenvalues (0.6, 0.45, 0, -0.05) whose eta R eta R^T has a complex pair."""
+    """A state with eigenvalues (0.6, 0.45, 0, -0.05): below the normal-form spectrum's -1e-8 guard."""
     gen = np.random.default_rng(0)
     for _ in range(2):
         h = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
@@ -247,8 +247,9 @@ class TestCertify:
 @pytest.mark.usefixtures("recorded_platform")
 class TestReportGoldens:
     """stdout of ``hqc analyze`` and of ``hqc certify`` for both parties and objectives, byte for
-    byte, recorded while classify and the sweep still computed |c| on separate paths. On
-    rho_m(0, 0.5) Bob's ellipsoid is a point, so c_b is the point-ellipsoid convention's exact
+    byte, recorded while classify and the sweep still computed |c| on separate paths (the
+    hidden values of ``analyze`` on rho_m(pi/12, 0.75) re-recorded with the spin-flip
+    spectrum). On rho_m(0, 0.5) Bob's ellipsoid is a point, so c_b is the point-ellipsoid convention's exact
     0.5 and party A's certificate has a degenerate witness. The platform guard is that of
     ``TestOutputBitPins``."""
 
@@ -353,8 +354,8 @@ class TestScan:
 
 @pytest.mark.usefixtures("recorded_platform")
 class TestScanBitPins:
-    """SHA-256 digests of scan CSVs, recorded before the small-batch rewrite of
-    ``classify_batch``: a rewrite of its kernels keeps every output bit. The MM grid is the
+    """SHA-256 digests of scan CSVs, recorded when the hidden values moved to the spin-flip
+    spectrum: a rewrite of classify's kernels keeps every output bit. The MM grid is the
     benchmark's 21 x 21 grid (every fifth line of the default 101 x 101 grid), written both
     one theta row a call, as the benchmark calls it, and in one call; the M grid is the same
     21 x 21 grid in one call; the QD line is the CI's. The platform guard is that of
@@ -375,22 +376,22 @@ class TestScanBitPins:
         h = hashlib.sha256()
         for theta in self.THETAS:
             h.update(self._row(capsys, tmp_path / "mm.csv", theta))
-        assert h.hexdigest() == "926e9f0f0c314f3ff456f89e4f50c4adf5acf1734edf8f802fc0076fb489bff3"
+        assert h.hexdigest() == "e137f75700017c1da9bbe23d2c8b6d0aa8040d122f643cb4755ebe1805ec06f4"
 
     def test_mm_one_call(self, capsys, tmp_path):
         whole = self._scan(capsys, tmp_path / "mm.csv", "mm", "--theta", f"0:{math.pi / 4!r}:21", "--p", "0:1:21")
-        assert hashlib.sha256(whole).hexdigest() == "15f391bd430f09a4eab50c9b491d9a6a4fe59a2885869b221f5526d20345f0a7"
+        assert hashlib.sha256(whole).hexdigest() == "990289d66b7ca447a9988e88738d352ddda6b72e245d8fd432592347821d08a7"
         # the same points as the one-row calls, so the same data rows
         rows = [self._row(capsys, tmp_path / "row.csv", theta).splitlines()[1:] for theta in self.THETAS]
         assert whole.splitlines()[1:] == sum(rows, [])
 
     def test_m_one_call(self, capsys, tmp_path):
         whole = self._scan(capsys, tmp_path / "m.csv", "m", "--theta", f"0:{math.pi / 4!r}:21", "--p", "0:1:21")
-        assert hashlib.sha256(whole).hexdigest() == "428e05896a1d275c10cbc17fcb2f877545af87390adc5be1e15e31ecd2bef067"
+        assert hashlib.sha256(whole).hexdigest() == "8dccc02a739b83cc1d71069c3836bd756fd0a19b1c1c198b433077831540b633"
 
     def test_qd_line(self, capsys, tmp_path):
         csv = self._scan(capsys, tmp_path / "qd.csv", "qd", "--p", "0.01:0.99:99")
-        assert hashlib.sha256(csv).hexdigest() == "a8accfb785c8ae80b4a37615bfe177d9f7549806a36b8a2a6e19263c84cd97dd"
+        assert hashlib.sha256(csv).hexdigest() == "20cc1f0f641d44b554f23d586ad5c7857de95b5f7fa97d2891d4296a9717072a"
 
 
 class TestSweep:
@@ -708,6 +709,7 @@ class TestFilter:
 
     def test_filter_file_output_is_pinned(self, capsys, tmp_path):
         # stdout of the non-optimising branch, as it was while each report was its own classify call
+        # (the hidden values re-recorded with the spin-flip spectrum)
         state_path, filter_path = tmp_path / "m.json", tmp_path / "fa.json"
         serde.dump_state_json(rho_m(math.pi / 6, 0.5), str(state_path))
         filter_path.write_text(json.dumps(serde.filter_to_dict(paper_filter_rho_m(math.pi / 6)[0])))
@@ -727,7 +729,7 @@ class TestFilter:
         ids=["optimize", "bad-party", "no-starts", "missing-filter", "identity"],
     )
     def test_input_report_error_comes_first(self, capsys, tmp_path, extra):
-        # accepted with --tol 0.1, the input has a complex normal-form spectrum
+        # accepted with --tol 0.1, the input has an eigenvalue below the normal-form spectrum's guard
         path = tmp_path / "s.json"
         path.write_text(json.dumps(serde.state_to_dict(_complex_spectrum_state())))
         code, doc = run_cli(capsys, "filter", str(path), "--tol", "0.1", *extra)

@@ -302,9 +302,10 @@ class TestClassify:
         assert degenerate >= 1  # |00> at least takes the NaN branch
 
     def test_reads_each_quantity_once(self, monkeypatch):
-        # a batch of n, like a batch of one, takes one normal-form spectrum solve, one symmetric
-        # eigensolve (PPT; B and F3 are closed forms), no SVD, and no rebuilt density matrix
-        calls = {"spectra": 0, "svd": 0, "eigvalsh": 0, "from_r_picture": 0}
+        # a batch of n, like a batch of one, takes one normal-form spectrum solve (one eigh of rho
+        # and one SVD of its spin-flip matrix), one symmetric eigensolve (PPT; B and F3 are closed
+        # forms), and no validated density matrix
+        calls = {"spectra": 0, "eigh": 0, "svd": 0, "eigvalsh": 0, "from_r_picture": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -317,14 +318,24 @@ class TestClassify:
         batch = np.stack([to_r_picture(rho_mm(0.3, p)).r for p in (0.2, 0.6, 0.9)] + [to_r_picture(rho_qd(0.4)).r])
         spectra = filtering_mod.normal_form_spectra
         monkeypatch.setattr(filtering_mod, "normal_form_spectra", counting("spectra", spectra))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(criteria_mod, "from_r_picture", counting("from_r_picture", from_r_picture))
         classify(r)
-        assert calls == {"spectra": 1, "svd": 0, "eigvalsh": 1, "from_r_picture": 0}
+        assert calls == {"spectra": 1, "eigh": 1, "svd": 1, "eigvalsh": 1, "from_r_picture": 0}
         calls.update(dict.fromkeys(calls, 0))
         assert len(classify_batch(batch)) == len(batch)
-        assert calls == {"spectra": 1, "svd": 0, "eigvalsh": 1, "from_r_picture": 0}
+        assert calls == {"spectra": 1, "eigh": 1, "svd": 1, "eigvalsh": 1, "from_r_picture": 0}
+
+    def test_product_states_of_rho_m_are_not_hidden(self):
+        # rho_m(0, p) = |0><0| (x) (p |0><0| + (1 - p) 1/2) is a product state for every p: its normal
+        # form vanishes, so no hidden flag may be set (p = 0.34 once got all four from roundoff)
+        for p in np.linspace(0.0, 1.0, 101).tolist():
+            report = classify(to_r_picture(rho_m(0.0, p)))
+            assert math.isnan(report.hb_star) and math.isnan(report.hf3_star), p
+            assert report.degenerate_normal_form, p
+            assert not {flag for flag in report.flags if "HIDDEN" in flag}, p
 
     def test_degenerate_normal_form_reported_not_raised(self, ket00):
         report = classify(to_r_picture(ket00))
@@ -391,8 +402,8 @@ class TestClassifyBatch:
 @pytest.mark.usefixtures("recorded_platform")
 class TestClassifyBitPins:
     """SHA-256 digests of every :func:`report_bits` field of ``classify`` on a defective
-    spectrum, pure marginals and three Ginibre states, recorded before the small-batch
-    rewrite of ``classify_batch``. The platform guard is that of ``TestOutputBitPins``."""
+    spectrum, pure marginals and three Ginibre states, recorded when the hidden values moved
+    to the spin-flip spectrum. The platform guard is that of ``TestOutputBitPins``."""
 
     STATES = {
         "rho_qd": lambda: rho_qd(0.6),  # defective normal-form spectrum
@@ -408,8 +419,8 @@ class TestClassifyBitPins:
             ("rho_qd", "ec0b7a651ce0519aa779f993833d8bc40f272e530807ebcac0aff2e8c2cd60e0"),
             ("rho_mm", "17c856bbbe2ce3594525e6ed60e1222d18652345a6caeb5a7d3b76799533e298"),
             ("ginibre_r2", "444818640e511a9b350ca48422034897a058054fa4854066f130a4af197fbe99"),
-            ("ginibre_r3", "fd0055b8975c1729d6452e2b1542773e638645bde536efecea8ec939d35cab98"),
-            ("ginibre_r4", "cfe52377abadb2c92aa995230e88ce3890d51835c0bcf88c0c72aee506b290f2"),
+            ("ginibre_r3", "a8689733d9a0e1cb40affef1b75b8dec0ff903ac9ed9600a2ff537b9927b0c8e"),
+            ("ginibre_r4", "d9e82d8f3257c3571b7300255db0c2dfcbd6d1c8bb115b0aebf1f730a5e142f4"),
         ],
         ids=list(STATES),
     )

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,18 +36,19 @@ from hqc import (
 
 from hqc import filtering
 from hqc.correlations import chsh_f3_maxima
-from hqc.states import ginibre_states, r_pictures
+from hqc.states import ginibre_factors, ginibre_states, r_pictures
 from hqc.filtering import (
     SCALE_FLOOR,
     _boost,
     _filter_from_params,
     _nelder_mead_search,
     _search_objective,
+    hidden_values,
     normal_form_spectra,
 )
 
 from conftest import bounded_random_filter, singlet_matrix, werner_matrix
-from support import exact_f3_oracle, exact_f3_solution
+from support import exact_f3_oracle, exact_f3_solution, family_factor, spin_flip_spectrum
 
 
 def normal_form_r(r: RMatrix) -> RMatrix:
@@ -56,25 +58,6 @@ def normal_form_r(r: RMatrix) -> RMatrix:
         raise DegenerateNormalForm(f"leading eigenvalue {nu.nu0:.3e} <= 1e-12")
     d = np.array([1.0, -math.sqrt(nu.nu1 / nu.nu0), -math.sqrt(nu.nu2 / nu.nu0), -math.sqrt(nu.nu3 / nu.nu0)])
     return RMatrix(np.diag(d))
-
-
-def spectrum_reference(r: np.ndarray) -> np.ndarray:
-    """One state's normal-form spectrum with an explicit cluster-merge loop: the reference for normal_form_spectra."""
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    m = eta @ r @ eta @ r.T
-    w = np.linalg.eigvals(m)
-    tol = max(1e-8, 5e-7 * float(np.linalg.norm(m)))
-    assert np.abs(w.imag).max() <= tol
-    nu = np.clip(np.sort(w.real)[::-1], 0.0, None)
-    out = np.empty(4)
-    i = 0
-    while i < 4:
-        j = i
-        while j + 1 < 4 and nu[j] - nu[j + 1] <= tol:
-            j += 1
-        out[i : j + 1] = nu[i : j + 1].mean()
-        i = j + 1
-    return out
 
 
 BELL_VECTORS = np.array(
@@ -180,16 +163,17 @@ class TestNormalFormSpectrum:
             nu = normal_form_spectrum(to_r_picture(sample_state(SeededRng(53, i))))
             assert nu.nu0 >= nu.nu1 >= nu.nu2 >= nu.nu3 >= 0.0
 
-    def test_batch_equals_per_state_loop_reference(self, ket00):
+    def test_batch_rows_equal_one_row_calls(self, ket00):
         from hqc import rho_mm, rho_qd
 
         pictures = [to_r_picture(sample_state(SeededRng(67, i), rank=k)).r for i in range(10) for k in (1, 2, 3, 4)]
-        pictures += [to_r_picture(rho_qd(float(p))).r for p in np.linspace(0.05, 1.0, 8)]  # one cluster of 4
-        pictures += [to_r_picture(validate_state(werner_matrix(w))).r for w in (0.0, 0.3, 0.9)]  # a cluster of 3
+        pictures += [to_r_picture(rho_qd(float(p))).r for p in np.linspace(0.05, 1.0, 8)]  # four equal values
+        pictures += [to_r_picture(validate_state(werner_matrix(w))).r for w in (0.0, 0.3, 0.9)]  # three equal values
         pictures += [to_r_picture(rho_mm(t, p)).r for t in (0.0, 0.2, math.pi / 4) for p in (0.0, 0.5, 1.0)]
         pictures.append(to_r_picture(ket00).r)
-        expected = [spectrum_reference(r) for r in pictures]
-        np.testing.assert_array_equal(normal_form_spectra(np.stack(pictures)), expected)
+        batch = normal_form_spectra(np.stack(pictures))
+        for r, row in zip(pictures, batch):
+            assert row.tobytes() == normal_form_spectra(r[None])[0].tobytes()
 
     def test_unphysical_input_raises(self):
         # a strongly non-physical correlation picture with rotational T
@@ -237,11 +221,12 @@ class TestHiddenMeasures:
         assert hidden_f3(r) == pytest.approx(math.sqrt(3), abs=1e-12)
 
     def test_quasi_distillable_maximal(self):
+        # exactly, on the 99-point line of hqc scan qd: the spectrum's four equal values give ratios of exactly 1
         from hqc import rho_qd
 
-        r = to_r_picture(rho_qd(0.3))
-        assert hidden_chsh(r) == pytest.approx(math.sqrt(2), abs=1e-8)
-        assert hidden_f3(r) == pytest.approx(math.sqrt(3), abs=1e-8)
+        for p in np.linspace(0.01, 0.99, 99).tolist():
+            r = to_r_picture(rho_qd(p))
+            assert (hidden_chsh(r), hidden_f3(r)) == (math.sqrt(2), math.sqrt(3)), p
 
     def test_werner(self):
         r = to_r_picture(validate_state(werner_matrix(0.5)))
@@ -275,6 +260,47 @@ class TestHiddenMeasures:
         assert np.linalg.norm(rf.a) <= 1e-10
         assert np.linalg.norm(rf.b) <= 1e-10
         assert chsh_max(rf)[0] == pytest.approx(hidden_chsh(to_r_picture(rho)), abs=1e-8)
+
+
+def _oracle_cases(family: str) -> tuple[list[np.ndarray], list[list]]:
+    """Pictures and exact-rank factors of one family's oracle set: a 12 x 13 grid of [0, pi/4] x [0, 1]
+    for m and mm, 26 points of [0, 1] for qd, and 15 Ginibre states of each rank 1-4."""
+    from hqc import rho_mm, rho_qd
+
+    if family == "ginibre":
+        pictures, factors = [], []
+        for k in (1, 2, 3, 4):
+            for i in range(15):
+                x, y = ginibre_factors(SeededRng(80, i).generator(), np.array([k]))
+                pictures.append(to_r_picture(sample_state(SeededRng(80, i), rank=k)).r)
+                factors.append([[mpmath.mpc(a, b) for a, b in zip(*rows)] for rows in zip(x[0].tolist(), y[0].tolist())])
+        return pictures, factors
+    if family == "qd":
+        points = [(0.0, p) for p in np.linspace(0.0, 1.0, 26).tolist()]
+        states = [rho_qd(p) for _, p in points]
+    else:
+        points = [(t, p) for t in np.linspace(0.0, math.pi / 4, 12).tolist() for p in np.linspace(0.0, 1.0, 13).tolist()]
+        states = [(rho_m if family == "m" else rho_mm)(t, p) for t, p in points]
+    return [to_r_picture(rho).r for rho in states], [family_factor(family, t, p) for t, p in points]
+
+
+class TestNormalFormOracle:
+    """The spectrum and the hidden values against the 50-digit spin-flip oracle of exact-rank factors
+    (``support.spin_flip_spectrum``): a float-rho oracle would inherit rho's roundoff, whose square
+    root moves lambda near rank deficiency."""
+
+    @pytest.mark.parametrize("family", ["m", "mm", "qd", "ginibre"])
+    def test_within_1e12_of_the_oracle(self, family):
+        pictures, factors = _oracle_cases(family)
+        nu, hidden = normal_form_spectra(np.stack(pictures)), hidden_values(np.stack(pictures))
+        for i, (g, row, values) in enumerate(zip(factors, nu, hidden)):
+            exact = [float(v) for v in spin_flip_spectrum(g)]
+            np.testing.assert_allclose(row, exact, rtol=0, atol=1e-12, err_msg=f"{family} {i}")
+            if exact[0] > 1e-12:
+                chsh, f3 = math.sqrt((exact[1] + exact[2]) / exact[0]), math.sqrt(sum(exact[1:]) / exact[0])
+                np.testing.assert_allclose(values, [chsh, f3], rtol=0, atol=1e-12, err_msg=f"{family} {i}")
+            else:
+                assert np.isnan(values).all(), (family, i)
 
 
 class TestOptimizeOneSided:
