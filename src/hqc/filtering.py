@@ -98,6 +98,13 @@ _KAPPA_SQ_M1 = (2.0 * SCALE_FLOOR / (1.0 - SCALE_FLOOR**2)) ** 2
 _EPS = float(np.finfo(float).eps)
 _EYE3 = np.eye(3)
 _IDENTITY_BOOST = (1.0, 0.0, 0.0)  # (d, theta, phi) of the identity filter: d = 1
+# start 0's simplex: the identity and the boosts with scipy's 5 % step in d along z, x and y
+_START_SIMPLEX = (
+    _IDENTITY_BOOST,
+    (0.95, 0.0, 0.0),
+    (0.95, math.pi / 2, 0.0),
+    (0.95, math.pi / 2, math.pi / 2),
+)
 
 
 class Objective(Enum):
@@ -260,6 +267,16 @@ def hidden_f3(r: RMatrix) -> float:
 def _direction(th: float, ph: float) -> tuple[float, float, float]:
     st = math.sin(th)
     return st * math.cos(ph), st * math.sin(ph), math.cos(th)
+
+
+def _filter_coordinates(x: Point) -> tuple[float, float, float, float]:
+    """(d, (1 - d) n) of the boost x = (d, theta, phi): the filter h(d, n)'s Pauli coefficients
+    ((1 + d) / 2, (d - 1) n / 2) up to an affine map, and well defined where the chart is not
+    (theta and phi at d = 1, phi at theta = 0)."""
+    d, th, ph = x
+    n1, n2, n3 = _direction(th, ph)
+    e = 1.0 - d
+    return d, e * n1, e * n2, e * n3
 
 
 def _filter_from_params(x: tuple[float, float, float]) -> np.ndarray:
@@ -492,10 +509,13 @@ def _nelder_mead_search(
 ) -> _Search:
     """Multi-start Nelder-Mead over x = (d, theta, phi) on :func:`_search_objective` of the picture ``r``.
 
-    Start 0 is the identity filter, so the result never falls below the
-    unfiltered value; start k draws from ``SeededRng(seed, k)``, and ties
-    resolve to the lowest start index. The search stops early once a start
-    reaches the quantum maximum.
+    Start 0's simplex is :data:`_START_SIMPLEX`: the identity filter, so
+    the result never falls below the unfiltered value, and a boost along
+    each axis. Start k draws its point from ``SeededRng(seed, k)`` and
+    builds scipy's simplex around it. Every start stops once its vertices
+    agree within 1e-9 in :func:`_filter_coordinates`, that is as filters,
+    and within FATOL in value. Ties resolve to the lowest start index. The
+    search stops early once a start reaches the quantum maximum.
     """
     fun = _search_objective(r, party, objective)
     maxval = SQRT2 if objective is Objective.CHSH else SQRT3
@@ -505,14 +525,23 @@ def _nelder_mead_search(
     evaluations = 0
     for start in range(starts):
         if start == 0:
-            x0 = _IDENTITY_BOOST
+            x0, simplex = _IDENTITY_BOOST, _START_SIMPLEX
         else:
             gen = SeededRng(seed, start).generator()
             d, th = gen.uniform(0.05, 1.0), gen.uniform(0.0, math.pi / 2)
             ph, ps = gen.uniform(-math.pi, math.pi), gen.uniform(-math.pi, math.pi)
             # the former chart diag(d, 1) . V(th, ph, ps) boosts along (2 th, ph - ps): each start keeps its point
-            x0 = (d, 2.0 * th, ph - ps)
-        res = minimize(fun, x0, bounds=bounds, max_iters=max_iters, xatol=1e-9, fatol=FATOL)
+            x0, simplex = (d, 2.0 * th, ph - ps), None
+        res = minimize(
+            fun,
+            x0,
+            bounds=bounds,
+            max_iters=max_iters,
+            xatol=1e-9,
+            fatol=FATOL,
+            initial_simplex=simplex,
+            xatol_map=_filter_coordinates,
+        )
         converged = converged or res.success
         evaluations += res.nfev
         if -res.fun > best_val + 1e-15:
@@ -551,13 +580,20 @@ def optimize_one_sided(
 
     CHSH is searched by multi-start Nelder-Mead
     (:func:`hqc.neldermead.minimize`, at most ``max_iters >= 1``
-    iterations a start) over x = (d, theta, phi). Start 0 is the identity
-    filter, so the result never falls below the unfiltered value. Start k
-    draws from ``SeededRng(seed, k)``, so a seed must be non-negative, and
-    ties resolve to the lowest start index. The search stops early once a
-    start reaches the quantum maximum; ``starts_used`` counts the starts
-    run, ``evaluations`` their objective evaluations and ``best_start`` is
-    the index of the start whose optimum is reported. Every start
+    iterations a start) over x = (d, theta, phi). Start 0's simplex is the
+    identity filter, so the result never falls below the unfiltered value,
+    and the boosts with d = 0.95 along z, x and y; scipy's rule would put
+    two of its vertices on the identity, where theta and phi do nothing,
+    and try boosts along z only. Start k draws its point from
+    ``SeededRng(seed, k)``, so a seed must be non-negative, and builds
+    scipy's simplex around it. A start stops once its vertices agree
+    within 1e-9 in the filter's coordinates (d, (1 - d) n), not in the
+    chart, whose angles stop mattering at d = 1 and phi at theta = 0, and
+    within FATOL in value. Ties resolve to the lowest start index. The
+    search stops early once a start reaches the quantum maximum;
+    ``starts_used`` counts the starts run, ``evaluations`` their objective
+    evaluations and ``best_start`` is the index of the start whose optimum
+    is reported. Every start
     minimises :func:`_search_objective`, built once from R. Each
     evaluation applies the candidate's boost L(d, n) (see the module
     docstring) to R in Python floats, reads the success probability off

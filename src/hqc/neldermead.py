@@ -8,8 +8,10 @@ its default, non-adaptive coefficients (Nelder & Mead, Comput. J. 7, 308,
 1965; Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 9, 112, 1998):
 
 - the initial simplex moves each coordinate of x0 by 5 %, or to 0.00025
-  where it is 0; a vertex above its upper bound is reflected to
-  ``2 ub - v``, and every vertex is then clipped to the bounds;
+  where it is 0, unless ``initial_simplex`` gives its n + 1 vertices, as
+  scipy's option of that name does (x0 then gives only the dimension);
+  either way a vertex above its upper bound is reflected to ``2 ub - v``,
+  and every vertex is then clipped to the bounds;
 - each iteration reflects the worst vertex through the centroid of the
   others, then expands, contracts outside (accepted on ``fxc <= fxr``) or
   inside, or shrinks towards the best vertex; every trial point is
@@ -17,6 +19,19 @@ its default, non-adaptive coefficients (Nelder & Mead, Comput. J. 7, 308,
 - the search stops once every vertex lies within ``xatol`` of the best in
   each coordinate and within ``fatol`` of it in value, or when
   ``max_iters`` iterations (counted from 1) have run.
+
+Beyond scipy, ``xatol_map`` may map a point to the coordinates whose
+spread ``xatol`` bounds, for a chart in which some coordinates stop
+mattering somewhere (an angle at a pole): the simplex then stops once the
+objects the points stand for agree, not their coordinates. Left at None,
+the test reads the point itself, as scipy does, and both options at None
+give scipy's trajectory bit for bit. The one-sided CHSH search uses both
+on its chart (d, theta, phi) of the filters: start 0's simplex is the
+identity (1, 0, 0) and the boosts with d = 0.95 along z, x and y, since
+scipy's rule would put two of its vertices on the identity, where the
+angles do nothing; and every start's stop test reads a vertex as the
+filter's coordinates (d, (1 - d) n), in which the angles count only as
+far as they move the filter.
 
 One rule differs: the simplex is ordered by Python's stable sort, so
 vertices with equal values keep their index order. scipy orders it with
@@ -62,8 +77,15 @@ def minimize(
     max_iters: int,
     xatol: float,
     fatol: float,
+    initial_simplex: Sequence[Sequence[float]] | None = None,
+    xatol_map: Callable[[Point], Sequence[float]] | None = None,
 ) -> NelderMeadResult:
-    """Minimise ``fun`` from ``x0``; ``bounds`` holds one (lower, upper) pair per coordinate, None for no bound."""
+    """Minimise ``fun`` from ``x0``; ``bounds`` holds one (lower, upper) pair per coordinate, None for no bound.
+
+    ``initial_simplex`` holds the n + 1 starting vertices, in place of the
+    simplex built around x0; ``xatol_map`` maps a point to the coordinates
+    whose spread ``xatol`` bounds (see the module docstring).
+    """
     n = len(x0)
     # (index, lower, upper) of the coordinates with a bound; clipping leaves every other coordinate as it is
     bounded = [
@@ -78,12 +100,17 @@ def minimize(
             y[k] = a if v < a else b if v > b else v
         return tuple(y)
 
-    start = clip([float(v) for v in x0])
-    points = [start]
-    for k in range(n):
-        y = list(start)
-        y[k] = (1 + NONZDELT) * y[k] if y[k] != 0 else ZDELT
-        points.append(tuple(y))
+    if initial_simplex is None:
+        start = clip([float(v) for v in x0])
+        points = [start]
+        for k in range(n):
+            y = list(start)
+            y[k] = (1 + NONZDELT) * y[k] if y[k] != 0 else ZDELT
+            points.append(tuple(y))
+    else:
+        points = [tuple(float(v) for v in p) for p in initial_simplex]
+        if len(points) != n + 1 or any(len(p) != n for p in points):
+            raise ValueError(f"initial_simplex must hold {n + 1} points of {n} coordinates, as x0 has {n}")
     # a step past an upper bound is reflected into the interior, so that clipping cannot collapse the simplex
     simplex = []
     for p in points:
@@ -98,7 +125,7 @@ def minimize(
     simplex.sort(key=by_value)
 
     iterations = 1
-    while iterations < max_iters and not _converged(simplex, xatol, fatol):
+    while iterations < max_iters and not _converged(simplex, xatol, fatol, xatol_map):
         fw, worst = simplex[-1]
         # the centroid of all but the worst vertex, each coordinate summed in vertex order
         xbar = list(simplex[0][1])
@@ -140,17 +167,27 @@ def minimize(
     return NelderMeadResult(simplex[0][1], simplex[0][0], nfev, iterations < max_iters)
 
 
-def _converged(simplex: list[tuple[float, Point]], xatol: float, fatol: float) -> bool:
-    """Whether every vertex is within ``fatol`` of the best in value and ``xatol`` in each coordinate.
+def _converged(
+    simplex: list[tuple[float, Point]],
+    xatol: float,
+    fatol: float,
+    xatol_map: Callable[[Point], Sequence[float]] | None,
+) -> bool:
+    """Whether every vertex is within ``fatol`` of the best in value and ``xatol`` in each coordinate,
+    read through ``xatol_map`` if one is given.
 
-    The comparisons are ``<=``, so a NaN anywhere means not converged.
+    The comparisons are ``<=``, so a NaN anywhere means not converged. The
+    values are tested first, so the map runs only on a simplex that has
+    converged in value.
     """
     f0, best = simplex[0]
     for j in range(1, len(simplex)):
         if not abs(f0 - simplex[j][0]) <= fatol:
             return False
+    read = (lambda x: x) if xatol_map is None else xatol_map
+    best = read(best)
     for j in range(1, len(simplex)):
-        for v, b in zip(simplex[j][1], best):
+        for v, b in zip(read(simplex[j][1]), best):
             if not abs(v - b) <= xatol:
                 return False
     return True

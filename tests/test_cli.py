@@ -622,9 +622,10 @@ class TestFilter:
         assert doc["error"]["type"] == "NotPositive"
 
     def test_optimize_reports_the_winning_start(self, capsys, tmp_path):
+        # on this state start 2 beats start 0
         path = tmp_path / "m.json"
-        serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
-        argv = ("filter", str(path), "--optimize", "B", "chsh", "--starts", "6")
+        serde.dump_state_json(rho_m(0.1, 0.9), str(path))
+        argv = ("filter", str(path), "--optimize", "A", "chsh", "--starts", "6")
         (code, doc), (_, again) = run_cli(capsys, *argv), run_cli(capsys, *argv)
         assert code == 0
         opt = doc["optimizer"]

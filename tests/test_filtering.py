@@ -18,6 +18,7 @@ from hqc import (
     ZeroSuccessProbability,
     apply_filters,
     apply_one_sided,
+    brute_force_chsh,
     chsh_max,
     f3_max,
     from_r_picture,
@@ -370,6 +371,16 @@ class TestOptimizeOneSided:
         assert a.value == b.value
         np.testing.assert_array_equal(a.filter.f, b.filter.f)
 
+    def test_start_zero_leaves_the_identity(self):
+        # a simplex with two of its vertices on the identity tried boosts along z only, and this
+        # state's 2-start search ended on its unfiltered value 0.93544
+        rho = sample_state(SeededRng(1, 3), rank=3)
+        res = optimize_one_sided(rho, Party.B, Objective.CHSH, starts=2, seed=0)
+        assert res.value - chsh_max(to_r_picture(rho))[0] > 0.1
+        eight = optimize_one_sided(rho, Party.B, Objective.CHSH, starts=8, seed=0)
+        assert abs(res.value - eight.value) <= 1e-12
+        assert abs(brute_force_chsh(res.filtered_picture) - res.value) <= 1e-9
+
     def test_starts_validated(self, singlet):
         with pytest.raises(DomainError):
             optimize_one_sided(singlet, Party.A, Objective.CHSH, starts=0)
@@ -454,10 +465,14 @@ class TestBoostEvaluation:
     # the boost evaluation (density-matrix objective), on the optimize
     # benchmark's cases at its seed 1. The maximal state ran one start, but
     # the parent reported its budget of 2. The F3 rows are now one exact
-    # solve: one start, and the same values and flags.
+    # solve: one start, and the same values and flags. The two Ginibre CHSH
+    # rows are the values start 0 reaches once its simplex leaves the
+    # identity (that search ended on the unfiltered value for both), read
+    # by the density route from the winning filter; the brute-force CHSH
+    # oracle gives the same values to 1e-16.
     PARITY = [
-        ("ginibre-r2", lambda: _ginibre(2), Party.A, Objective.CHSH, 0.7789316728061182, False, 2),
-        ("ginibre-r3", lambda: _ginibre(3), Party.B, Objective.CHSH, 0.9354374126050978, False, 2),
+        ("ginibre-r2", lambda: _ginibre(2), Party.A, Objective.CHSH, 0.9999999943252994, True, 2),
+        ("ginibre-r3", lambda: _ginibre(3), Party.B, Objective.CHSH, 1.0608743148676276, False, 2),
         ("ginibre-r4", lambda: _ginibre(4), Party.A, Objective.F3, 0.8234883603253991, True, 1),
         ("rho_m-a", lambda: rho_m(0.5, 0.8), Party.A, Objective.CHSH, 1.1313708498984765, False, 2),
         ("rho_m-b", lambda: rho_m(0.3, 0.7), Party.A, Objective.CHSH, 0.9899494936611667, False, 2),
@@ -474,55 +489,57 @@ class TestBoostEvaluation:
         ("maximal", lambda: rho_qd(1.0), Party.A, Objective.CHSH, 1.4142135623730951, False, 1),
     ]
 
-    # optimize_one_sided(starts=2, seed=0) on the PARITY cases with the code before
-    # the leaner Nelder-Mead loop and the fused objective (be49d11): value,
-    # evaluations, best start and the winning x, all to the bit
+    # optimize_one_sided(starts=2, seed=0) on the PARITY cases, with start 0's simplex
+    # of the identity and a boost along each axis and the stop test read in the
+    # filter's coordinates: value, evaluations, best start and the winning x, all
+    # to the bit
     TRAJECTORY = {
-        "ginibre-r2": ("0x1.8ed021d90aacfp-1", 254, 0, ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
-        "ginibre-r3": ("0x1.def1a70d30007p-1", 254, 0, ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+        "ginibre-r2": (
+            "0x1.ffffffcf41339p-1", 262, 0, ("0x1.a36e2eb1c432ep-14", "0x1.d247c9eaa93a0p+0", "-0x1.10dcf79da2c0cp+1")
+        ),
+        "ginibre-r3": (
+            "0x1.0f95758785daap+0", 315, 0, ("0x1.d4d15d1d0d0d0p-2", "0x1.c8cae6a8d3113p+0", "-0x1.99798cdbb9d96p+0")
+        ),
         "ginibre-r4": (
-            "0x1.a5a0443077efep-1", 495, 0, ("0x1.a36e2eb1c432dp-14", "-0x1.660659989578cp-1", "0x1.15079bdf85c84p+0")
+            "0x1.a5a0443077efep-1", 298, 0, ("0x1.a36e2eb1c432dp-14", "-0x1.66065a1952b1ep-1", "0x1.15079b0924ee4p+0")
         ),
         "rho_m-a": (
-            "0x1.21a1851ff630bp+0", 522, 0, ("0x1.17b4f58862cfcp-1", "-0x1.f2083069a5b8ap-27", "-0x1.869f53f7b500cp-9")
+            "0x1.21a1851ff630bp+0", 391, 0, ("0x1.17b4f5ebab9b4p-1", "-0x1.ce9c8188a53eep-28", "-0x1.bde2082a9622ap-2")
         ),
         "rho_m-b": (
-            "0x1.fadaa8f7eed52p-1", 479, 0, ("0x1.3cc2a41fd5cdfp-2", "-0x1.2309ee4b3298ep-27", "-0x1.eae76686d8a7cp-10")
+            "0x1.fadaa8f7eed50p-1", 410, 0, ("0x1.3cc2a46f39dd8p-2", "0x1.1744f6356e536p-28", "-0x1.53be998e9063ap-1")
         ),
         "rho_m-c": (
-            "0x1.4c8dc2e42397fp+0", 534, 0, ("0x1.75ca076f1a620p-2", "-0x1.68a7f4390916ap-30", "-0x1.5cd6926b1d680p-9")
+            "0x1.4c8dc2e423980p+0", 398, 0, ("0x1.75ca07aa856bbp-2", "0x1.af6d40020c0dfp-29", "-0x1.6c1543f23fe20p-1")
         ),
         "rho_m-d": (
-            "0x1.414126b39e44cp+0", 500, 0, ("0x1.6cfad6480f27bp-1", "-0x1.9b403ae479910p-27", "-0x1.0929fa94a1262p-10")
+            "0x1.414126b39e44fp+0", 389, 0, ("0x1.6cfad650096cep-1", "0x1.1de6c7f7c101ep-27", "-0x1.428ea25a57e68p-1")
         ),
         "rho_m-e": (
-            "0x1.478dc9f36e035p+0", 492, 0, ("0x1.3a055968e61a5p-1", "0x1.0cb2a6f04529fp-25", "-0x1.253a73efbbd55p-10")
+            "0x1.478dc9f36e035p+0", 382, 0, ("0x1.3a055933f28e7p-1", "0x1.af0de304d4f7ap-29", "-0x1.251ef098c3e7ep+1")
         ),
         "rho_m-f": (
-            "0x1.d6a67853f00f2p-1", 475, 0, ("0x1.39e8ed3605fbcp-1", "0x1.d6bb8992817f0p-28", "-0x1.c942a100d5438p-10")
+            "0x1.d6a67853f00efp-1", 376, 0, ("0x1.39e8ed2f41e83p-1", "0x1.85cfaa9455cfcp-26", "-0x1.2ce864c2df01dp-1")
         ),
         "rho_qd-a": (
-            "0x1.ffffffc6bbd88p-1", 689, 0, ("0x1.a36e2eb1c432dp-14", "0x1.8ab97c0952f50p-13", "0x1.b506ab017cd94p-7")
+            "0x1.ffffffc6bbd89p-1", 404, 0, ("0x1.a36e2eb1c432dp-14", "0x1.caad47c1c4c02p-13", "-0x1.690fe8280039ep+1")
         ),
         "rho_qd-b": (
-            "0x1.5930b9707ea11p+0", 502, 0, ("0x1.5bd5e3e4568e2p-1", "-0x1.22c91b514bb68p-25", "-0x1.966808fcb9d8cp-11")
+            "0x1.5930b9707ea12p+0", 405, 0, ("0x1.5bd5e3f60e6aep-1", "-0x1.89a9c6cbdd7cbp-26", "-0x1.8424907381b71p-5")
         ),
         "rho_qd-c": (
-            "0x1.ffffff5433897p-1",
-            396,
-            0,
-            ("0x1.a36e2eb1c432ep-14", "-0x1.be0a8fcf28c08p-17", "-0x1.83dea7b8486e3p-11"),
+            "0x1.ffffff5433895p-1", 439, 0, ("0x1.a36e2eb1c432ep-14", "-0x1.c76c8fcdfca56p-14", "-0x1.aa79d7d1b03abp+4")
         ),
         "rho_qd-d": (
-            "0x1.4779eed162ffcp+0", 567, 0, ("0x1.cf1f15984f080p-1", "0x1.07b94accaf041p-22", "-0x1.0f77fdc7467d4p-12")
+            "0x1.4779eed162ffbp+0", 385, 0, ("0x1.cf1f159129423p-1", "-0x1.f623ed2ce5237p-23", "-0x1.636df1ec16662p-1")
         ),
         "rho_qd-e": (
-            "0x1.ffffff54338a3p-1", 407, 0, ("0x1.a36e2eb1c432ep-14", "0x1.16651e1b01170p-12", "-0x1.bc9ac92457640p-11")
+            "0x1.ffffff54338a5p-1", 405, 0, ("0x1.a36e2eb1c432dp-14", "0x1.2a445b073117cp-12", "-0x1.67ab2055d479cp+2")
         ),
         "rho_qd-f": (
-            "0x1.33064cacc1705p+0", 543, 0, ("0x1.17700f1e041c5p-1", "-0x1.0adc12a6274e8p-26", "-0x1.b3d7ab7c47858p-9")
+            "0x1.33064cacc1705p+0", 391, 0, ("0x1.17700f4da9b1ap-1", "-0x1.3bd509ea5af3ap-28", "-0x1.86550bb1d9598p-5")
         ),
-        "maximal": ("0x1.6a09e667f3bcdp+0", 96, 0, ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+        "maximal": ("0x1.6a09e667f3bcdp+0", 9, 0, ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
     }
 
     def test_trajectories_pinned_to_the_bit(self, monkeypatch):
