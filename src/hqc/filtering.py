@@ -90,6 +90,7 @@ _SPIN_FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])  # (sigma_y (x) sigm
 
 SCALE_FLOOR = 1e-4  # lower bound on the filter's small singular value during optimisation
 FATOL = 1e-11  # Nelder-Mead's stopping tolerance on the objective, per start
+XATOL = 1e-7  # its stopping tolerance on the filter's coordinates (d, (1 - d) n), per start
 SECULAR_MAX_ITERS = 60  # cap on the exact F3 solve's Newton steps
 
 # the filters' cone kappa |u| <= l_0 for d in [SCALE_FLOOR, 1], and kappa^2 - 1 without cancellation
@@ -160,7 +161,7 @@ class OneSidedResult:
     filter: LocalFilter
     objective: Objective
     party: Party
-    converged: bool
+    converged: bool  # CHSH: the winning start stopped on its tolerances, not on max_iters; F3: Newton within its cap
     starts_used: int  # starts actually run; fewer than the budget after an early exit
     best_start: int  # index of the start that found ``value`` (0 is the identity filter)
     evaluations: int  # objective evaluations over the starts run
@@ -513,15 +514,20 @@ def _nelder_mead_search(
     the result never falls below the unfiltered value, and a boost along
     each axis. Start k draws its point from ``SeededRng(seed, k)`` and
     builds scipy's simplex around it. Every start stops once its vertices
-    agree within 1e-9 in :func:`_filter_coordinates`, that is as filters,
-    and within FATOL in value. Ties resolve to the lowest start index. The
-    search stops early once a start reaches the quantum maximum.
+    agree within XATOL in :func:`_filter_coordinates`, that is as filters,
+    and within FATOL in value. The test runs before every iteration, so a
+    tighter XATOL only runs a start further along the same points: on the
+    optimize benchmark's CHSH calls at seeds 1-5, XATOL = 1e-7 takes 20 %
+    fewer evaluations than 1e-9 and moves no value by more than 2.0e-15.
+    Ties resolve to the lowest start index, and ``converged`` is the
+    winning start's: whether it stopped on the tolerances rather than on
+    ``max_iters``. The search stops early once a start reaches the quantum
+    maximum.
     """
     fun = _search_objective(r, party, objective)
     maxval = SQRT2 if objective is Objective.CHSH else SQRT3
     bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
     best_x, best_val, best_start = _IDENTITY_BOOST, -fun(_IDENTITY_BOOST), 0
-    converged = False
     evaluations = 0
     for start in range(starts):
         if start == 0:
@@ -537,15 +543,16 @@ def _nelder_mead_search(
             x0,
             bounds=bounds,
             max_iters=max_iters,
-            xatol=1e-9,
+            xatol=XATOL,
             fatol=FATOL,
             initial_simplex=simplex,
             xatol_map=_filter_coordinates,
         )
-        converged = converged or res.success
         evaluations += res.nfev
         if -res.fun > best_val + 1e-15:
             best_val, best_x, best_start = -res.fun, res.x, start
+        if best_start == start:  # always at start 0: the identity it cannot fall below is its own vertex
+            converged = res.success
         if best_val >= maxval - 1e-12:
             break  # cannot improve on the quantum maximum
     return _Search(best_x, best_val, converged, start + 1, best_start, evaluations)
@@ -587,13 +594,17 @@ def optimize_one_sided(
     and try boosts along z only. Start k draws its point from
     ``SeededRng(seed, k)``, so a seed must be non-negative, and builds
     scipy's simplex around it. A start stops once its vertices agree
-    within 1e-9 in the filter's coordinates (d, (1 - d) n), not in the
-    chart, whose angles stop mattering at d = 1 and phi at theta = 0, and
-    within FATOL in value. Ties resolve to the lowest start index. The
+    within XATOL = 1e-7 in the filter's coordinates (d, (1 - d) n), not in
+    the chart, whose angles stop mattering at d = 1 and phi at theta = 0,
+    and within FATOL in value. Against 1e-9 this takes 17 % fewer
+    evaluations and moves no value by more than 2.0e-15 on a 102-call set;
+    an optimum on the scale floor can end up to 4.6e-12 lower, where the
+    value still changes along d. Ties resolve to the lowest start index. The
     search stops early once a start reaches the quantum maximum;
     ``starts_used`` counts the starts run, ``evaluations`` their objective
-    evaluations and ``best_start`` is the index of the start whose optimum
-    is reported. Every start
+    evaluations, ``best_start`` is the index of the start whose optimum
+    is reported and ``converged`` says whether that start stopped on the
+    tolerances rather than on ``max_iters``. Every start
     minimises :func:`_search_objective`, built once from R. Each
     evaluation applies the candidate's boost L(d, n) (see the module
     docstring) to R in Python floats, reads the success probability off

@@ -32,7 +32,7 @@ from hqc import (
 from hqc import cli as cli_mod
 from hqc import filtering as filtering_mod
 from hqc.cli import main
-from hqc.families import paper_filter_rho_m, rho_m, rho_qd
+from hqc.families import paper_filter_rho_m, rho_m, rho_mm, rho_qd
 
 from conftest import singlet_matrix, werner_matrix
 from support import rmatrix_to_csv
@@ -639,6 +639,22 @@ class TestFilter:
         assert upto["optimizer"]["value"] == opt["value"]
         assert upto["optimizer"]["best_start"] == opt["best_start"]
         assert before["optimizer"]["value"] < opt["value"]
+
+    def test_converged_describes_the_winning_start(self, capsys, tmp_path, monkeypatch):
+        # start 0 wins after stopping on --max-iters; starts 1 and 2 converge on the d = 1 face, below it
+        path = tmp_path / "mm.json"
+        serde.dump_state_json(rho_mm(0.6015, 0.5), str(path))
+        runs = []
+        minimize = filtering_mod.minimize
+        monkeypatch.setattr(filtering_mod, "minimize", lambda *a, **k: runs.append(minimize(*a, **k)) or runs[-1])
+        argv = ("filter", str(path), "--optimize", "A", "chsh", "--starts", "3", "--max-iters", "30")
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0
+        opt = doc["optimizer"]
+        assert (opt["best_start"], opt["starts_used"]) == (0, 3)
+        assert [run.success for run in runs] == [False, True, True]
+        assert all(-run.fun < opt["value"] - 1e-4 for run in runs[1:])
+        assert opt["converged"] is False
 
     def test_optimize_excludes_filter_files(self, capsys, tmp_path):
         path = tmp_path / "w.json"
