@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import math
 import os
 import sys
@@ -27,7 +28,7 @@ import time
 import numpy as np
 
 from . import serde
-from .criteria import Thresholds, classify, classify_batch, classify_batch_with_masks
+from .criteria import VIOLATION_MARGIN, Thresholds, classify, classify_batch, classify_batch_with_masks
 from .ellipsoid import Party, compute_ellipsoid
 from .errors import DomainError, HqcError
 from .families import Family, qd_centre_boundary, scan_family
@@ -126,7 +127,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "witness_centre_magnitude": report.c_b if party is Party.A else report.c_a,
             "threshold": th.cutoff(objective),
             "witness_degenerate": not ok[list(Party).index(party.other()), 0],
-            "conjecture_conditional": True,
+            "conjecture_conditional": report.conjecture_conditional,
         }
     )
     return 0
@@ -247,8 +248,13 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         **step,
         "success_probability": prob,
         "after": serde.report_to_dict(after),
-        "filtered_state": serde.state_to_dict(filtered),
     }
+    if args.optimize and res.value > 1.0 + VIOLATION_MARGIN:
+        # the certificates of the input that its optimum violates: the centre-bound conjecture fails on it
+        refuted = sorted(before.flags & {f"{p}_INACCESSIBLE_{res.objective.value}" for p in (res.party.value, "AB")})
+        if refuted:
+            payload["refuted"] = refuted
+    payload["filtered_state"] = serde.state_to_dict(filtered)
     if args.out:
         serde.dump_state_json(filtered, args.out)
         payload["out"] = args.out
@@ -309,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: HQC_SEED env or 0)")
     p.add_argument("--out-prefix", required=True, help="prefix for output files")
-    p.add_argument("--bins", type=int, default=200, help="centre-magnitude histogram bins")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument("--bins", type=int, default=SweepConfig.bins, help="centre-magnitude histogram bins")
+    p.add_argument("--workers", type=int, default=SweepConfig.workers, help="parallel workers")
     p.add_argument(
         "--rank-mix", default=None, help="rank weights, each rank at most once, e.g. 1:0.25,2:0.25,3:0.25,4:0.25"
     )
@@ -328,11 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optimise a one-sided filter, e.g. --optimize A chsh",
     )
+    search = inspect.signature(optimize_one_sided).parameters
+    starts, max_iters = (search[name].default for name in ("starts", "max_iters"))
     p.add_argument(
-        "--starts", type=int, default=32, help="CHSH optimiser starts (F3 is solved exactly; still validated)"
+        "--starts", type=int, default=starts, help="CHSH optimiser starts (F3 is solved exactly; still validated)"
     )
     p.add_argument(
-        "--max-iters", type=int, default=500, help="CHSH optimiser iterations per start (validated for F3 too)"
+        "--max-iters", type=int, default=max_iters, help="CHSH optimiser iterations per start (validated for F3 too)"
     )
     p.add_argument("--seed", type=int, default=None, help="CHSH optimiser seed (default: HQC_SEED env or 0)")
     p.add_argument("--out", default=None, help="write the filtered state JSON here")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ class Thresholds:
         return self.c_chsh if objective is Objective.CHSH else self.c_f3
 
 
-@dataclass(frozen=True)
-class InaccessibilityReport:
+class InaccessibilityReport(NamedTuple):
     """Per-state correlation values, centre magnitudes, and case flags.
 
     Flags (CHSH family; each has an F3 analogue):
@@ -85,7 +85,9 @@ class InaccessibilityReport:
     maximal value is sqrt(2) (and sqrt(3) for F3) throughout.
 
     Inaccessibility flags are valid modulo the centre-bound conjecture;
-    ``conjecture_conditional`` is always True to flag this. Degenerate
+    the class constant ``conjecture_conditional`` is True to flag this, and
+    the property ``degenerate_normal_form`` says whether the normal form
+    vanishes (``hb_star`` and ``hf3_star`` NaN). Degenerate
     (point) ellipsoids are certified by the same rule using the
     point-ellipsoid centre, a convention this package adds for pure
     marginals.
@@ -100,8 +102,12 @@ class InaccessibilityReport:
     entangled: bool
     flags: frozenset[str]
     thresholds: Thresholds
-    degenerate_normal_form: bool = False
-    conjecture_conditional: bool = True
+
+    conjecture_conditional = True  # a class constant, not a field
+
+    @property
+    def degenerate_normal_form(self) -> bool:
+        return math.isnan(self.hb_star)
 
 
 def conjecture_bound_chsh(c: float | np.ndarray) -> float | np.ndarray:
@@ -184,26 +190,10 @@ def classify_batch_with_masks(
     np.logical_and(flags[:, 3], flags[:, 4], out=flags[:, 5])
     codes = _FLAG_BITS @ flags.reshape(len(_FLAGS), -1)
 
-    reports = []
-    new = object.__new__
-    for vb, vf3, hb, hf3, ca, cb, ent, code in zip(*(x.tolist() for x in (b, f3, *hidden, *c, entangled, codes))):
-        # the frozen dataclass's __init__ sets each field through object.__setattr__; filling
-        # the instance's __dict__ builds the same report at a third of the cost
-        report = new(InaccessibilityReport)
-        report.__dict__.update(
-            b=vb,
-            f3=vf3,
-            hb_star=hb,
-            hf3_star=hf3,
-            c_a=ca,
-            c_b=cb,
-            entangled=ent,
-            flags=_flag_set(code),
-            thresholds=th,
-            degenerate_normal_form=math.isnan(hb),
-            conjecture_conditional=True,
-        )
-        reports.append(report)
+    reports = [
+        InaccessibilityReport(vb, vf3, hb, hf3, ca, cb, ent, _flag_set(code), th)
+        for vb, vf3, hb, hf3, ca, cb, ent, code in zip(*(x.tolist() for x in (b, f3, *hidden, *c, entangled, codes)))
+    ]
     return reports, ok
 
 

@@ -16,8 +16,8 @@ ellipsoid with q = 0 and centre at the steered party's Bloch vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ class Party(Enum):
         return Party.B if self is Party.A else Party.A
 
 
-@dataclass(frozen=True)
-class SteeringEllipsoid:
+class SteeringEllipsoid(NamedTuple):
     """Centre, matrix, and derived geometry of one party's ellipsoid."""
 
     centre: np.ndarray

@@ -122,7 +122,6 @@ def scan_family(
     points (pure marginals, vanishing normal form) carry flags and NaN
     hidden measures rather than aborting the scan.
     """
-    th = th or Thresholds()
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
     if theta_grid.size == 0 or p_grid.size == 0:

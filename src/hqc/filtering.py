@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -92,6 +92,7 @@ SCALE_FLOOR = 1e-4  # lower bound on the filter's small singular value during op
 FATOL = 1e-11  # Nelder-Mead's stopping tolerance on the objective, per start
 XATOL = 1e-7  # its stopping tolerance on the filter's coordinates (d, (1 - d) n), per start
 SECULAR_MAX_ITERS = 60  # cap on the exact F3 solve's Newton steps
+ZERO_SUCCESS = 1e-12  # a filter whose success probability is at most this raises ZeroSuccessProbability
 
 # the filters' cone kappa |u| <= l_0 for d in [SCALE_FLOOR, 1], and kappa^2 - 1 without cancellation
 _KAPPA = (1.0 + SCALE_FLOOR**2) / (1.0 - SCALE_FLOOR**2)
@@ -153,8 +154,7 @@ class NormalFormSpectrum(NamedTuple):
     nu3: float
 
 
-@dataclass(frozen=True)
-class OneSidedResult:
+class OneSidedResult(NamedTuple):
     """Best one-sided filtered correlation value found by the optimiser."""
 
     value: float
@@ -169,7 +169,7 @@ class OneSidedResult:
     filtered_state: DensityMatrix  # the input after ``filter``, validated by the final verification
     filtered_picture: RMatrix  # its correlation picture, from which the verification read ``value``
     success_probability: float  # probability of the filter's successful branch
-    stage_seconds: dict = field(compare=False)  # wall seconds of the search and of the final verification
+    stage_seconds: dict  # wall seconds of the search and of the final verification
 
 
 def apply_filters(
@@ -179,8 +179,8 @@ def apply_filters(
     op = np.kron(fa.f, fb.f)
     unnorm = op @ rho.matrix @ op.conj().T
     prob = float(unnorm.trace().real)
-    if prob <= 1e-12:
-        raise ZeroSuccessProbability(f"success probability {prob:.3e} <= 1e-12")
+    if prob <= ZERO_SUCCESS:
+        raise ZeroSuccessProbability(f"success probability {prob:.3e} <= {ZERO_SUCCESS!r}")
     return validate_state(unnorm / prob, tol), prob
 
 
@@ -313,7 +313,7 @@ def _search_objective(r: np.ndarray, party: Party, objective: Objective) -> Call
     of T straight from them, and reads the maximum with
     :func:`hqc.correlations.chsh_f3_value`: the arithmetic of
     :func:`chsh_f3_maxima` with no array built. It raises
-    ZeroSuccessProbability where p <= 1e-12.
+    ZeroSuccessProbability where p <= ZERO_SUCCESS.
     """
     c = r if party is Party.A else r.T
     (c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), (c30, c31, c32, c33) = c.tolist()
@@ -324,8 +324,8 @@ def _search_objective(r: np.ndarray, party: Party, objective: Objective) -> Call
         # p = c + s (n . a) (b for Bob); since |a| <= 1 it is at least
         # d^2 >= SCALE_FLOOR^2 = 1e-8 on a valid state.
         prob = l00 * c00 + l01 * c10 + l02 * c20 + l03 * c30
-        if prob <= 1e-12:
-            raise ZeroSuccessProbability(f"success probability {prob:.3e} <= 1e-12")
+        if prob <= ZERO_SUCCESS:
+            raise ZeroSuccessProbability(f"success probability {prob:.3e} <= {ZERO_SUCCESS!r}")
         t = (
             (
                 (l10 * c01 + l11 * c11 + l12 * c21 + l13 * c31) / prob,

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from hqc import (
     Objective,
     Party,
     SeededRng,
+    SweepConfig,
     Thresholds,
     apply_one_sided,
     classify,
@@ -33,6 +35,7 @@ from hqc import cli as cli_mod
 from hqc import filtering as filtering_mod
 from hqc.cli import main
 from hqc.families import paper_filter_rho_m, rho_m, rho_mm, rho_qd
+from hqc.states import DEFAULT_TOL
 
 from conftest import singlet_matrix, werner_matrix
 from support import rmatrix_to_csv
@@ -273,20 +276,21 @@ class TestReportGoldens:
 class TestKnownF3CounterexampleGoldens:
     """stdout of ``hqc filter --optimize X f3`` on the known counterexamples to the F3 literal 0.66,
     byte for byte, recorded while the exact F3 solve still bracketed its secular root: R(0.661)
-    as an R-CSV with ``repr`` entries, and ``rho_qd(0.505)`` as a state JSON. Each run is pinned
-    as the program stands, not as a requirement: its value exceeds 1 while its ``before`` report
-    certifies the party's F3 inaccessible. The platform guard is that of ``TestOutputBitPins``."""
+    as an R-CSV with ``repr`` entries, and ``rho_qd(0.505)`` as a state JSON, and re-recorded when
+    the ``refuted`` key was added. Each value exceeds 1 while its ``before`` report certifies the
+    party's F3 inaccessible; ``refuted`` names those certificates, and the flag sets keep them.
+    The platform guard is that of ``TestOutputBitPins``."""
 
     @pytest.mark.parametrize(
-        "state_file, fmt, party, flag",
+        "state_file, fmt, party, refuted",
         [
-            ("tight_chsh_0_661.rcsv", "rcsv", "A", "A_INACCESSIBLE_F3"),
-            ("rho_qd_0_505.json", "json", "A", "AB_INACCESSIBLE_F3"),
-            ("rho_qd_0_505.json", "json", "B", "AB_INACCESSIBLE_F3"),
+            ("tight_chsh_0_661.rcsv", "rcsv", "A", ["A_INACCESSIBLE_F3"]),
+            ("rho_qd_0_505.json", "json", "A", ["AB_INACCESSIBLE_F3", "A_INACCESSIBLE_F3"]),
+            ("rho_qd_0_505.json", "json", "B", ["AB_INACCESSIBLE_F3", "B_INACCESSIBLE_F3"]),
         ],
         ids=["tight_chsh_0_661_A", "rho_qd_0_505_A", "rho_qd_0_505_B"],
     )
-    def test_stdout(self, capsys, monkeypatch, state_file, fmt, party, flag):
+    def test_stdout(self, capsys, monkeypatch, state_file, fmt, party, refuted):
         monkeypatch.delenv("HQC_SEED", raising=False)
         argv = ["filter", str(GOLDEN / state_file), "--format", fmt, "--optimize", party, "f3"]
         assert main(argv) == 0
@@ -294,7 +298,9 @@ class TestKnownF3CounterexampleGoldens:
         assert out == (GOLDEN / f"filter_{Path(state_file).stem}_{party}_f3.json").read_text()
         doc = json.loads(out)
         assert doc["optimizer"]["value"] > 1.0 + 1e-4
-        assert flag in doc["before"]["flags"]
+        assert doc["refuted"] == refuted
+        assert set(refuted) <= set(doc["before"]["flags"])
+        assert list(doc).index("refuted") == list(doc).index("after") + 1
 
 
 class TestScan:
@@ -530,6 +536,18 @@ class TestSweepCounterexamplePath:
             "index": 5, "b": 1.5, "f3": 1.6, "c_a": 0.7, "c_b": 0.7, "reasons": ["chsh_bound_cB"],
         }
         assert serde.load_state_json(dump_path).matrix.tobytes() == state.tobytes()
+
+
+class TestParserDefaults:
+    def test_defaults_are_the_librarys(self):
+        parser = cli_mod.build_parser()
+        search = inspect.signature(optimize_one_sided).parameters
+        args = parser.parse_args(["filter", "state.json"])
+        assert (args.starts, args.max_iters) == (search["starts"].default, search["max_iters"].default)
+        assert (args.c_chsh, args.c_f3, args.tol) == (Thresholds().c_chsh, Thresholds().c_f3, DEFAULT_TOL)
+        args = parser.parse_args(["sweep", "--n", "1", "--out-prefix", "s_"])
+        config = SweepConfig(n=1)
+        assert (args.bins, args.workers) == (config.bins, config.workers)
 
 
 class TestFilter:

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -15,6 +14,7 @@ from hqc import (
     ComplexSpectrum,
     DegenerateNormalForm,
     DomainError,
+    InaccessibilityReport,
     LocalFilter,
     Objective,
     Party,
@@ -354,9 +354,13 @@ class TestClassify:
         assert value[Party.B] <= 1.0 + 1e-6
 
 
+REPORT_NAMES = (*InaccessibilityReport._fields, "degenerate_normal_form", "conjecture_conditional")
+
+
 def report_bits(report) -> dict:
-    """Every field of a report, floats by repr so that NaN equals NaN and the last bit counts."""
-    return {f.name: repr(v) if isinstance(v, float) else v for f in fields(report) for v in [getattr(report, f.name)]}
+    """Every field of a report and its two derived members, floats by repr so that NaN equals NaN
+    and the last bit counts."""
+    return {name: repr(v) if isinstance(v, float) else v for name in REPORT_NAMES for v in [getattr(report, name)]}
 
 
 class TestClassifyBatch:

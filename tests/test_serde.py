@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hqc import (
+    InaccessibilityReport,
     LocalFilter,
     ParseError,
     Party,
@@ -162,6 +163,18 @@ class TestReportAndEllipsoid:
         assert doc["hb_star"] is None
         assert doc["degenerate_normal_form"] is True
         json.dumps(doc)
+
+    @pytest.mark.parametrize("vanishing", [False, True], ids=["finite", "vanishing_normal_form"])
+    def test_report_dict_is_the_record(self, vanishing):
+        # the JSON holds the record's fields in order, then its two derived members
+        v = np.zeros((4, 4), dtype=complex)
+        v[0, 0] = 1.0
+        report = classify(to_r_picture(validate_state(v if vanishing else singlet_matrix())))
+        doc = serde.report_to_dict(report)
+        names = (*InaccessibilityReport._fields, "degenerate_normal_form", "conjecture_conditional")
+        assert tuple(doc) == names
+        assert math.isnan(report.hb_star) is vanishing is report.degenerate_normal_form is doc["degenerate_normal_form"]
+        assert report.conjecture_conditional is doc["conjecture_conditional"] is True
 
     def test_ellipsoid_dict(self):
         e = compute_ellipsoid(to_r_picture(validate_state(singlet_matrix())), Party.B)
