@@ -99,14 +99,24 @@ def _resolve_seed(args: argparse.Namespace) -> tuple[int, str]:
     return 0, "default"
 
 
+def _refuted(flags: frozenset[str], parties: tuple[str, ...], objectives: list[Objective]) -> dict:
+    """``{"refuted": [...]}``: the certificates among ``flags`` of ``parties`` for ``objectives``, the
+    objectives a value above 1 + VIOLATION_MARGIN shows the centre-bound conjecture to fail on;
+    ``{}`` when there are none."""
+    refuted = sorted(flags & {f"{p}_INACCESSIBLE_{o.value}" for p in parties for o in objectives})
+    return {"refuted": refuted} if refuted else {}
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     _, r = _load_state(args)
     report = classify(r, _thresholds(args))
+    violated = [o for o, v in ((Objective.CHSH, report.b), (Objective.F3, report.f3)) if v > 1.0 + VIOLATION_MARGIN]
     _emit(
         {
             "report": serde.report_to_dict(report),
             "ellipsoid_a": serde.ellipsoid_to_dict(compute_ellipsoid(r, Party.A)),
             "ellipsoid_b": serde.ellipsoid_to_dict(compute_ellipsoid(r, Party.B)),
+            **_refuted(report.flags, ("A", "B", "AB"), violated),
         }
     )
     return 0
@@ -250,10 +260,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         "after": serde.report_to_dict(after),
     }
     if args.optimize and res.value > 1.0 + VIOLATION_MARGIN:
-        # the certificates of the input that its optimum violates: the centre-bound conjecture fails on it
-        refuted = sorted(before.flags & {f"{p}_INACCESSIBLE_{res.objective.value}" for p in (res.party.value, "AB")})
-        if refuted:
-            payload["refuted"] = refuted
+        # the certificates of the input that its optimum violates
+        payload.update(_refuted(before.flags, (res.party.value, "AB"), [res.objective]))
     payload["filtered_state"] = serde.state_to_dict(filtered)
     if args.out:
         serde.dump_state_json(filtered, args.out)
@@ -263,11 +271,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         search, verify = res.stage_seconds["search"], res.stage_seconds["verify"]
         if res.objective is Objective.F3:
             done = f"exact F3 solve, {res.evaluations} secular iterations; search {search:.6f}s"
-        else:
-            done = (
-                f"{res.starts_used} starts, {res.evaluations} evaluations; search {search:.4f}s"
-                f" ({1e6 * search / res.evaluations:.1f} us/evaluation)"
-            )
+        else:  # the search's seconds include the seed's solves, so they are no per-evaluation cost
+            done = f"exact seed and one polish, {res.evaluations} evaluations; search {search:.4f}s"
         print(f"filter: {done}; verify {verify:.4f}s", file=sys.stderr)
     return 0
 
@@ -336,13 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search = inspect.signature(optimize_one_sided).parameters
     starts, max_iters = (search[name].default for name in ("starts", "max_iters"))
-    p.add_argument(
-        "--starts", type=int, default=starts, help="CHSH optimiser starts (F3 is solved exactly; still validated)"
-    )
-    p.add_argument(
-        "--max-iters", type=int, default=max_iters, help="CHSH optimiser iterations per start (validated for F3 too)"
-    )
-    p.add_argument("--seed", type=int, default=None, help="CHSH optimiser seed (default: HQC_SEED env or 0)")
+    p.add_argument("--starts", type=int, default=starts, help="validated (>= 1), unused: no random starts")
+    p.add_argument("--max-iters", type=int, default=max_iters, help="CHSH polish iterations (validated for F3)")
+    p.add_argument("--seed", type=int, default=None, help="validated (>= 0), unused (default: HQC_SEED env or 0)")
     p.add_argument("--out", default=None, help="write the filtered state JSON here")
     p.set_defaults(func=_cmd_filter)
 

@@ -29,7 +29,7 @@ any state towards a pure product state (e.g. a random state with hidden
 CHSH 0.550 reaches 0.999996 under diag(1, 1e-3) on both sides). Hidden F3
 is a lower bound on the best F3 value. One-sided optima (one party
 filters, the other does nothing) of CHSH are bounded by max(1, hidden
-CHSH) and estimated numerically; the one-sided F3 optimum over the
+CHSH) and searched numerically; the one-sided F3 optimum over the
 optimiser's filters is solved exactly, as a trust-region subproblem
 (:func:`one_sided_f3_suprema`).
 
@@ -58,16 +58,18 @@ ellipsoid, whose maximum is one 3x3 eigensolve and one secular equation
 (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553, 1983). The solve
 is batch-first over (n, 4, 4) stacks; the optimiser runs a batch of one.
 
-For CHSH the optimiser searches (d, n) with the package's own bounded
-Nelder-Mead, :func:`hqc.neldermead.minimize`, bound here as
-``minimize``. Its objective unpacks R (R^T for Bob, since R . L^T is the
-transpose of L . R^T) into Python floats once per call; each evaluation
-then takes the 16 entries of L(d, n) from :func:`_boost`, the one
-rendition of the formula above, forms the 10 entries of L . R that the
-value needs (the success probability and T, not row 0's marginal part)
-and reads the value with :func:`hqc.correlations.chsh_f3_value`, the
-float rendition of the closed-form B/F3 formula of
-:func:`hqc.correlations.chsh_f3_maxima`, which reports the final value.
+For CHSH, B^2 is F3^2 of T with its least right singular direction
+dropped, so F3 solves on projected pictures seed (:func:`_chsh_seed`) one
+polish of (d, n) by the package's own bounded Nelder-Mead,
+:func:`hqc.neldermead.minimize`, bound here as ``minimize``. Its
+objective unpacks R (R^T for Bob, since R . L^T is the transpose of
+L . R^T) into Python floats once per call; each evaluation then takes
+the 16 entries of L(d, n) from :func:`_boost`, the one rendition of the
+formula above, forms the 10 entries of L . R that the value needs (the
+success probability and T, not row 0's marginal part) and reads the
+value with :func:`hqc.correlations.chsh_f3_value`, the float rendition
+of the closed-form B/F3 formula of :func:`hqc.correlations.chsh_f3_maxima`,
+which reports the final value.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .correlations import SQRT2, SQRT3, chsh_f3_maxima, chsh_f3_value
+from .correlations import chsh_f3_maxima, chsh_f3_value, fibonacci_sphere
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
 from .neldermead import Point, minimize
@@ -100,13 +102,9 @@ _KAPPA_SQ_M1 = (2.0 * SCALE_FLOOR / (1.0 - SCALE_FLOOR**2)) ** 2
 _EPS = float(np.finfo(float).eps)
 _EYE3 = np.eye(3)
 _IDENTITY_BOOST = (1.0, 0.0, 0.0)  # (d, theta, phi) of the identity filter: d = 1
-# start 0's simplex: the identity and the boosts with scipy's 5 % step in d along z, x and y
-_START_SIMPLEX = (
-    _IDENTITY_BOOST,
-    (0.95, 0.0, 0.0),
-    (0.95, math.pi / 2, 0.0),
-    (0.95, math.pi / 2, math.pi / 2),
-)
+# the CHSH seed's fixed directions v: the upper half of a 48-point Fibonacci sphere (v and -v drop the same
+# plane), each as the orthonormal pair (u_1, u_2) that spans its plane, (24, 2, 3)
+_SEED_PLANES = np.linalg.svd(fibonacci_sphere(48)[:24, None, :])[2][:, 1:]
 
 
 class Objective(Enum):
@@ -161,10 +159,10 @@ class OneSidedResult(NamedTuple):
     filter: LocalFilter
     objective: Objective
     party: Party
-    converged: bool  # CHSH: the winning start stopped on its tolerances, not on max_iters; F3: Newton within its cap
-    starts_used: int  # starts actually run; fewer than the budget after an early exit
-    best_start: int  # index of the start that found ``value`` (0 is the identity filter)
-    evaluations: int  # objective evaluations over the starts run
+    converged: bool  # CHSH: the polish stopped on its tolerances, not on max_iters; F3: Newton within its cap
+    starts_used: int  # 1: one seeded polish (CHSH) or one exact solve (F3)
+    best_start: int  # 0, the index of that one start
+    evaluations: int  # CHSH: objective evaluations; F3: Newton steps on the secular equation
     at_scale_floor: bool  # optimiser pushed the filter scale to its floor; supremum may be on the boundary
     filtered_state: DensityMatrix  # the input after ``filter``, validated by the final verification
     filtered_picture: RMatrix  # its correlation picture, from which the verification read ``value``
@@ -500,62 +498,71 @@ class _Search(NamedTuple):
     x: tuple[float, float, float]  # the winning (d, theta, phi)
     value: float
     converged: bool
-    starts_used: int
-    best_start: int
     evaluations: int
 
 
-def _nelder_mead_search(
-    r: np.ndarray, party: Party, objective: Objective, starts: int, max_iters: int, seed: int
-) -> _Search:
-    """Multi-start Nelder-Mead over x = (d, theta, phi) on :func:`_search_objective` of the picture ``r``.
+def _best_projected_boost(c: np.ndarray, planes: np.ndarray) -> tuple[float, float, float]:
+    """The boost of the first best row of :func:`one_sided_f3_suprema` on the projected pictures
+    C_v = [c_0 | C u_1 | C u_2 | 0], one per pair (u_1, u_2) of the (k, 2, 3) ``planes``."""
+    projected = np.zeros((len(planes), 4, 4))
+    projected[:, :, 0] = c[:, 0]
+    projected[:, :, 1:3] = _sum3(c[None, :, None, 1:] * planes[:, None, :, :])  # C u_i, summed term by term
+    exact = one_sided_f3_suprema(projected, Party.A)
+    return tuple(exact.params[int(np.argmax(exact.value))].tolist())
 
-    Start 0's simplex is :data:`_START_SIMPLEX`: the identity filter, so
-    the result never falls below the unfiltered value, and a boost along
-    each axis. Start k draws its point from ``SeededRng(seed, k)`` and
-    builds scipy's simplex around it. Every start stops once its vertices
-    agree within XATOL in :func:`_filter_coordinates`, that is as filters,
-    and within FATOL in value. The test runs before every iteration, so a
-    tighter XATOL only runs a start further along the same points: on the
-    optimize benchmark's CHSH calls at seeds 1-5, XATOL = 1e-7 takes 20 %
-    fewer evaluations than 1e-9 and moves no value by more than 2.0e-15.
-    Ties resolve to the lowest start index, and ``converged`` is the
-    winning start's: whether it stopped on the tolerances rather than on
-    ``max_iters``. The search stops early once a start reaches the quantum
-    maximum.
+
+def _chsh_seed(r: np.ndarray, party: Party) -> tuple[float, float, float]:
+    """The boost (d, theta, phi) from which the one-sided CHSH polish starts.
+
+    B^2 = s_1^2 + s_2^2 is the largest |T u_1|^2 + |T u_2|^2 over orthonormal
+    pairs, so for a direction v of the other party's and u_1, u_2 spanning
+    its orthogonal plane, F3 of C_v = [c_0 | C u_1 | C u_2 | 0] (C = R for
+    Alice, R^T for Bob) bounds B from below under every filter, and equals
+    it where v is the filtered T's least right singular vector (Horodecki,
+    Horodecki & Horodecki, PLA 200, 340, 1995). The first solve takes v
+    from the unfiltered T and :data:`_SEED_PLANES`; the second drops the
+    least right singular vector of T under the first's best boost, a step
+    of ascent that lifts a seed the 25 directions left on the scale floor
+    (1.8e-3 short on one of c09a's states). Each step's B is at least the
+    last, so the seed's is at least the unfiltered B.
     """
-    fun = _search_objective(r, party, objective)
-    maxval = SQRT2 if objective is Objective.CHSH else SQRT3
-    bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
-    best_x, best_val, best_start = _IDENTITY_BOOST, -fun(_IDENTITY_BOOST), 0
-    evaluations = 0
-    for start in range(starts):
-        if start == 0:
-            x0, simplex = _IDENTITY_BOOST, _START_SIMPLEX
-        else:
-            gen = SeededRng(seed, start).generator()
-            d, th = gen.uniform(0.05, 1.0), gen.uniform(0.0, math.pi / 2)
-            ph, ps = gen.uniform(-math.pi, math.pi), gen.uniform(-math.pi, math.pi)
-            # the former chart diag(d, 1) . V(th, ph, ps) boosts along (2 th, ph - ps): each start keeps its point
-            x0, simplex = (d, 2.0 * th, ph - ps), None
-        res = minimize(
-            fun,
-            x0,
-            bounds=bounds,
-            max_iters=max_iters,
-            xatol=XATOL,
-            fatol=FATOL,
-            initial_simplex=simplex,
-            xatol_map=_filter_coordinates,
-        )
-        evaluations += res.nfev
-        if -res.fun > best_val + 1e-15:
-            best_val, best_x, best_start = -res.fun, res.x, start
-        if best_start == start:  # always at start 0: the identity it cannot fall below is its own vertex
-            converged = res.success
-        if best_val >= maxval - 1e-12:
-            break  # cannot improve on the quantum maximum
-    return _Search(best_x, best_val, converged, start + 1, best_start, evaluations)
+    c = r if party is Party.A else r.T
+    x = _IDENTITY_BOOST  # whose boost is the identity matrix, exactly
+    for fixed in (_SEED_PLANES, _SEED_PLANES[:0]):
+        least = np.linalg.svd((np.reshape(_boost(x), (4, 4)) @ c)[1:, 1:])[2][None, :2]
+        x = _best_projected_boost(c, np.concatenate([least, fixed]))
+    return x
+
+
+def _chsh_search(r: np.ndarray, party: Party, max_iters: int) -> _Search:
+    """One bounded Nelder-Mead polish of :func:`_search_objective` from :func:`_chsh_seed`'s boost.
+
+    The polish builds scipy's simplex around the seed, runs at most
+    ``max_iters`` iterations and stops once its vertices agree within
+    XATOL in :func:`_filter_coordinates` (as filters, not as chart points)
+    and within FATOL in value. Its first vertex is the seed, so the value
+    never falls below the seed's projected F3, nor below the unfiltered B.
+    A polish that ends on the scale floor (d <= 1.01 SCALE_FLOOR), where
+    the value still slopes in d, reads (SCALE_FLOOR, theta, phi) once more
+    and keeps the larger value; ``evaluations`` is the polish's alone.
+    """
+    fun = _search_objective(r, party, Objective.CHSH)
+    res = minimize(
+        fun,
+        _chsh_seed(r, party),
+        bounds=[(SCALE_FLOOR, 1.0), (None, None), (None, None)],
+        max_iters=max_iters,
+        xatol=XATOL,
+        fatol=FATOL,
+        xatol_map=_filter_coordinates,
+    )
+    x, value = res.x, -res.fun
+    if x[0] <= SCALE_FLOOR * 1.01:
+        floor = (SCALE_FLOOR, x[1], x[2])
+        on_floor = -fun(floor)
+        if on_floor > value:
+            x, value = floor, on_floor
+    return _Search(x, value, res.success, res.nfev)
 
 
 def optimize_one_sided(
@@ -580,39 +587,23 @@ def optimize_one_sided(
     from it), else :func:`hqc.states.to_r_picture` of rho.
 
     F3 is solved exactly: the result is :func:`one_sided_f3_suprema` of a
-    batch of one, with ``starts_used`` 1, ``best_start`` 0, ``evaluations``
-    its Newton steps on the secular equation and ``converged`` whether
-    they stopped within the cap. ``starts``, ``max_iters`` and ``seed`` are
-    validated but not used.
+    batch of one, with ``evaluations`` its Newton steps on the secular
+    equation and ``converged`` whether they stopped within the cap.
 
-    CHSH is searched by multi-start Nelder-Mead
-    (:func:`hqc.neldermead.minimize`, at most ``max_iters >= 1``
-    iterations a start) over x = (d, theta, phi). Start 0's simplex is the
-    identity filter, so the result never falls below the unfiltered value,
-    and the boosts with d = 0.95 along z, x and y; scipy's rule would put
-    two of its vertices on the identity, where theta and phi do nothing,
-    and try boosts along z only. Start k draws its point from
-    ``SeededRng(seed, k)``, so a seed must be non-negative, and builds
-    scipy's simplex around it. A start stops once its vertices agree
-    within XATOL = 1e-7 in the filter's coordinates (d, (1 - d) n), not in
-    the chart, whose angles stop mattering at d = 1 and phi at theta = 0,
-    and within FATOL in value. Against 1e-9 this takes 17 % fewer
-    evaluations and moves no value by more than 2.0e-15 on a 102-call set;
-    an optimum on the scale floor can end up to 4.6e-12 lower, where the
-    value still changes along d. Ties resolve to the lowest start index. The
-    search stops early once a start reaches the quantum maximum;
-    ``starts_used`` counts the starts run, ``evaluations`` their objective
-    evaluations, ``best_start`` is the index of the start whose optimum
-    is reported and ``converged`` says whether that start stopped on the
-    tolerances rather than on ``max_iters``. Every start
-    minimises :func:`_search_objective`, built once from R. Each
-    evaluation applies the candidate's boost L(d, n) (see the module
-    docstring) to R in Python floats, reads the success probability off
-    the [0, 0] entry, and takes the maximum of the normalised T from
-    :func:`hqc.correlations.chsh_f3_value`, the float rendition of the
-    closed-form B/F3 formula. No density matrix or array is formed during
-    the search; positivity needs no check there, because a filter is a
+    CHSH runs one bounded Nelder-Mead polish (:func:`_chsh_search`, at
+    most ``max_iters >= 1`` iterations) of :func:`_search_objective`,
+    built once from R, over x = (d, theta, phi), from the exact seed of
+    :func:`_chsh_seed`, whose value is at least the unfiltered B;
+    ``evaluations`` counts the polish's evaluations and ``converged`` says
+    whether it stopped on its tolerances rather than on ``max_iters``. An
+    evaluation applies the boost L(d, n) to R in Python floats and reads
+    the maximum with :func:`hqc.correlations.chsh_f3_value`; no density
+    matrix is formed, and positivity needs no check, because a filter is a
     congruence of the already validated rho.
+
+    Neither objective draws random starts: ``starts_used`` is 1 and
+    ``best_start`` 0, and ``starts`` (>= 1) and ``seed`` (>= 0) are
+    validated but not used.
 
     The winning filter is then applied once through ``apply_one_sided``,
     whose ``validate_state`` checks the filtered state with ``tol`` (the
@@ -635,9 +626,9 @@ def optimize_one_sided(
     if objective is Objective.F3:
         exact = one_sided_f3_suprema(r[None], party)
         x = tuple(exact.params[0].tolist())
-        search = _Search(x, float(exact.value[0]), bool(exact.converged[0]), 1, 0, int(exact.iterations[0]))
+        search = _Search(x, float(exact.value[0]), bool(exact.converged[0]), int(exact.iterations[0]))
     else:
-        search = _nelder_mead_search(r, party, objective, starts, max_iters, seed)
+        search = _chsh_search(r, party, max_iters)
     searched = time.perf_counter()
     best = LocalFilter(_filter_from_params(search.x))
     filtered, prob = apply_one_sided(rho, best, party, tol)
@@ -652,8 +643,8 @@ def optimize_one_sided(
         objective=objective,
         party=party,
         converged=search.converged,
-        starts_used=search.starts_used,
-        best_start=search.best_start,
+        starts_used=1,
+        best_start=0,
         evaluations=search.evaluations,
         at_scale_floor=bool(search.x[0] <= SCALE_FLOOR * 1.01),
         filtered_state=filtered,

@@ -25,17 +25,18 @@ spread ``xatol`` bounds, for a chart in which some coordinates stop
 mattering somewhere (an angle at a pole): the simplex then stops once the
 objects the points stand for agree, not their coordinates. Left at None,
 the test reads the point itself, as scipy does, and both options at None
-give scipy's trajectory bit for bit. The one-sided CHSH search uses both
-on its chart (d, theta, phi) of the filters: start 0's simplex is the
-identity (1, 0, 0) and the boosts with d = 0.95 along z, x and y, since
-scipy's rule would put two of its vertices on the identity, where the
-angles do nothing; and every start's stop test reads a vertex as the
-filter's coordinates (d, (1 - d) n), in which the angles count only as
-far as they move the filter, with xatol = 1e-7 (``filtering.XATOL``).
-The test runs before every iteration, so a smaller xatol only runs a
-start further along the same points; on the optimize benchmark's CHSH
-calls, 1e-9 took a quarter more evaluations than 1e-7 and moved no value
-by more than 2.0e-15.
+give scipy's trajectory bit for bit. The one-sided CHSH polish reads
+each vertex of its chart (d, theta, phi) of the filters as the filter's
+coordinates (d, (1 - d) n), in which the angles count only as far as
+they move the filter, with xatol = 1e-7 (``filtering.XATOL``). The test
+runs before every iteration, so a smaller xatol only runs a search
+further along the same points; on the optimize benchmark's CHSH calls,
+under the multi-start search that preceded the polish, 1e-9 took a
+quarter more evaluations than 1e-7 and moved no value by more than
+2.0e-15. That search, kept in the tests as their reference, also gives
+its start 0 an ``initial_simplex``: the identity (1, 0, 0) and the boosts
+with d = 0.95 along z, x and y, since scipy's rule would put two of its
+vertices on the identity, where the angles do nothing.
 
 One rule differs: the simplex is ordered by Python's stable sort, so
 vertices with equal values keep their index order. scipy orders it with

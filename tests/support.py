@@ -17,6 +17,11 @@ route, so none of them sits in the runtime:
   the ellipsoid's own eigendecomposition and a bisection on the dual, and
   gives its value, its secular root and its boost direction;
   :func:`exact_f3_oracle` is its value;
+* :func:`nelder_mead_search` is the multi-start Nelder-Mead search of
+  one-sided CHSH and F3 that ``hqc.filtering.optimize_one_sided`` ran
+  before its exact seeds: the reference its results are held to, and the
+  search that the pinned trajectories of ``tests/test_filtering.py`` pin;
+  :func:`reference_optimum` verifies its filter as the optimiser does;
 * :func:`spin_flip_spectrum` gives the normal-form spectrum of
   ``hqc.filtering.normal_form_spectra`` in 50-digit ``mpmath`` from an
   exact-rank factor G of the state (Ginibre's, or :func:`family_factor`'s
@@ -34,18 +39,101 @@ Procrustes see-saw stops short of ||T||_F, so a Nelder-Mead polish
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
-from hqc.correlations import GRID_DENSITY, SQRT3, _safe_normalize, _unit, fibonacci_sphere
+from hqc.correlations import GRID_DENSITY, SQRT2, SQRT3, _safe_normalize, _unit, chsh_f3_maxima, fibonacci_sphere
 from hqc.ellipsoid import Party
 from hqc.errors import DomainError, HqcError
+from hqc.filtering import (
+    SCALE_FLOOR,
+    LocalFilter,
+    Objective,
+    _filter_coordinates,
+    _filter_from_params,
+    _search_objective,
+    apply_one_sided,
+)
 from hqc.neldermead import minimize
 from hqc.serde import _fmt
-from hqc.states import RMatrix
+from hqc.states import RMatrix, SeededRng, to_r_picture
 
 REFINE_ITERS = 200  # Nelder-Mead iterations refining the F3 oracle's best see-saw frame
+
+
+# start 0's simplex: the identity and the boosts with scipy's 5 % step in d along z, x and y
+START_SIMPLEX = ((1.0, 0.0, 0.0), (0.95, 0.0, 0.0), (0.95, math.pi / 2, 0.0), (0.95, math.pi / 2, math.pi / 2))
+
+
+class ReferenceSearch(NamedTuple):
+    """What :func:`nelder_mead_search` found and did."""
+
+    x: tuple[float, float, float]  # the winning (d, theta, phi)
+    value: float
+    converged: bool  # the winning start stopped on its tolerances, not on max_iters
+    starts_used: int  # fewer than the budget once a start reaches the quantum maximum
+    best_start: int
+    evaluations: int
+
+
+def nelder_mead_search(r: np.ndarray, party: Party, objective, starts: int, max_iters: int, seed: int):
+    """Multi-start Nelder-Mead over x = (d, theta, phi) on ``hqc.filtering._search_objective`` of the
+    picture ``r``.
+
+    Start 0's simplex is :data:`START_SIMPLEX`: the identity filter, so the
+    result never falls below the unfiltered value, and a boost along each
+    axis. Start k draws its point from ``SeededRng(seed, k)`` and builds
+    scipy's simplex around it. Every start stops once its vertices agree
+    within ``filtering.XATOL`` as filters and within ``filtering.FATOL`` in
+    value (both read at call time). Ties resolve to the lowest start index
+    within 1e-15, and ``converged`` is the winning start's. The search stops
+    early once a start reaches the quantum maximum.
+    """
+    from hqc import filtering
+
+    fun = _search_objective(r, party, objective)
+    maxval = SQRT2 if objective is Objective.CHSH else SQRT3
+    bounds = [(SCALE_FLOOR, 1.0), (None, None), (None, None)]
+    best_x, best_val, best_start = START_SIMPLEX[0], -fun(START_SIMPLEX[0]), 0
+    evaluations = 0
+    for start in range(starts):
+        if start == 0:
+            x0, simplex = START_SIMPLEX[0], START_SIMPLEX
+        else:
+            gen = SeededRng(seed, start).generator()
+            d, th = gen.uniform(0.05, 1.0), gen.uniform(0.0, math.pi / 2)
+            ph, ps = gen.uniform(-math.pi, math.pi), gen.uniform(-math.pi, math.pi)
+            # the former chart diag(d, 1) . V(th, ph, ps) boosts along (2 th, ph - ps): each start keeps its point
+            x0, simplex = (d, 2.0 * th, ph - ps), None
+        res = filtering.minimize(
+            fun,
+            x0,
+            bounds=bounds,
+            max_iters=max_iters,
+            xatol=filtering.XATOL,
+            fatol=filtering.FATOL,
+            initial_simplex=simplex,
+            xatol_map=_filter_coordinates,
+        )
+        evaluations += res.nfev
+        if -res.fun > best_val + 1e-15:
+            best_val, best_x, best_start = -res.fun, res.x, start
+        if best_start == start:  # always at start 0: the identity it cannot fall below is its own vertex
+            converged = res.success
+        if best_val >= maxval - 1e-12:
+            break  # cannot improve on the quantum maximum
+    return ReferenceSearch(best_x, best_val, converged, start + 1, best_start, evaluations)
+
+
+def reference_optimum(rho, party: Party, objective, starts: int = 8, max_iters: int = 500, seed: int = 0):
+    """:func:`nelder_mead_search` of ``rho``'s picture and the value its winning filter gives, read from
+    the filtered state's picture as ``optimize_one_sided``'s verification reads it."""
+    search = nelder_mead_search(to_r_picture(rho).r, party, objective, starts, max_iters, seed)
+    filtered, _ = apply_one_sided(rho, LocalFilter(_filter_from_params(search.x)), party)
+    b, f3 = chsh_f3_maxima(to_r_picture(filtered).t)
+    return float(b if objective is Objective.CHSH else f3), search
 
 
 class ZeroProbability(HqcError):
@@ -187,8 +275,6 @@ def exact_f3_solution(r: np.ndarray, party: Party, dps: int = 50):
     the sphere). z(lam), scaled onto the sphere unless the optimum is interior, gives u, and
     n = -u / |u|. Returns the mpf value of F3, lam and n as a 3-list of mpf (None where u = 0).
     """
-    from hqc.filtering import SCALE_FLOOR
-
     with mpmath.workdps(dps):
         c = mpmath.matrix([[mpmath.mpf(x) for x in row] for row in (r if party is Party.A else r.T).tolist()])
         eta = mpmath.diag([1, -1, -1, -1])

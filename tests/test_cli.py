@@ -38,7 +38,7 @@ from hqc.families import paper_filter_rho_m, rho_m, rho_mm, rho_qd
 from hqc.states import DEFAULT_TOL
 
 from conftest import singlet_matrix, werner_matrix
-from support import rmatrix_to_csv
+from support import reference_optimum, rmatrix_to_csv
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -183,6 +183,19 @@ class TestAnalyze:
         assert code == 2
         assert out["error"]["type"] == "ParseError"
         assert str(path) in out["error"]["message"]
+
+    def test_report_marks_the_certificates_it_refutes(self, capsys, tmp_path):
+        # R(0.661) filtered by its one-sided F3 optimum: F3 exceeds 1 while the report still flags
+        # Alice's F3 inaccessible, so the report refutes its own certificate
+        filtered = tmp_path / "filtered.json"
+        argv = ["filter", str(GOLDEN / "tight_chsh_0_661.rcsv"), "--format", "rcsv", "--optimize", "A", "f3"]
+        assert run_cli(capsys, *argv, "--out", str(filtered))[0] == 0
+        code, doc = run_cli(capsys, "analyze", str(filtered))
+        assert code == 0
+        assert doc["report"]["f3"] > 1.0005 and doc["report"]["b"] <= 1.0
+        assert "A_INACCESSIBLE_F3" in doc["report"]["flags"]
+        assert doc["refuted"] == ["A_INACCESSIBLE_F3"]
+        assert list(doc)[-1] == "refuted"
 
 
 class TestCertify:
@@ -600,7 +613,7 @@ class TestFilter:
         assert code == 0
         assert doc["optimizer"]["value"] == pytest.approx(0.5 * math.sqrt(2), abs=1e-6)
         assert doc["optimizer"]["party"] == "A"
-        assert doc["optimizer"]["starts_used"] == 4
+        assert doc["optimizer"]["starts_used"] == 1  # one seeded polish, whatever the budget
         assert doc["optimizer"]["evaluations"] > 0
 
     def test_optimize_applies_the_filter_once(self, capsys, tmp_path, monkeypatch):
@@ -640,28 +653,34 @@ class TestFilter:
         assert doc["error"]["type"] == "NotPositive"
 
     def test_optimize_reports_the_winning_start(self, capsys, tmp_path):
-        # on this state start 2 beats start 0
+        # on this state the reference search's start 2 beats its start 0; the CLI runs one seeded polish,
+        # start 0 of 1, and reaches the reference's value
+        rho = rho_m(0.1, 0.9)
         path = tmp_path / "m.json"
-        serde.dump_state_json(rho_m(0.1, 0.9), str(path))
+        serde.dump_state_json(rho, str(path))
         argv = ("filter", str(path), "--optimize", "A", "chsh", "--starts", "6")
         (code, doc), (_, again) = run_cli(capsys, *argv), run_cli(capsys, *argv)
         assert code == 0
         opt = doc["optimizer"]
         assert list(opt)[4:7] == ["starts_used", "best_start", "evaluations"]
-        assert 0 < opt["best_start"] < opt["starts_used"]
+        assert (opt["best_start"], opt["starts_used"]) == (0, 1)
         assert again["optimizer"] == opt
-        # the starts after the winner change nothing, and without it the value is lower
-        cut = list(argv[:-1])
-        _, upto = run_cli(capsys, *cut, str(opt["best_start"] + 1))
-        _, before = run_cli(capsys, *cut, str(opt["best_start"]))
-        assert upto["optimizer"]["value"] == opt["value"]
-        assert upto["optimizer"]["best_start"] == opt["best_start"]
-        assert before["optimizer"]["value"] < opt["value"]
+        value, search = reference_optimum(rho, Party.A, Objective.CHSH, starts=6)
+        assert 0 < search.best_start < search.starts_used
+        assert opt["value"] >= value - 1e-12
+        # the reference's starts after the winner change nothing, and without it the value is lower
+        upto = reference_optimum(rho, Party.A, Objective.CHSH, starts=search.best_start + 1)
+        before = reference_optimum(rho, Party.A, Objective.CHSH, starts=search.best_start)
+        assert upto[0] == value
+        assert upto[1].best_start == search.best_start
+        assert before[0] < value
 
     def test_converged_describes_the_winning_start(self, capsys, tmp_path, monkeypatch):
-        # start 0 wins after stopping on --max-iters; starts 1 and 2 converge on the d = 1 face, below it
+        # the reference search's start 0 wins after stopping on max_iters = 30, and its starts 1 and 2
+        # converge on the d = 1 face, below it; the CLI's one polish reports its own stop
+        rho = rho_mm(0.6015, 0.5)
         path = tmp_path / "mm.json"
-        serde.dump_state_json(rho_mm(0.6015, 0.5), str(path))
+        serde.dump_state_json(rho, str(path))
         runs = []
         minimize = filtering_mod.minimize
         monkeypatch.setattr(filtering_mod, "minimize", lambda *a, **k: runs.append(minimize(*a, **k)) or runs[-1])
@@ -669,10 +688,35 @@ class TestFilter:
         code, doc = run_cli(capsys, *argv)
         assert code == 0
         opt = doc["optimizer"]
-        assert (opt["best_start"], opt["starts_used"]) == (0, 3)
+        assert (opt["best_start"], opt["starts_used"]) == (0, 1)
+        assert [run.success for run in runs] == [opt["converged"]]
+        runs.clear()
+        value, search = reference_optimum(rho, Party.A, Objective.CHSH, starts=3, max_iters=30)
+        assert (search.best_start, search.starts_used) == (0, 3)
         assert [run.success for run in runs] == [False, True, True]
-        assert all(-run.fun < opt["value"] - 1e-4 for run in runs[1:])
-        assert opt["converged"] is False
+        assert all(-run.fun < value - 1e-4 for run in runs[1:])
+        assert search.converged is False
+
+    def test_optimize_leaves_the_identity_trap(self, capsys, tmp_path):
+        # the 2-start search this optimiser replaced returned the unfiltered 0.27446 here; 8 starts reached 0.82733
+        path = tmp_path / "g.json"
+        serde.dump_state_json(sample_state(SeededRng(77, 26), rank=4), str(path))
+        code, doc = run_cli(capsys, "filter", str(path), "--optimize", "A", "chsh", "--starts", "2")
+        assert code == 0
+        assert doc["before"]["b"] == pytest.approx(0.27446016, abs=1e-8)
+        assert doc["optimizer"]["value"] >= 0.82733469570880
+
+    def test_starts_and_seed_leave_chsh_stdout_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "mm.json"
+        serde.dump_state_json(rho_mm(0.6015, 0.5), str(path))
+        argv = ("filter", str(path), "--optimize", "B", "chsh")
+        outs = []
+        for starts, seed in (("1", "0"), ("2", "0"), ("9", "0"), ("2", "7"), ("32", "123456")):
+            assert main([*argv, "--starts", starts, "--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert all(out == outs[0] for out in outs[1:])
+        for bad in (("--starts", "0"), ("--seed", "-1")):
+            assert run_cli(capsys, *argv, *bad)[0] == 2
 
     def test_optimize_excludes_filter_files(self, capsys, tmp_path):
         path = tmp_path / "w.json"
@@ -706,14 +750,13 @@ class TestFilter:
         captured = capsys.readouterr()
         assert code == 0
         line = re.fullmatch(
-            r"filter: (\d+) starts, (\d+) evaluations; search \d+\.\d{4}s \(\d+\.\d us/evaluation\)"
-            r"; verify \d+\.\d{4}s\n",
+            r"filter: exact seed and one polish, (\d+) evaluations; search \d+\.\d{4}s; verify \d+\.\d{4}s\n",
             captured.err,
         )
         assert line, captured.err
         rho = serde.load_state_json(str(path))
         res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=3)
-        assert (int(line[1]), int(line[2])) == (res.starts_used, res.evaluations)
+        assert int(line[1]) == res.evaluations
         # stdout is the report alone, byte for byte
         expected = {
             "before": serde.report_to_dict(classify(to_r_picture(rho))),

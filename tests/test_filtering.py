@@ -37,20 +37,25 @@ from hqc import (
 )
 
 from hqc import filtering
-from hqc.correlations import chsh_f3_maxima
 from hqc.states import ginibre_factors, ginibre_states, r_pictures
 from hqc.filtering import (
     SCALE_FLOOR,
     _boost,
     _filter_from_params,
-    _nelder_mead_search,
     _search_objective,
     hidden_values,
     normal_form_spectra,
 )
 
 from conftest import bounded_random_filter, singlet_matrix, werner_matrix
-from support import exact_f3_oracle, exact_f3_solution, family_factor, spin_flip_spectrum
+from support import (
+    exact_f3_oracle,
+    exact_f3_solution,
+    family_factor,
+    nelder_mead_search,
+    reference_optimum,
+    spin_flip_spectrum,
+)
 
 
 def normal_form_r(r: RMatrix) -> RMatrix:
@@ -308,10 +313,10 @@ class TestOptimizeOneSided:
         rho = validate_state(werner_matrix(0.5))
         res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=6, max_iters=300)
         assert res.value == pytest.approx(0.5 * math.sqrt(2), abs=1e-6)
-        assert res.starts_used == 6
+        assert res.starts_used == 1  # one seeded polish, whatever the budget
 
     def test_early_exit_reports_starts_run(self, monkeypatch):
-        # the maximal state reaches sqrt(2) at start 0, so one start runs
+        # the maximal state's seed is the identity, at sqrt(2); its one polish reports one start
         calls = []
         minimize = filtering.minimize
 
@@ -545,35 +550,33 @@ class TestBoostEvaluation:
 
     }
 
-    def test_trajectories_pinned_to_the_bit(self, monkeypatch):
-        # F3 is solved exactly now; its rows pin the Nelder-Mead search it replaced, run as the
-        # reference search with the optimiser's verification
-        winners = []
-        build = filtering._filter_from_params
-        monkeypatch.setattr(filtering, "_filter_from_params", lambda x: winners.append(x) or build(x))
+    def test_trajectories_pinned_to_the_bit(self):
+        # F3 is solved exactly and CHSH searched from an exact seed now; every row pins the
+        # Nelder-Mead search they replaced, run as the reference search with the optimiser's verification
         for label, state, party, objective, *_ in self.PARITY:
-            if objective is Objective.F3:
-                rho = state()
-                search = _nelder_mead_search(to_r_picture(rho).r, party, objective, starts=2, max_iters=500, seed=0)
-                filtered, _ = apply_one_sided(rho, LocalFilter(_filter_from_params(search.x)), party)
-                value = float(chsh_f3_maxima(to_r_picture(filtered).t)[1])
-                got = (value.hex(), search.evaluations, search.best_start, tuple(float(v).hex() for v in search.x))
-            else:
-                res = optimize_one_sided(state(), party, objective, starts=2, seed=0)
-                got = (res.value.hex(), res.evaluations, res.best_start, tuple(float(v).hex() for v in winners[-1]))
+            value, search = reference_optimum(state(), party, objective, starts=2, seed=0)
+            got = (value.hex(), search.evaluations, search.best_start, tuple(float(v).hex() for v in search.x))
             assert got == self.TRAJECTORY[label], label
 
     def test_parity_with_density_route_optimiser(self, monkeypatch):
+        # the values, flags and starts run pin the reference search on the CHSH rows and the exact solve
+        # on the F3 rows; the optimiser's own filter is checked against its boost on every row
         winners = []  # the optimiser builds its filter once, from the winning x
         build = filtering._filter_from_params
         monkeypatch.setattr(filtering, "_filter_from_params", lambda x: winners.append(np.copy(x)) or build(x))
         for label, state, party, objective, value, at_floor, starts_used in self.PARITY:
             rho = state()
             res = optimize_one_sided(rho, party, objective, starts=2, seed=0)
-            assert abs(res.value - value) <= 1e-12, label
-            assert res.at_scale_floor is at_floor, label
-            assert res.starts_used == starts_used, label
-            assert abs(_density_value_of_filter(rho, res.filter, party, objective) - res.value) <= 1e-9, label
+            if objective is Objective.CHSH:
+                got, search = reference_optimum(rho, party, objective, starts=2, seed=0)
+                got_filter = LocalFilter(_filter_from_params(search.x))
+                got_at_floor, got_starts = search.x[0] <= SCALE_FLOOR * 1.01, search.starts_used
+            else:
+                got, got_filter, got_at_floor, got_starts = res.value, res.filter, res.at_scale_floor, res.starts_used
+            assert abs(got - value) <= 1e-12, label
+            assert got_at_floor is at_floor, label
+            assert got_starts == starts_used, label
+            assert abs(_density_value_of_filter(rho, got_filter, party, objective) - got) <= 1e-9, label
             x, f = winners[-1], res.filter.f
             assert np.abs(f - f.conj().T).max() <= 1e-15, label
             np.testing.assert_allclose(np.linalg.eigvalsh(f), [x[0], 1.0], rtol=0, atol=1e-15, err_msg=label)
@@ -581,8 +584,8 @@ class TestBoostEvaluation:
 
 
 class TestStopTolerance:
-    """Every start stops once its filters agree within XATOL. The stop test runs before each
-    iteration, so a start evaluates a prefix of the points it would evaluate at 1e-9."""
+    """Every start of the reference search stops once its filters agree within XATOL. The stop test
+    runs before each iteration, so a start evaluates a prefix of the points it would evaluate at 1e-9."""
 
     CASES = [
         (label, state, party)
@@ -608,12 +611,12 @@ class TestStopTolerance:
             rho = state()
             with monkeypatch.context() as m:
                 m.setattr(filtering, "minimize", also_at_1e9)
-                res = optimize_one_sided(rho, party, Objective.CHSH, starts=2, seed=0)
+                value, search = reference_optimum(rho, party, Objective.CHSH, starts=2, seed=0)
             with monkeypatch.context() as m:
                 m.setattr(filtering, "XATOL", 1e-9)
-                ref = optimize_one_sided(rho, party, Objective.CHSH, starts=2, seed=0)
-            assert abs(res.value - ref.value) <= 1e-14, label
-            assert res.at_scale_floor is ref.at_scale_floor, label
+                ref, ref_search = reference_optimum(rho, party, Objective.CHSH, starts=2, seed=0)
+            assert abs(value - ref) <= 1e-14, label
+            assert (search.x[0] <= SCALE_FLOOR * 1.01) is (ref_search.x[0] <= SCALE_FLOOR * 1.01), label
         assert all(loose == tight[: len(loose)] for loose, tight in starts)
         assert sum(len(loose) for loose, _ in starts) < sum(len(tight) for _, tight in starts)
 
@@ -623,15 +626,78 @@ class TestStopTolerance:
         runs = []
         minimize = filtering.minimize
         monkeypatch.setattr(filtering, "minimize", lambda *a, **k: runs.append(minimize(*a, **k)) or runs[-1])
-        res = optimize_one_sided(rho_mm(0.6015, 0.5), Party.A, Objective.CHSH, starts=8, seed=0)
-        assert (res.best_start, len(runs)) == (0, 8)
-        assert abs(res.value - 0.7328845938885689) <= 1e-14
+        value, search = reference_optimum(rho_mm(0.6015, 0.5), Party.A, Objective.CHSH, starts=8, seed=0)
+        assert (search.best_start, len(runs)) == (0, 8)
+        assert abs(value - 0.7328845938885689) <= 1e-14
         assert runs[0].nfev < 209
         assert all(run.x[0] == 1.0 and run.nfev <= 60 for run in runs[1:])
 
 
+class TestSeededChshSearch:
+    """One-sided CHSH starts from exact F3 solves on projected pictures and runs one Nelder-Mead
+    polish; these tests hold it to the multi-start reference search it replaced."""
+
+    def test_reaches_a_trap_of_the_reference_search(self):
+        # 8 reference starts give 0.906760 here
+        rho = sample_state(SeededRng(24, 3), rank=3)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=2)
+        assert res.value >= 0.934929061349632 - 1e-12
+        assert res.value - reference_optimum(rho, Party.A, Objective.CHSH, starts=8)[0] > 0.028
+
+    def test_one_minimize_call_whatever_the_budget(self, monkeypatch):
+        calls = []
+        minimize = filtering.minimize
+        monkeypatch.setattr(filtering, "minimize", lambda *a, **k: calls.append(k["max_iters"]) or minimize(*a, **k))
+        cases = [
+            (rho_qd(1.0), Party.A, 32),
+            (rho_m(0.1, 0.9), Party.A, 6),
+            (sample_state(SeededRng(77, 26), rank=4), Party.B, 1),
+        ]
+        for rho, party, starts in cases:
+            calls.clear()
+            res = optimize_one_sided(rho, party, Objective.CHSH, starts=starts, max_iters=77)
+            assert calls == [77]
+            assert (res.starts_used, res.best_start) == (1, 0)
+
+    def test_floor_optimum_read_on_the_floor(self):
+        # the polish ends at d = 1.003e-4, where the value still slopes in d; read on the floor, the value
+        # is not below the reference search run with its stop tolerance at 1e-9 (which ends at d = 1.0000076e-4)
+        rho = sample_state(SeededRng(91, 58), rank=3)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=2)
+        assert res.at_scale_floor
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(filtering, "XATOL", 1e-9)
+            tight = reference_optimum(rho, Party.A, Objective.CHSH, starts=2)[0]
+        assert res.value >= tight
+        # here the polish ends at d = 1.0004e-4, 1.1e-11 below the 8-start reference; the floor read
+        # lifts it to 3.3e-12 below, with the filter's small eigenvalue on the floor
+        rho = sample_state(SeededRng(109, 30))
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=2)
+        assert abs(np.linalg.eigvalsh(res.filter.f)[0] - SCALE_FLOOR) <= 1e-15
+        assert reference_optimum(rho, Party.A, Objective.CHSH, starts=8)[0] - res.value <= 5e-12
+
+    def test_never_below_the_eight_start_reference(self):
+        # off the scale floor (neither search ends on it) within 1e-12 on every call; on it, within 1e-11
+        # on ranks 3 and 4, whose suprema the floor attains (rank 2's is the unattained limit 1)
+        states = [(row[1](), None) for row in TestBoostEvaluation.PARITY if row[3] is Objective.CHSH]
+        states += [(sample_state(SeededRng(109, i)), 4) for i in range(50)]
+        states += [(sample_state(SeededRng(seed, rank), rank=rank), rank) for seed in range(30) for rank in (2, 3, 4)]
+        worst_off, worst_floor, off = 0.0, 0.0, 0
+        for rho, rank in states:
+            for party in (Party.A, Party.B):
+                res = optimize_one_sided(rho, party, Objective.CHSH, starts=2)
+                ref, search = reference_optimum(rho, party, Objective.CHSH, starts=8)
+                if not res.at_scale_floor and search.x[0] > SCALE_FLOOR * 1.01:
+                    worst_off, off = max(worst_off, ref - res.value), off + 1
+                elif rank in (3, 4):
+                    worst_floor = max(worst_floor, ref - res.value)
+        assert off > 60
+        assert worst_off <= 1e-12
+        assert worst_floor <= 1e-11
+
+
 def _eight_start_f3(rho, party):
-    return _nelder_mead_search(to_r_picture(rho).r, party, Objective.F3, starts=8, max_iters=500, seed=0).value
+    return nelder_mead_search(to_r_picture(rho).r, party, Objective.F3, starts=8, max_iters=500, seed=0).value
 
 
 class TestExactOneSidedF3:
@@ -680,7 +746,7 @@ class TestExactOneSidedF3:
     def test_rises_above_the_search_it_replaced(self):
         # the 2-start search stops 0.29 short on one state, the 8-start search 3.0e-3 on another
         rho = sample_state(SeededRng(6, 4), rank=4)
-        two = _nelder_mead_search(to_r_picture(rho).r, Party.A, Objective.F3, starts=2, max_iters=500, seed=0)
+        two = nelder_mead_search(to_r_picture(rho).r, Party.A, Objective.F3, starts=2, max_iters=500, seed=0)
         assert optimize_one_sided(rho, Party.A, Objective.F3).value - two.value > 0.28
         rho = sample_state(SeededRng(205, 3), rank=3)
         assert 2.9e-3 < optimize_one_sided(rho, Party.A, Objective.F3).value - _eight_start_f3(rho, Party.A) < 3.1e-3
