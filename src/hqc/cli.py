@@ -35,7 +35,7 @@ from .families import Family, qd_centre_boundary, scan_family
 from .filtering import Objective, apply_filters, identity_filter, optimize_one_sided
 from .kernels import ACTIVE_KERNEL
 from .montecarlo import DEFAULT_RANK_MIX, SweepConfig, run_sweep
-from .states import DEFAULT_TOL, DensityMatrix, RMatrix, from_r_picture, to_r_picture
+from .states import DEFAULT_TOL, DensityMatrix, RMatrix, SeededRng, from_r_picture, to_r_picture
 
 
 def _emit(payload: dict) -> None:
@@ -225,13 +225,15 @@ def _cmd_filter(args: argparse.Namespace) -> int:
             if objective_name.upper() not in ("CHSH", "F3"):
                 raise DomainError(f"--optimize objective must be chsh or f3, got {objective_name!r}")
             seed, seed_source = _resolve_seed(args)
+            # --starts and --seed select nothing: the search draws no random starts; both are still validated
+            if args.starts < 1:
+                raise DomainError(f"starts must be >= 1, got {args.starts}")
+            SeededRng(seed)
             res = optimize_one_sided(
                 rho,
                 Party[party_name],
                 Objective[objective_name.upper()],
-                starts=args.starts,
                 max_iters=args.max_iters,
-                seed=seed,
                 tol=args.tol,
                 picture=r_before,
             )
@@ -339,11 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optimise a one-sided filter, e.g. --optimize A chsh",
     )
-    search = inspect.signature(optimize_one_sided).parameters
-    starts, max_iters = (search[name].default for name in ("starts", "max_iters"))
-    p.add_argument("--starts", type=int, default=starts, help="validated (>= 1), unused: no random starts")
+    max_iters = inspect.signature(optimize_one_sided).parameters["max_iters"].default
+    p.add_argument("--starts", type=int, default=1, help="accepted for compatibility (>= 1); unused")
     p.add_argument("--max-iters", type=int, default=max_iters, help="CHSH polish iterations (validated for F3)")
-    p.add_argument("--seed", type=int, default=None, help="validated (>= 0), unused (default: HQC_SEED env or 0)")
+    p.add_argument(
+        "--seed", type=int, default=None, help="accepted for compatibility (>= 0; default: HQC_SEED env or 0); unused"
+    )
     p.add_argument("--out", default=None, help="write the filtered state JSON here")
     p.set_defaults(func=_cmd_filter)
 

@@ -86,13 +86,13 @@ from .correlations import chsh_f3_maxima, chsh_f3_value, fibonacci_sphere
 from .ellipsoid import Party
 from .errors import ComplexSpectrum, DegenerateNormalForm, DomainError, OptimumMismatch, ZeroSuccessProbability
 from .neldermead import Point, minimize
-from .states import DEFAULT_TOL, SIGMA, DensityMatrix, RMatrix, SeededRng, pauli_expansion, to_r_picture, validate_state
+from .states import DEFAULT_TOL, SIGMA, DensityMatrix, RMatrix, pauli_expansion, to_r_picture, validate_state
 
 _SPIN_FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])  # (sigma_y (x) sigma_y) u = u[::-1] * these, row by row
 
 SCALE_FLOOR = 1e-4  # lower bound on the filter's small singular value during optimisation
-FATOL = 1e-11  # Nelder-Mead's stopping tolerance on the objective, per start
-XATOL = 1e-7  # its stopping tolerance on the filter's coordinates (d, (1 - d) n), per start
+FATOL = 1e-11  # the CHSH polish's stopping tolerance on the objective
+XATOL = 1e-7  # its stopping tolerance on the filter's coordinates (d, (1 - d) n)
 SECULAR_MAX_ITERS = 60  # cap on the exact F3 solve's Newton steps
 ZERO_SUCCESS = 1e-12  # a filter whose success probability is at most this raises ZeroSuccessProbability
 
@@ -153,15 +153,14 @@ class NormalFormSpectrum(NamedTuple):
 
 
 class OneSidedResult(NamedTuple):
-    """Best one-sided filtered correlation value found by the optimiser."""
+    """Best one-sided filtered correlation value found by the optimiser: one seeded polish (CHSH) or
+    one exact solve (F3)."""
 
     value: float
     filter: LocalFilter
     objective: Objective
     party: Party
     converged: bool  # CHSH: the polish stopped on its tolerances, not on max_iters; F3: Newton within its cap
-    starts_used: int  # 1: one seeded polish (CHSH) or one exact solve (F3)
-    best_start: int  # 0, the index of that one start
     evaluations: int  # CHSH: objective evaluations; F3: Newton steps on the secular equation
     at_scale_floor: bool  # optimiser pushed the filter scale to its floor; supremum may be on the boundary
     filtered_state: DensityMatrix  # the input after ``filter``, validated by the final verification
@@ -431,8 +430,9 @@ def one_sided_f3_suprema(r: np.ndarray, party: Party) -> OneSidedF3:
     a, top, t = c[:, 1:, 0], c[:, 0, 1:], c[:, 1:, 1:]  # t[:, i, j] is entry i + 1 of c_{j + 1}
     s = _sum3(a * a)
     e = _KAPPA_SQ_M1 + (1.0 - s)
-    if not np.minimum.reduce(e) > 0.0:
-        i = int(np.flatnonzero(~(e > 0.0))[0])
+    unbounded = ~(e > 0.0)  # NaN included
+    if np.logical_or.reduce(unbounded):  # False on an empty stack
+        i = int(np.flatnonzero(unbounded)[0])
         raise DomainError(f"row {i}: Bloch vector length^2 {s[i]!r} leaves the filters' cone unbounded")
     sq = c[:, :, 1:] * c[:, :, 1:]
     k = _sum3(sq[:, 0] - sq[:, 1] - sq[:, 2] - sq[:, 3])  # sum_j c_j^T eta c_j
@@ -492,15 +492,6 @@ def one_sided_f3_suprema(r: np.ndarray, party: Party) -> OneSidedF3:
     return OneSidedF3(value, params, iterations, ~active)
 
 
-class _Search(NamedTuple):
-    """What a one-sided search found and did, in :class:`OneSidedResult`'s terms."""
-
-    x: tuple[float, float, float]  # the winning (d, theta, phi)
-    value: float
-    converged: bool
-    evaluations: int
-
-
 def _best_projected_boost(c: np.ndarray, planes: np.ndarray) -> tuple[float, float, float]:
     """The boost of the first best row of :func:`one_sided_f3_suprema` on the projected pictures
     C_v = [c_0 | C u_1 | C u_2 | 0], one per pair (u_1, u_2) of the (k, 2, 3) ``planes``."""
@@ -529,20 +520,27 @@ def _chsh_seed(r: np.ndarray, party: Party) -> tuple[float, float, float]:
     c = r if party is Party.A else r.T
     x = _IDENTITY_BOOST  # whose boost is the identity matrix, exactly
     for fixed in (_SEED_PLANES, _SEED_PLANES[:0]):
-        least = np.linalg.svd((np.reshape(_boost(x), (4, 4)) @ c)[1:, 1:])[2][None, :2]
-        x = _best_projected_boost(c, np.concatenate([least, fixed]))
+        # the top two right singular vectors: the plane orthogonal to the least one
+        plane = np.linalg.svd((np.reshape(_boost(x), (4, 4)) @ c)[1:, 1:])[2][None, :2]
+        x = _best_projected_boost(c, np.concatenate([plane, fixed]))
     return x
 
 
-def _chsh_search(r: np.ndarray, party: Party, max_iters: int) -> _Search:
-    """One bounded Nelder-Mead polish of :func:`_search_objective` from :func:`_chsh_seed`'s boost.
+def _on_scale_floor(x: Point) -> bool:
+    """Whether the boost x = (d, theta, phi) lies on the scale floor, d <= 1.01 SCALE_FLOOR."""
+    return x[0] <= SCALE_FLOOR * 1.01
+
+
+def _chsh_search(r: np.ndarray, party: Party, max_iters: int) -> tuple[Point, float, bool, int]:
+    """One bounded Nelder-Mead polish of :func:`_search_objective` from :func:`_chsh_seed`'s boost:
+    the boost (d, theta, phi) it ends on, its value, whether it converged, and its evaluations.
 
     The polish builds scipy's simplex around the seed, runs at most
     ``max_iters`` iterations and stops once its vertices agree within
     XATOL in :func:`_filter_coordinates` (as filters, not as chart points)
     and within FATOL in value. Its first vertex is the seed, so the value
     never falls below the seed's projected F3, nor below the unfiltered B.
-    A polish that ends on the scale floor (d <= 1.01 SCALE_FLOOR), where
+    A polish that ends on the scale floor (:func:`_on_scale_floor`), where
     the value still slopes in d, reads (SCALE_FLOOR, theta, phi) once more
     and keeps the larger value; ``evaluations`` is the polish's alone.
     """
@@ -557,21 +555,19 @@ def _chsh_search(r: np.ndarray, party: Party, max_iters: int) -> _Search:
         xatol_map=_filter_coordinates,
     )
     x, value = res.x, -res.fun
-    if x[0] <= SCALE_FLOOR * 1.01:
+    if _on_scale_floor(x):
         floor = (SCALE_FLOOR, x[1], x[2])
         on_floor = -fun(floor)
         if on_floor > value:
             x, value = floor, on_floor
-    return _Search(x, value, res.success, res.nfev)
+    return x, value, res.success, res.nfev
 
 
 def optimize_one_sided(
     rho: DensityMatrix,
     party: Party,
     objective: Objective,
-    starts: int = 32,
     max_iters: int = 500,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
     picture: RMatrix | None = None,
 ) -> OneSidedResult:
@@ -601,10 +597,6 @@ def optimize_one_sided(
     matrix is formed, and positivity needs no check, because a filter is a
     congruence of the already validated rho.
 
-    Neither objective draws random starts: ``starts_used`` is 1 and
-    ``best_start`` 0, and ``starts`` (>= 1) and ``seed`` (>= 0) are
-    validated but not used.
-
     The winning filter is then applied once through ``apply_one_sided``,
     whose ``validate_state`` checks the filtered state with ``tol`` (the
     tolerance rho itself was accepted with), and the value is
@@ -616,37 +608,32 @@ def optimize_one_sided(
     seconds of the search or solve (``"search"``) and of this verification
     (``"verify"``).
     """
-    if starts < 1:
-        raise DomainError(f"starts must be >= 1, got {starts}")
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
-    SeededRng(seed)  # rejects a negative seed, even when no start draws from it
     began = time.perf_counter()
     r = (to_r_picture(rho) if picture is None else picture).r
     if objective is Objective.F3:
         exact = one_sided_f3_suprema(r[None], party)
-        x = tuple(exact.params[0].tolist())
-        search = _Search(x, float(exact.value[0]), bool(exact.converged[0]), int(exact.iterations[0]))
+        x, found = tuple(exact.params[0].tolist()), float(exact.value[0])
+        converged, evaluations = bool(exact.converged[0]), int(exact.iterations[0])
     else:
-        search = _chsh_search(r, party, max_iters)
+        x, found, converged, evaluations = _chsh_search(r, party, max_iters)
     searched = time.perf_counter()
-    best = LocalFilter(_filter_from_params(search.x))
+    best = LocalFilter(_filter_from_params(x))
     filtered, prob = apply_one_sided(rho, best, party, tol)
     picture = to_r_picture(filtered)
     b, f3 = chsh_f3_maxima(picture.t)
     value = float(b if objective is Objective.CHSH else f3)
-    if abs(value - search.value) > 1e-9:
-        raise OptimumMismatch(f"search value {search.value!r} but the filtered state gives {value!r}")
+    if abs(value - found) > 1e-9:
+        raise OptimumMismatch(f"search value {found!r} but the filtered state gives {value!r}")
     return OneSidedResult(
         value=value,
         filter=best,
         objective=objective,
         party=party,
-        converged=search.converged,
-        starts_used=1,
-        best_start=0,
-        evaluations=search.evaluations,
-        at_scale_floor=bool(search.x[0] <= SCALE_FLOOR * 1.01),
+        converged=converged,
+        evaluations=evaluations,
+        at_scale_floor=_on_scale_floor(x),
         filtered_state=filtered,
         filtered_picture=picture,
         success_probability=prob,

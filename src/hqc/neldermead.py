@@ -30,13 +30,7 @@ each vertex of its chart (d, theta, phi) of the filters as the filter's
 coordinates (d, (1 - d) n), in which the angles count only as far as
 they move the filter, with xatol = 1e-7 (``filtering.XATOL``). The test
 runs before every iteration, so a smaller xatol only runs a search
-further along the same points; on the optimize benchmark's CHSH calls,
-under the multi-start search that preceded the polish, 1e-9 took a
-quarter more evaluations than 1e-7 and moved no value by more than
-2.0e-15. That search, kept in the tests as their reference, also gives
-its start 0 an ``initial_simplex``: the identity (1, 0, 0) and the boosts
-with d = 0.95 along z, x and y, since scipy's rule would put two of its
-vertices on the identity, where the angles do nothing.
+further along the same points.
 
 One rule differs: the simplex is ordered by Python's stable sort, so
 vertices with equal values keep their index order. scipy orders it with

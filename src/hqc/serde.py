@@ -185,8 +185,8 @@ def one_sided_result_to_dict(res: OneSidedResult) -> dict:
         "objective": res.objective.value,
         "party": res.party.value,
         "converged": bool(res.converged),
-        "starts_used": int(res.starts_used),
-        "best_start": int(res.best_start),
+        "starts_used": 1,  # kept for readers of the multi-start search's output: one polish or one solve
+        "best_start": 0,
         "evaluations": int(res.evaluations),
         "at_scale_floor": bool(res.at_scale_floor),
         "filter": filter_to_dict(res.filter),

@@ -217,7 +217,7 @@ def test_c09a_one_sided_sandwich_as_specified():
         b = chsh_max(r)[0]
         hidden = hidden_chsh(r)
         for party in (Party.A, Party.B):
-            res = optimize_one_sided(rho, party, Objective.CHSH, starts=6, max_iters=250)
+            res = optimize_one_sided(rho, party, Objective.CHSH, max_iters=250)
             assert res.value >= b - 1e-9
             assert res.value <= max(1.0, hidden) + 1e-6
             if hidden >= 1.0:
@@ -243,7 +243,7 @@ def test_c09b_bell_diagonal_states_pin_the_one_sided_optimum():
     for _ in range(10):
         rho = validate_state(random_bell_diagonal(gen))
         r = to_r_picture(rho)
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=6, max_iters=250)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=250)
         worst = max(worst, abs(res.value - chsh_max(r)[0]))
     assert worst <= 1e-6
     report(f"C9b Bell-diagonal one-sided pinning: PASS (worst dev {worst:.2e})")

@@ -554,9 +554,8 @@ class TestSweepCounterexamplePath:
 class TestParserDefaults:
     def test_defaults_are_the_librarys(self):
         parser = cli_mod.build_parser()
-        search = inspect.signature(optimize_one_sided).parameters
         args = parser.parse_args(["filter", "state.json"])
-        assert (args.starts, args.max_iters) == (search["starts"].default, search["max_iters"].default)
+        assert args.max_iters == inspect.signature(optimize_one_sided).parameters["max_iters"].default
         assert (args.c_chsh, args.c_f3, args.tol) == (Thresholds().c_chsh, Thresholds().c_f3, DEFAULT_TOL)
         args = parser.parse_args(["sweep", "--n", "1", "--out-prefix", "s_"])
         config = SweepConfig(n=1)
@@ -633,7 +632,7 @@ class TestFilter:
         code, doc = run_cli(capsys, "filter", str(path), "--optimize", "B", "chsh", "--starts", "3", "--seed", "5")
         assert code == 0
         assert len(calls) == 1
-        res = optimize_one_sided(rho, Party.B, Objective.CHSH, starts=3, seed=5)
+        res = optimize_one_sided(rho, Party.B, Objective.CHSH)
         filtered, prob = apply_one_sided(rho, res.filter, Party.B)
         assert doc["filtered_state"] == serde.state_to_dict(filtered)
         assert doc["success_probability"] == prob
@@ -718,6 +717,26 @@ class TestFilter:
         for bad in (("--starts", "0"), ("--seed", "-1")):
             assert run_cli(capsys, *argv, *bad)[0] == 2
 
+    @pytest.mark.parametrize(
+        "extra, env, message",
+        [
+            (["--starts", "0"], None, "starts must be >= 1, got 0"),
+            (["--seed", "-1"], None, "seed and stream must be >= 0, got -1, 0"),
+            ([], "-3", "seed and stream must be >= 0, got -3, 0"),
+        ],
+        ids=["starts", "seed", "env-seed"],
+    )
+    def test_unused_flags_keep_their_errors(self, capsys, tmp_path, monkeypatch, extra, env, message):
+        # --starts and --seed select nothing, but a bad value fails with the error it always gave
+        monkeypatch.delenv("HQC_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("HQC_SEED", env)
+        path = tmp_path / "m.json"
+        serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
+        code, doc = run_cli(capsys, "filter", str(path), "--optimize", "A", "chsh", *extra)
+        assert code == 2
+        assert doc == {"error": {"type": "DomainError", "message": message}}
+
     def test_optimize_excludes_filter_files(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         serde.dump_state_json(validate_state(werner_matrix(0.5)), str(path))
@@ -755,7 +774,7 @@ class TestFilter:
         )
         assert line, captured.err
         rho = serde.load_state_json(str(path))
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=3)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH)
         assert int(line[1]) == res.evaluations
         # stdout is the report alone, byte for byte
         expected = {
@@ -801,10 +820,11 @@ class TestFilter:
             ["--optimize", "A", "chsh", "--starts", "2"],
             ["--optimize", "C", "chsh"],
             ["--optimize", "B", "f3", "--starts", "0"],
+            ["--optimize", "A", "chsh", "--starts", "0"],
             ["--filter-a", "missing.json"],
             [],
         ],
-        ids=["optimize", "bad-party", "no-starts", "missing-filter", "identity"],
+        ids=["optimize", "bad-party", "no-starts", "no-starts-chsh", "missing-filter", "identity"],
     )
     def test_input_report_error_comes_first(self, capsys, tmp_path, extra):
         # accepted with --tol 0.1, the input has an eigenvalue below the normal-form spectrum's guard

@@ -349,7 +349,7 @@ class TestClassify:
     def test_optimizer_witness_flags(self):
         # Alice's one-sided filter reveals the violation, Bob's cannot
         rho = rho_m(math.pi / 12, 0.75)
-        value = {party: optimize_one_sided(rho, party, Objective.CHSH, starts=6, max_iters=300).value for party in Party}
+        value = {party: optimize_one_sided(rho, party, Objective.CHSH, max_iters=300).value for party in Party}
         assert value[Party.A] > 1.0 + 1e-6
         assert value[Party.B] <= 1.0 + 1e-6
 
@@ -385,7 +385,7 @@ class TestClassifyBatch:
         for i, rho in enumerate(states):
             party, objective = (Party.A, Party.B)[i % 2], (Objective.CHSH, Objective.F3)[i // 2 % 2]
             before = to_r_picture(rho)
-            after = optimize_one_sided(rho, party, objective, starts=2, max_iters=200).filtered_picture
+            after = optimize_one_sided(rho, party, objective, max_iters=200).filtered_picture
             pair = classify_batch(np.stack([before.r, after.r]))
             alone = [classify(before), classify(after)]
             assert [report_bits(report) for report in pair] == [report_bits(report) for report in alone], i
@@ -457,7 +457,7 @@ class TestCertificationSoundness:
                     certified.append((r, party))
         exceedances = []
         for r, party in certified[:100]:
-            res = optimize_one_sided(from_r_picture(r), party, Objective.CHSH, starts=4, max_iters=200)
+            res = optimize_one_sided(from_r_picture(r), party, Objective.CHSH, max_iters=200)
             if res.value > 1.0 + 1e-6:
                 exceedances.append((r.r.tolist(), party.value, res.value))
         assert exceedances == []

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath
@@ -40,6 +41,7 @@ from hqc import filtering
 from hqc.states import ginibre_factors, ginibre_states, r_pictures
 from hqc.filtering import (
     SCALE_FLOOR,
+    OneSidedResult,
     _boost,
     _filter_from_params,
     _search_objective,
@@ -311,12 +313,11 @@ class TestOptimizeOneSided:
         # unfiltered value already equals the two-sided optimum, so the
         # one-sided optimum is squeezed to the same number
         rho = validate_state(werner_matrix(0.5))
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=6, max_iters=300)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=300)
         assert res.value == pytest.approx(0.5 * math.sqrt(2), abs=1e-6)
-        assert res.starts_used == 1  # one seeded polish, whatever the budget
 
-    def test_early_exit_reports_starts_run(self, monkeypatch):
-        # the maximal state's seed is the identity, at sqrt(2); its one polish reports one start
+    def test_early_exit_counts_its_evaluations(self, monkeypatch):
+        # the maximal state's seed is the identity, at sqrt(2); its one polish reports its own evaluations
         calls = []
         minimize = filtering.minimize
 
@@ -328,13 +329,12 @@ class TestOptimizeOneSided:
             return minimize(counted, x0, **kwargs)
 
         monkeypatch.setattr(filtering, "minimize", counting_minimize)
-        res = optimize_one_sided(rho_qd(1.0), Party.A, Objective.CHSH, starts=32)
+        res = optimize_one_sided(rho_qd(1.0), Party.A, Objective.CHSH)
         assert res.value == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert res.starts_used == 1
         assert res.evaluations == len(calls) > 0
 
     def test_singlet_f3_already_maximal(self, singlet):
-        res = optimize_one_sided(singlet, Party.B, Objective.F3, starts=2, max_iters=100)
+        res = optimize_one_sided(singlet, Party.B, Objective.F3, max_iters=100)
         assert res.value == pytest.approx(math.sqrt(3), abs=1e-9)
 
     def test_rho_m_one_sided_filter_matches_closed_form(self):
@@ -343,14 +343,14 @@ class TestOptimizeOneSided:
         theta, p = math.pi / 6, 0.5
         rho = rho_m(theta, p)
         target = hidden_chsh(to_r_picture(rho))
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=6, max_iters=300)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=300)
         assert res.value >= target - 1e-6
 
     def test_never_below_unfiltered_value(self):
         for i in range(5):
             rho = sample_state(SeededRng(56, i))
             r = to_r_picture(rho)
-            res = optimize_one_sided(rho, Party.B, Objective.CHSH, starts=2, max_iters=120)
+            res = optimize_one_sided(rho, Party.B, Objective.CHSH, max_iters=120)
             assert res.value >= chsh_max(r)[0] - 1e-9
 
     def test_sandwich_with_classical_boundary(self):
@@ -363,13 +363,13 @@ class TestOptimizeOneSided:
             rho = sample_state(SeededRng(57, i))
             r = to_r_picture(rho)
             hidden = hidden_chsh(r)
-            res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=6, max_iters=300)
+            res = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=300)
             assert chsh_max(r)[0] - 1e-9 <= res.value <= max(1.0, hidden) + 1e-6
 
     def test_deterministic(self):
         rho = sample_state(SeededRng(58, 0))
-        a = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=4, max_iters=150)
-        b = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=4, max_iters=150)
+        a = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=150)
+        b = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=150)
         assert a.value == b.value
         np.testing.assert_array_equal(a.filter.f, b.filter.f)
 
@@ -377,15 +377,15 @@ class TestOptimizeOneSided:
         # a simplex with two of its vertices on the identity tried boosts along z only, and this
         # state's 2-start search ended on its unfiltered value 0.93544
         rho = sample_state(SeededRng(1, 3), rank=3)
-        res = optimize_one_sided(rho, Party.B, Objective.CHSH, starts=2, seed=0)
+        res = optimize_one_sided(rho, Party.B, Objective.CHSH)
         assert res.value - chsh_max(to_r_picture(rho))[0] > 0.1
-        eight = optimize_one_sided(rho, Party.B, Objective.CHSH, starts=8, seed=0)
-        assert abs(res.value - eight.value) <= 1e-12
+        assert abs(res.value - reference_optimum(rho, Party.B, Objective.CHSH, starts=8)[0]) <= 1e-12
         assert abs(brute_force_chsh(res.filtered_picture) - res.value) <= 1e-9
 
-    def test_starts_validated(self, singlet):
-        with pytest.raises(DomainError):
-            optimize_one_sided(singlet, Party.A, Objective.CHSH, starts=0)
+    def test_takes_no_starts_or_seed(self):
+        # one seeded polish or one exact solve: no random starts to count, choose between or seed
+        assert not {"starts", "seed"} & set(inspect.signature(optimize_one_sided).parameters)
+        assert not {"starts_used", "best_start"} & set(OneSidedResult._fields)
 
 
 def _ginibre(rank):
@@ -440,7 +440,7 @@ class TestBoostEvaluation:
         assert abs(prob - SCALE_FLOOR**2) <= 1e-15
         _, density_prob = apply_one_sided(rho, LocalFilter(_filter_from_params(x)), Party.A)
         assert density_prob == pytest.approx(SCALE_FLOOR**2, rel=1e-9)
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=4)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH)
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishing_success_probability_raises(self):
@@ -461,7 +461,7 @@ class TestBoostEvaluation:
 
         monkeypatch.setattr(filtering, "_search_objective", perturbed)
         with pytest.raises(OptimumMismatch):
-            optimize_one_sided(sample_state(SeededRng(58, 0)), Party.A, Objective.CHSH, starts=1, max_iters=50)
+            optimize_one_sided(sample_state(SeededRng(58, 0)), Party.A, Objective.CHSH, max_iters=50)
 
     # optimize_one_sided(starts=2, seed=0) values and flags at the parent of
     # the boost evaluation (density-matrix objective), on the optimize
@@ -491,7 +491,7 @@ class TestBoostEvaluation:
         ("maximal", lambda: rho_qd(1.0), Party.A, Objective.CHSH, 1.4142135623730951, False, 1),
     ]
 
-    # optimize_one_sided(starts=2, seed=0) on the PARITY cases, with start 0's simplex
+    # the reference search (starts=2, seed=0) on the PARITY cases, with start 0's simplex
     # of the identity and a boost along each axis and the stop test read in the
     # filter's coordinates: value, evaluations, best start and the winning x, all
     # to the bit. Re-pinned when the stop tolerance XATOL went from 1e-9 to 1e-7:
@@ -559,23 +559,23 @@ class TestBoostEvaluation:
             assert got == self.TRAJECTORY[label], label
 
     def test_parity_with_density_route_optimiser(self, monkeypatch):
-        # the values, flags and starts run pin the reference search on the CHSH rows and the exact solve
-        # on the F3 rows; the optimiser's own filter is checked against its boost on every row
+        # the values and flags pin the reference search (and its starts run) on the CHSH rows and the
+        # exact solve on the F3 rows; the optimiser's own filter is checked against its boost on every row
         winners = []  # the optimiser builds its filter once, from the winning x
         build = filtering._filter_from_params
         monkeypatch.setattr(filtering, "_filter_from_params", lambda x: winners.append(np.copy(x)) or build(x))
         for label, state, party, objective, value, at_floor, starts_used in self.PARITY:
             rho = state()
-            res = optimize_one_sided(rho, party, objective, starts=2, seed=0)
+            res = optimize_one_sided(rho, party, objective)
             if objective is Objective.CHSH:
                 got, search = reference_optimum(rho, party, objective, starts=2, seed=0)
                 got_filter = LocalFilter(_filter_from_params(search.x))
-                got_at_floor, got_starts = search.x[0] <= SCALE_FLOOR * 1.01, search.starts_used
+                got_at_floor = search.x[0] <= SCALE_FLOOR * 1.01
+                assert search.starts_used == starts_used, label
             else:
-                got, got_filter, got_at_floor, got_starts = res.value, res.filter, res.at_scale_floor, res.starts_used
+                got, got_filter, got_at_floor = res.value, res.filter, res.at_scale_floor
             assert abs(got - value) <= 1e-12, label
             assert got_at_floor is at_floor, label
-            assert got_starts == starts_used, label
             assert abs(_density_value_of_filter(rho, got_filter, party, objective) - got) <= 1e-9, label
             x, f = winners[-1], res.filter.f
             assert np.abs(f - f.conj().T).max() <= 1e-15, label
@@ -640,7 +640,7 @@ class TestSeededChshSearch:
     def test_reaches_a_trap_of_the_reference_search(self):
         # 8 reference starts give 0.906760 here
         rho = sample_state(SeededRng(24, 3), rank=3)
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=2)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH)
         assert res.value >= 0.934929061349632 - 1e-12
         assert res.value - reference_optimum(rho, Party.A, Objective.CHSH, starts=8)[0] > 0.028
 
@@ -648,22 +648,17 @@ class TestSeededChshSearch:
         calls = []
         minimize = filtering.minimize
         monkeypatch.setattr(filtering, "minimize", lambda *a, **k: calls.append(k["max_iters"]) or minimize(*a, **k))
-        cases = [
-            (rho_qd(1.0), Party.A, 32),
-            (rho_m(0.1, 0.9), Party.A, 6),
-            (sample_state(SeededRng(77, 26), rank=4), Party.B, 1),
-        ]
-        for rho, party, starts in cases:
+        cases = [(rho_qd(1.0), Party.A), (rho_m(0.1, 0.9), Party.A), (sample_state(SeededRng(77, 26), rank=4), Party.B)]
+        for rho, party in cases:
             calls.clear()
-            res = optimize_one_sided(rho, party, Objective.CHSH, starts=starts, max_iters=77)
+            optimize_one_sided(rho, party, Objective.CHSH, max_iters=77)
             assert calls == [77]
-            assert (res.starts_used, res.best_start) == (1, 0)
 
     def test_floor_optimum_read_on_the_floor(self):
         # the polish ends at d = 1.003e-4, where the value still slopes in d; read on the floor, the value
         # is not below the reference search run with its stop tolerance at 1e-9 (which ends at d = 1.0000076e-4)
         rho = sample_state(SeededRng(91, 58), rank=3)
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=2)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH)
         assert res.at_scale_floor
         with pytest.MonkeyPatch.context() as m:
             m.setattr(filtering, "XATOL", 1e-9)
@@ -672,7 +667,7 @@ class TestSeededChshSearch:
         # here the polish ends at d = 1.0004e-4, 1.1e-11 below the 8-start reference; the floor read
         # lifts it to 3.3e-12 below, with the filter's small eigenvalue on the floor
         rho = sample_state(SeededRng(109, 30))
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, starts=2)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH)
         assert abs(np.linalg.eigvalsh(res.filter.f)[0] - SCALE_FLOOR) <= 1e-15
         assert reference_optimum(rho, Party.A, Objective.CHSH, starts=8)[0] - res.value <= 5e-12
 
@@ -685,7 +680,7 @@ class TestSeededChshSearch:
         worst_off, worst_floor, off = 0.0, 0.0, 0
         for rho, rank in states:
             for party in (Party.A, Party.B):
-                res = optimize_one_sided(rho, party, Objective.CHSH, starts=2)
+                res = optimize_one_sided(rho, party, Objective.CHSH)
                 ref, search = reference_optimum(rho, party, Objective.CHSH, starts=8)
                 if not res.at_scale_floor and search.x[0] > SCALE_FLOOR * 1.01:
                     worst_off, off = max(worst_off, ref - res.value), off + 1
@@ -764,11 +759,16 @@ class TestExactOneSidedF3:
                 for got, want in zip(part, whole):
                     np.testing.assert_array_equal(got, want[lo:hi], err_msg=f"{party} rows {lo}:{hi}")
 
+    @pytest.mark.parametrize("party", list(Party))
+    def test_empty_stack_gives_empty_results(self, party):
+        value, params, iterations, converged = filtering.one_sided_f3_suprema(np.zeros((0, 4, 4)), party)
+        assert (value.shape, params.shape, iterations.shape, converged.shape) == ((0,), (0, 3), (0,), (0,))
+
     def test_result_reports_one_exact_solve(self):
         rho = sample_state(SeededRng(1, 4), rank=4)
         exact = filtering.one_sided_f3_suprema(to_r_picture(rho).r[None], Party.A)
-        res = optimize_one_sided(rho, Party.A, Objective.F3, starts=5, max_iters=7, seed=3)
-        assert (res.starts_used, res.best_start, res.evaluations, res.converged) == (1, 0, exact.iterations[0], True)
+        res = optimize_one_sided(rho, Party.A, Objective.F3, max_iters=7)
+        assert (res.evaluations, res.converged) == (exact.iterations[0], True)
         assert res.evaluations > 0
         assert res.at_scale_floor
         assert res.value == pytest.approx(exact.value[0], abs=1e-12)
