@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import math
 import os
 import sys
@@ -32,7 +31,7 @@ from .criteria import VIOLATION_MARGIN, Thresholds, classify, classify_batch, cl
 from .ellipsoid import Party, compute_ellipsoid
 from .errors import DomainError, HqcError
 from .families import Family, qd_centre_boundary, scan_family
-from .filtering import Objective, apply_filters, identity_filter, optimize_one_sided
+from .filtering import MAX_ITERS, Objective, apply_filters, identity_filter, optimize_one_sided
 from .kernels import ACTIVE_KERNEL
 from .montecarlo import DEFAULT_RANK_MIX, SweepConfig, run_sweep
 from .states import DEFAULT_TOL, DensityMatrix, RMatrix, SeededRng, from_r_picture, to_r_picture
@@ -225,17 +224,14 @@ def _cmd_filter(args: argparse.Namespace) -> int:
             if objective_name.upper() not in ("CHSH", "F3"):
                 raise DomainError(f"--optimize objective must be chsh or f3, got {objective_name!r}")
             seed, seed_source = _resolve_seed(args)
-            # --starts and --seed select nothing: the search draws no random starts; both are still validated
+            # --starts, --max-iters and --seed select nothing, but are still validated
             if args.starts < 1:
                 raise DomainError(f"starts must be >= 1, got {args.starts}")
+            if args.max_iters < 1:
+                raise DomainError(f"max_iters must be >= 1, got {args.max_iters}")
             SeededRng(seed)
             res = optimize_one_sided(
-                rho,
-                Party[party_name],
-                Objective[objective_name.upper()],
-                max_iters=args.max_iters,
-                tol=args.tol,
-                picture=r_before,
+                rho, Party[party_name], Objective[objective_name.upper()], tol=args.tol, picture=r_before
             )
             filtered, prob, r_after = res.filtered_state, res.success_probability, res.filtered_picture
             step = {"optimizer": serde.one_sided_result_to_dict(res), "seed_source": seed_source}
@@ -341,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optimise a one-sided filter, e.g. --optimize A chsh",
     )
-    max_iters = inspect.signature(optimize_one_sided).parameters["max_iters"].default
     p.add_argument("--starts", type=int, default=1, help="accepted for compatibility (>= 1); unused")
-    p.add_argument("--max-iters", type=int, default=max_iters, help="CHSH polish iterations (validated for F3)")
+    p.add_argument("--max-iters", type=int, default=MAX_ITERS, help="accepted for compatibility (>= 1); unused")
     p.add_argument(
         "--seed", type=int, default=None, help="accepted for compatibility (>= 0; default: HQC_SEED env or 0); unused"
     )

@@ -93,6 +93,7 @@ _SPIN_FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])  # (sigma_y (x) sigm
 SCALE_FLOOR = 1e-4  # lower bound on the filter's small singular value during optimisation
 FATOL = 1e-11  # the CHSH polish's stopping tolerance on the objective
 XATOL = 1e-7  # its stopping tolerance on the filter's coordinates (d, (1 - d) n)
+MAX_ITERS = 500  # cap on the CHSH polish's iterations
 SECULAR_MAX_ITERS = 60  # cap on the exact F3 solve's Newton steps
 ZERO_SUCCESS = 1e-12  # a filter whose success probability is at most this raises ZeroSuccessProbability
 
@@ -160,7 +161,7 @@ class OneSidedResult(NamedTuple):
     filter: LocalFilter
     objective: Objective
     party: Party
-    converged: bool  # CHSH: the polish stopped on its tolerances, not on max_iters; F3: Newton within its cap
+    converged: bool  # CHSH: the polish stopped on its tolerances, not on MAX_ITERS; F3: Newton within its cap
     evaluations: int  # CHSH: objective evaluations; F3: Newton steps on the secular equation
     at_scale_floor: bool  # optimiser pushed the filter scale to its floor; supremum may be on the boundary
     filtered_state: DensityMatrix  # the input after ``filter``, validated by the final verification
@@ -531,12 +532,12 @@ def _on_scale_floor(x: Point) -> bool:
     return x[0] <= SCALE_FLOOR * 1.01
 
 
-def _chsh_search(r: np.ndarray, party: Party, max_iters: int) -> tuple[Point, float, bool, int]:
+def _chsh_search(r: np.ndarray, party: Party) -> tuple[Point, float, bool, int]:
     """One bounded Nelder-Mead polish of :func:`_search_objective` from :func:`_chsh_seed`'s boost:
     the boost (d, theta, phi) it ends on, its value, whether it converged, and its evaluations.
 
     The polish builds scipy's simplex around the seed, runs at most
-    ``max_iters`` iterations and stops once its vertices agree within
+    MAX_ITERS iterations and stops once its vertices agree within
     XATOL in :func:`_filter_coordinates` (as filters, not as chart points)
     and within FATOL in value. Its first vertex is the seed, so the value
     never falls below the seed's projected F3, nor below the unfiltered B.
@@ -549,7 +550,7 @@ def _chsh_search(r: np.ndarray, party: Party, max_iters: int) -> tuple[Point, fl
         fun,
         _chsh_seed(r, party),
         bounds=[(SCALE_FLOOR, 1.0), (None, None), (None, None)],
-        max_iters=max_iters,
+        max_iters=MAX_ITERS,
         xatol=XATOL,
         fatol=FATOL,
         xatol_map=_filter_coordinates,
@@ -567,7 +568,6 @@ def optimize_one_sided(
     rho: DensityMatrix,
     party: Party,
     objective: Objective,
-    max_iters: int = 500,
     tol: float = DEFAULT_TOL,
     picture: RMatrix | None = None,
 ) -> OneSidedResult:
@@ -587,11 +587,11 @@ def optimize_one_sided(
     equation and ``converged`` whether they stopped within the cap.
 
     CHSH runs one bounded Nelder-Mead polish (:func:`_chsh_search`, at
-    most ``max_iters >= 1`` iterations) of :func:`_search_objective`,
+    most MAX_ITERS iterations) of :func:`_search_objective`,
     built once from R, over x = (d, theta, phi), from the exact seed of
     :func:`_chsh_seed`, whose value is at least the unfiltered B;
     ``evaluations`` counts the polish's evaluations and ``converged`` says
-    whether it stopped on its tolerances rather than on ``max_iters``. An
+    whether it stopped on its tolerances rather than on MAX_ITERS. An
     evaluation applies the boost L(d, n) to R in Python floats and reads
     the maximum with :func:`hqc.correlations.chsh_f3_value`; no density
     matrix is formed, and positivity needs no check, because a filter is a
@@ -608,8 +608,6 @@ def optimize_one_sided(
     seconds of the search or solve (``"search"``) and of this verification
     (``"verify"``).
     """
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     began = time.perf_counter()
     r = (to_r_picture(rho) if picture is None else picture).r
     if objective is Objective.F3:
@@ -617,7 +615,7 @@ def optimize_one_sided(
         x, found = tuple(exact.params[0].tolist()), float(exact.value[0])
         converged, evaluations = bool(exact.converged[0]), int(exact.iterations[0])
     else:
-        x, found, converged, evaluations = _chsh_search(r, party, max_iters)
+        x, found, converged, evaluations = _chsh_search(r, party)
     searched = time.perf_counter()
     best = LocalFilter(_filter_from_params(x))
     filtered, prob = apply_one_sided(rho, best, party, tol)

@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -555,7 +554,7 @@ class TestParserDefaults:
     def test_defaults_are_the_librarys(self):
         parser = cli_mod.build_parser()
         args = parser.parse_args(["filter", "state.json"])
-        assert args.max_iters == inspect.signature(optimize_one_sided).parameters["max_iters"].default
+        assert args.max_iters == filtering_mod.MAX_ITERS
         assert (args.c_chsh, args.c_f3, args.tol) == (Thresholds().c_chsh, Thresholds().c_f3, DEFAULT_TOL)
         args = parser.parse_args(["sweep", "--n", "1", "--out-prefix", "s_"])
         config = SweepConfig(n=1)
@@ -676,7 +675,7 @@ class TestFilter:
 
     def test_converged_describes_the_winning_start(self, capsys, tmp_path, monkeypatch):
         # the reference search's start 0 wins after stopping on max_iters = 30, and its starts 1 and 2
-        # converge on the d = 1 face, below it; the CLI's one polish reports its own stop
+        # converge on the d = 1 face, below it; the CLI's one polish reports its own stop, whatever --max-iters says
         rho = rho_mm(0.6015, 0.5)
         path = tmp_path / "mm.json"
         serde.dump_state_json(rho, str(path))
@@ -706,16 +705,26 @@ class TestFilter:
         assert doc["optimizer"]["value"] >= 0.82733469570880
 
     def test_starts_and_seed_leave_chsh_stdout_unchanged(self, capsys, tmp_path):
+        # --max-iters 1 and 30 stopped the CHSH polish early here while the flag capped it
         path = tmp_path / "mm.json"
         serde.dump_state_json(rho_mm(0.6015, 0.5), str(path))
-        argv = ("filter", str(path), "--optimize", "B", "chsh")
-        outs = []
-        for starts, seed in (("1", "0"), ("2", "0"), ("9", "0"), ("2", "7"), ("32", "123456")):
-            assert main([*argv, "--starts", starts, "--seed", seed]) == 0
-            outs.append(capsys.readouterr().out)
-        assert all(out == outs[0] for out in outs[1:])
-        for bad in (("--starts", "0"), ("--seed", "-1")):
-            assert run_cli(capsys, *argv, *bad)[0] == 2
+        for objective in ("chsh", "f3"):
+            argv = ("filter", str(path), "--optimize", "B", objective)
+            outs = []
+            for extra in (
+                ["--starts", "1"],
+                ["--starts", "2"],
+                ["--starts", "9"],
+                ["--starts", "2", "--seed", "7"],
+                ["--starts", "32", "--seed", "123456"],
+                ["--max-iters", "1"],
+                ["--max-iters", "30"],
+            ):
+                assert main([*argv, "--seed", "0", *extra]) == 0  # a later --seed overrides this one
+                outs.append(capsys.readouterr().out)
+            assert all(out == outs[0] for out in outs[1:]), objective
+            for bad in (("--starts", "0"), ("--seed", "-1"), ("--max-iters", "0")):
+                assert run_cli(capsys, *argv, *bad)[0] == 2
 
     @pytest.mark.parametrize(
         "extra, env, message",
@@ -723,19 +732,29 @@ class TestFilter:
             (["--starts", "0"], None, "starts must be >= 1, got 0"),
             (["--seed", "-1"], None, "seed and stream must be >= 0, got -1, 0"),
             ([], "-3", "seed and stream must be >= 0, got -3, 0"),
+            (["--max-iters", "0"], None, "max_iters must be >= 1, got 0"),
+            (["--max-iters", "-5"], None, "max_iters must be >= 1, got -5"),
+            (["--max-iters", "0", "--seed", "-1"], None, "max_iters must be >= 1, got 0"),
+            (["--max-iters", "0"], "-1", "max_iters must be >= 1, got 0"),
+            (["--starts", "0", "--max-iters", "0"], None, "starts must be >= 1, got 0"),
         ],
-        ids=["starts", "seed", "env-seed"],
+        ids=[
+            "starts", "seed", "env-seed", "max-iters-0", "max-iters--5", "max-iters-seed", "max-iters-env-seed",
+            "starts-max-iters",
+        ],
     )
     def test_unused_flags_keep_their_errors(self, capsys, tmp_path, monkeypatch, extra, env, message):
-        # --starts and --seed select nothing, but a bad value fails with the error it always gave
+        # --starts, --max-iters and --seed select nothing, but a bad value fails with the error it always gave,
+        # checked in that order
         monkeypatch.delenv("HQC_SEED", raising=False)
         if env is not None:
             monkeypatch.setenv("HQC_SEED", env)
         path = tmp_path / "m.json"
         serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
-        code, doc = run_cli(capsys, "filter", str(path), "--optimize", "A", "chsh", *extra)
-        assert code == 2
-        assert doc == {"error": {"type": "DomainError", "message": message}}
+        for objective in ("chsh", "f3"):
+            code, doc = run_cli(capsys, "filter", str(path), "--optimize", "A", objective, *extra)
+            assert code == 2
+            assert doc == {"error": {"type": "DomainError", "message": message}}, objective
 
     def test_optimize_excludes_filter_files(self, capsys, tmp_path):
         path = tmp_path / "w.json"
@@ -821,10 +840,11 @@ class TestFilter:
             ["--optimize", "C", "chsh"],
             ["--optimize", "B", "f3", "--starts", "0"],
             ["--optimize", "A", "chsh", "--starts", "0"],
+            ["--optimize", "A", "chsh", "--max-iters", "0"],
             ["--filter-a", "missing.json"],
             [],
         ],
-        ids=["optimize", "bad-party", "no-starts", "no-starts-chsh", "missing-filter", "identity"],
+        ids=["optimize", "bad-party", "no-starts", "no-starts-chsh", "no-max-iters", "missing-filter", "identity"],
     )
     def test_input_report_error_comes_first(self, capsys, tmp_path, extra):
         # accepted with --tol 0.1, the input has an eigenvalue below the normal-form spectrum's guard
@@ -843,16 +863,6 @@ class TestFilter:
         code, doc = run_cli(capsys, "filter", str(path))
         assert code == 2
         assert doc == {"error": {"type": "ComplexSpectrum", "message": _classify_error(bad)}}
-
-    @pytest.mark.parametrize("max_iters", ["0", "-5"])
-    def test_optimize_rejects_max_iters_below_one(self, capsys, tmp_path, max_iters):
-        path = tmp_path / "m.json"
-        serde.dump_state_json(rho_m(0.5, 0.8), str(path))
-        code, doc = run_cli(
-            capsys, "filter", str(path), "--optimize", "A", "chsh", "--starts", "2", "--max-iters", max_iters
-        )
-        assert code == 2
-        assert doc["error"]["type"] == "DomainError"
 
 
 SRC = str(Path(hqc.__file__).resolve().parents[1])

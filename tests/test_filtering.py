@@ -313,7 +313,7 @@ class TestOptimizeOneSided:
         # unfiltered value already equals the two-sided optimum, so the
         # one-sided optimum is squeezed to the same number
         rho = validate_state(werner_matrix(0.5))
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=300)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH)
         assert res.value == pytest.approx(0.5 * math.sqrt(2), abs=1e-6)
 
     def test_early_exit_counts_its_evaluations(self, monkeypatch):
@@ -334,7 +334,7 @@ class TestOptimizeOneSided:
         assert res.evaluations == len(calls) > 0
 
     def test_singlet_f3_already_maximal(self, singlet):
-        res = optimize_one_sided(singlet, Party.B, Objective.F3, max_iters=100)
+        res = optimize_one_sided(singlet, Party.B, Objective.F3)
         assert res.value == pytest.approx(math.sqrt(3), abs=1e-9)
 
     def test_rho_m_one_sided_filter_matches_closed_form(self):
@@ -343,14 +343,14 @@ class TestOptimizeOneSided:
         theta, p = math.pi / 6, 0.5
         rho = rho_m(theta, p)
         target = hidden_chsh(to_r_picture(rho))
-        res = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=300)
+        res = optimize_one_sided(rho, Party.A, Objective.CHSH)
         assert res.value >= target - 1e-6
 
     def test_never_below_unfiltered_value(self):
         for i in range(5):
             rho = sample_state(SeededRng(56, i))
             r = to_r_picture(rho)
-            res = optimize_one_sided(rho, Party.B, Objective.CHSH, max_iters=120)
+            res = optimize_one_sided(rho, Party.B, Objective.CHSH)
             assert res.value >= chsh_max(r)[0] - 1e-9
 
     def test_sandwich_with_classical_boundary(self):
@@ -363,13 +363,13 @@ class TestOptimizeOneSided:
             rho = sample_state(SeededRng(57, i))
             r = to_r_picture(rho)
             hidden = hidden_chsh(r)
-            res = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=300)
+            res = optimize_one_sided(rho, Party.A, Objective.CHSH)
             assert chsh_max(r)[0] - 1e-9 <= res.value <= max(1.0, hidden) + 1e-6
 
     def test_deterministic(self):
         rho = sample_state(SeededRng(58, 0))
-        a = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=150)
-        b = optimize_one_sided(rho, Party.A, Objective.CHSH, max_iters=150)
+        a = optimize_one_sided(rho, Party.A, Objective.CHSH)
+        b = optimize_one_sided(rho, Party.A, Objective.CHSH)
         assert a.value == b.value
         np.testing.assert_array_equal(a.filter.f, b.filter.f)
 
@@ -384,7 +384,7 @@ class TestOptimizeOneSided:
 
     def test_takes_no_starts_or_seed(self):
         # one seeded polish or one exact solve: no random starts to count, choose between or seed
-        assert not {"starts", "seed"} & set(inspect.signature(optimize_one_sided).parameters)
+        assert not {"starts", "seed", "max_iters"} & set(inspect.signature(optimize_one_sided).parameters)
         assert not {"starts_used", "best_start"} & set(OneSidedResult._fields)
 
 
@@ -461,7 +461,7 @@ class TestBoostEvaluation:
 
         monkeypatch.setattr(filtering, "_search_objective", perturbed)
         with pytest.raises(OptimumMismatch):
-            optimize_one_sided(sample_state(SeededRng(58, 0)), Party.A, Objective.CHSH, max_iters=50)
+            optimize_one_sided(sample_state(SeededRng(58, 0)), Party.A, Objective.CHSH)
 
     # optimize_one_sided(starts=2, seed=0) values and flags at the parent of
     # the boost evaluation (density-matrix objective), on the optimize
@@ -651,8 +651,18 @@ class TestSeededChshSearch:
         cases = [(rho_qd(1.0), Party.A), (rho_m(0.1, 0.9), Party.A), (sample_state(SeededRng(77, 26), rank=4), Party.B)]
         for rho, party in cases:
             calls.clear()
-            optimize_one_sided(rho, party, Objective.CHSH, max_iters=77)
-            assert calls == [77]
+            optimize_one_sided(rho, party, Objective.CHSH)
+            assert calls == [filtering.MAX_ITERS] == [500]
+
+    def test_polish_cap_reports_no_convergence(self, monkeypatch):
+        # the polish stops on its tolerances within MAX_ITERS; capped at 3 iterations it stops on the cap,
+        # from a first vertex that is the seed, so never below the unfiltered value
+        rho = rho_mm(0.6015, 0.5)
+        assert optimize_one_sided(rho, Party.B, Objective.CHSH).converged
+        monkeypatch.setattr(filtering, "MAX_ITERS", 3)
+        capped = optimize_one_sided(rho, Party.B, Objective.CHSH)
+        assert not capped.converged
+        assert capped.value >= chsh_max(to_r_picture(rho))[0] - 1e-12
 
     def test_floor_optimum_read_on_the_floor(self):
         # the polish ends at d = 1.003e-4, where the value still slopes in d; read on the floor, the value
@@ -767,13 +777,11 @@ class TestExactOneSidedF3:
     def test_result_reports_one_exact_solve(self):
         rho = sample_state(SeededRng(1, 4), rank=4)
         exact = filtering.one_sided_f3_suprema(to_r_picture(rho).r[None], Party.A)
-        res = optimize_one_sided(rho, Party.A, Objective.F3, max_iters=7)
+        res = optimize_one_sided(rho, Party.A, Objective.F3)
         assert (res.evaluations, res.converged) == (exact.iterations[0], True)
         assert res.evaluations > 0
         assert res.at_scale_floor
         assert res.value == pytest.approx(exact.value[0], abs=1e-12)
-        with pytest.raises(DomainError):
-            optimize_one_sided(rho, Party.A, Objective.F3, max_iters=0)
 
     def test_identity_where_no_filter_helps(self, singlet):
         exact = filtering.one_sided_f3_suprema(to_r_picture(singlet).r[None], Party.B)
