@@ -9,10 +9,10 @@ CSV), ``sweep`` (random-state conjecture sweep to envelope CSV), and
 Conventions: JSON results on stdout, CSV data to files, diagnostics on
 stderr. Exit codes: 0 success, 2 input or output error (a stdout closed
 by its reader reports on stderr), 3 a sweep found a conjecture
-counterexample. Every run is determined by its argument
-vector; the only environment input is the optional HQC_SEED seed default
-(overridden by --seed), and the output metadata records which source was
-used.
+counterexample. An argument that argparse rejects exits 2 with usage on
+stderr and no JSON. Every run is determined by its argument vector; the only
+environment input is ``sweep``'s optional HQC_SEED seed default (overridden
+by --seed), and its output records which source was used.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .criteria import VIOLATION_MARGIN, Thresholds, classify, classify_batch, cl
 from .ellipsoid import Party, compute_ellipsoid
 from .errors import DomainError, HqcError
 from .families import Family, qd_centre_boundary, scan_family
-from .filtering import MAX_ITERS, Objective, apply_filters, identity_filter, optimize_one_sided
+from .filtering import Objective, apply_filters, identity_filter, optimize_one_sided
 from .kernels import ACTIVE_KERNEL
 from .montecarlo import DEFAULT_RANK_MIX, SweepConfig, run_sweep
 from .states import DEFAULT_TOL, DensityMatrix, RMatrix, SeededRng, from_r_picture, to_r_picture
@@ -145,7 +145,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     family = Family(args.family)
     th = _thresholds(args)
-    theta_grid = _parse_grid(args.theta, "theta") if family is not Family.QD else np.array([0.0])
+    theta_grid = _parse_grid(args.theta, "theta")
+    if family is Family.QD:  # qd has no theta: its one row is theta = 0
+        theta_grid = np.array([0.0])
     p_grid = _parse_grid(args.p, "p")
     started = time.perf_counter()
     rows = scan_family(family, theta_grid, p_grid, th)
@@ -223,18 +225,16 @@ def _cmd_filter(args: argparse.Namespace) -> int:
                 raise DomainError(f"--optimize party must be A or B, got {party_name!r}")
             if objective_name.upper() not in ("CHSH", "F3"):
                 raise DomainError(f"--optimize objective must be chsh or f3, got {objective_name!r}")
-            seed, seed_source = _resolve_seed(args)
-            # --starts, --max-iters and --seed select nothing, but are still validated
+            # --starts and --seed select nothing; they stay, validated, while hqcbench's optimize workload passes them
             if args.starts < 1:
                 raise DomainError(f"starts must be >= 1, got {args.starts}")
-            if args.max_iters < 1:
-                raise DomainError(f"max_iters must be >= 1, got {args.max_iters}")
-            SeededRng(seed)
+            if args.seed is not None:
+                SeededRng(args.seed)
             res = optimize_one_sided(
                 rho, Party[party_name], Objective[objective_name.upper()], tol=args.tol, picture=r_before
             )
             filtered, prob, r_after = res.filtered_state, res.success_probability, res.filtered_picture
-            step = {"optimizer": serde.one_sided_result_to_dict(res), "seed_source": seed_source}
+            step = {"optimizer": serde.one_sided_result_to_dict(res)}
         else:
             fa = serde.load_filter_json(args.filter_a) if args.filter_a else identity_filter()
             fb = serde.load_filter_json(args.filter_b) if args.filter_b else identity_filter()
@@ -286,7 +286,7 @@ def _add_threshold_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-f3", type=float, default=Thresholds.c_f3, help="F3 centre threshold")
 
 
-@functools.cache  # built once per process; --seed still reads HQC_SEED at each call
+@functools.cache  # built once per process; sweep reads HQC_SEED at each call, not here
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hqc",
@@ -338,10 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimise a one-sided filter, e.g. --optimize A chsh",
     )
     p.add_argument("--starts", type=int, default=1, help="accepted for compatibility (>= 1); unused")
-    p.add_argument("--max-iters", type=int, default=MAX_ITERS, help="accepted for compatibility (>= 1); unused")
-    p.add_argument(
-        "--seed", type=int, default=None, help="accepted for compatibility (>= 0; default: HQC_SEED env or 0); unused"
-    )
+    p.add_argument("--seed", type=int, default=None, help="accepted for compatibility (>= 0); unused")
     p.add_argument("--out", default=None, help="write the filtered state JSON here")
     p.set_defaults(func=_cmd_filter)
 

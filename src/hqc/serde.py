@@ -46,10 +46,13 @@ def _complex_rows(m: np.ndarray) -> list:
 def _complex_from(obj: Any, where: str) -> complex:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ParseError(f"{where}: expected {{'re': x, 'im': y}}, got {obj!r}")
-    try:
-        return complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: non-numeric entry {obj!r}") from exc
+    parts = obj["re"], obj["im"]
+    try:  # JSON numbers only: no numeric strings, no booleans, no integers too large for a float
+        if all(type(x) in (int, float) for x in parts):
+            return complex(*map(float, parts))
+    except OverflowError:
+        pass
+    raise ParseError(f"{where}: non-numeric entry {obj!r}")
 
 
 def _complex_matrix(rows: Any, n: int, key: str, what: str) -> np.ndarray:
@@ -185,8 +188,7 @@ def one_sided_result_to_dict(res: OneSidedResult) -> dict:
         "objective": res.objective.value,
         "party": res.party.value,
         "converged": bool(res.converged),
-        "starts_used": 1,  # kept for readers of the multi-start search's output: one polish or one solve
-        "best_start": 0,
+        "starts_used": 1,  # one polish or one solve; kept while hqcbench's starts_reported reads it
         "evaluations": int(res.evaluations),
         "at_scale_floor": bool(res.at_scale_floor),
         "filter": filter_to_dict(res.filter),

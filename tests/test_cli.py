@@ -288,9 +288,10 @@ class TestReportGoldens:
 class TestKnownF3CounterexampleGoldens:
     """stdout of ``hqc filter --optimize X f3`` on the known counterexamples to the F3 literal 0.66,
     byte for byte, recorded while the exact F3 solve still bracketed its secular root: R(0.661)
-    as an R-CSV with ``repr`` entries, and ``rho_qd(0.505)`` as a state JSON, and re-recorded when
-    the ``refuted`` key was added. Each value exceeds 1 while its ``before`` report certifies the
-    party's F3 inaccessible; ``refuted`` names those certificates, and the flag sets keep them.
+    as an R-CSV with ``repr`` entries, and ``rho_qd(0.505)`` as a state JSON, re-recorded when
+    the ``refuted`` key was added, and edited when the ``best_start`` and ``seed_source`` keys
+    went. Each value exceeds 1 while its ``before`` report certifies the party's F3
+    inaccessible; ``refuted`` names those certificates, and the flag sets keep them.
     The platform guard is that of ``TestOutputBitPins``."""
 
     @pytest.mark.parametrize(
@@ -302,8 +303,7 @@ class TestKnownF3CounterexampleGoldens:
         ],
         ids=["tight_chsh_0_661_A", "rho_qd_0_505_A", "rho_qd_0_505_B"],
     )
-    def test_stdout(self, capsys, monkeypatch, state_file, fmt, party, refuted):
-        monkeypatch.delenv("HQC_SEED", raising=False)
+    def test_stdout(self, capsys, state_file, fmt, party, refuted):
         argv = ["filter", str(GOLDEN / state_file), "--format", fmt, "--optimize", party, "f3"]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -344,9 +344,11 @@ class TestScan:
         assert doc["rows"] == 25
 
     def test_bad_grid_exits_2(self, capsys, tmp_path):
-        code, doc = run_cli(capsys, "scan", "qd", "--p", "0.1:0.9:0", "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert doc["error"]["type"] == "DomainError"
+        # qd scans only theta = 0, but its --theta is parsed as every family's is
+        for grid in (["--p", "0.1:0.9:0"], ["--theta", "garbage"]):
+            code, doc = run_cli(capsys, "scan", "qd", *grid, "--out", str(tmp_path / "x.csv"))
+            assert code == 2
+            assert doc["error"]["type"] == "DomainError"
 
     def test_out_of_range_p_exits_2(self, capsys, tmp_path):
         out = tmp_path / "x.csv"
@@ -554,7 +556,6 @@ class TestParserDefaults:
     def test_defaults_are_the_librarys(self):
         parser = cli_mod.build_parser()
         args = parser.parse_args(["filter", "state.json"])
-        assert args.max_iters == filtering_mod.MAX_ITERS
         assert (args.c_chsh, args.c_f3, args.tol) == (Thresholds().c_chsh, Thresholds().c_f3, DEFAULT_TOL)
         args = parser.parse_args(["sweep", "--n", "1", "--out-prefix", "s_"])
         config = SweepConfig(n=1)
@@ -605,9 +606,7 @@ class TestFilter:
     def test_optimize_werner_pinned(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         serde.dump_state_json(validate_state(werner_matrix(0.5)), str(path))
-        code, doc = run_cli(
-            capsys, "filter", str(path), "--optimize", "A", "chsh", "--starts", "4", "--max-iters", "200"
-        )
+        code, doc = run_cli(capsys, "filter", str(path), "--optimize", "A", "chsh", "--starts", "4")
         assert code == 0
         assert doc["optimizer"]["value"] == pytest.approx(0.5 * math.sqrt(2), abs=1e-6)
         assert doc["optimizer"]["party"] == "A"
@@ -660,8 +659,7 @@ class TestFilter:
         (code, doc), (_, again) = run_cli(capsys, *argv), run_cli(capsys, *argv)
         assert code == 0
         opt = doc["optimizer"]
-        assert list(opt)[4:7] == ["starts_used", "best_start", "evaluations"]
-        assert (opt["best_start"], opt["starts_used"]) == (0, 1)
+        assert opt["starts_used"] == 1
         assert again["optimizer"] == opt
         value, search = reference_optimum(rho, Party.A, Objective.CHSH, starts=6)
         assert 0 < search.best_start < search.starts_used
@@ -675,18 +673,18 @@ class TestFilter:
 
     def test_converged_describes_the_winning_start(self, capsys, tmp_path, monkeypatch):
         # the reference search's start 0 wins after stopping on max_iters = 30, and its starts 1 and 2
-        # converge on the d = 1 face, below it; the CLI's one polish reports its own stop, whatever --max-iters says
+        # converge on the d = 1 face, below it; the CLI's one polish reports its own stop
         rho = rho_mm(0.6015, 0.5)
         path = tmp_path / "mm.json"
         serde.dump_state_json(rho, str(path))
         runs = []
         minimize = filtering_mod.minimize
         monkeypatch.setattr(filtering_mod, "minimize", lambda *a, **k: runs.append(minimize(*a, **k)) or runs[-1])
-        argv = ("filter", str(path), "--optimize", "A", "chsh", "--starts", "3", "--max-iters", "30")
+        argv = ("filter", str(path), "--optimize", "A", "chsh", "--starts", "3")
         code, doc = run_cli(capsys, *argv)
         assert code == 0
         opt = doc["optimizer"]
-        assert (opt["best_start"], opt["starts_used"]) == (0, 1)
+        assert opt["starts_used"] == 1
         assert [run.success for run in runs] == [opt["converged"]]
         runs.clear()
         value, search = reference_optimum(rho, Party.A, Objective.CHSH, starts=3, max_iters=30)
@@ -704,48 +702,66 @@ class TestFilter:
         assert doc["before"]["b"] == pytest.approx(0.27446016, abs=1e-8)
         assert doc["optimizer"]["value"] >= 0.82733469570880
 
-    def test_starts_and_seed_leave_chsh_stdout_unchanged(self, capsys, tmp_path):
-        # --max-iters 1 and 30 stopped the CHSH polish early here while the flag capped it
+    def test_starts_and_seed_leave_chsh_stdout_unchanged(self, capsys, tmp_path, monkeypatch):
+        # --starts and --seed select nothing and HQC_SEED is not read, so no flag or variable here changes a byte
         path = tmp_path / "mm.json"
         serde.dump_state_json(rho_mm(0.6015, 0.5), str(path))
-        for objective in ("chsh", "f3"):
-            argv = ("filter", str(path), "--optimize", "B", objective)
-            outs = []
-            for extra in (
-                ["--starts", "1"],
-                ["--starts", "2"],
-                ["--starts", "9"],
-                ["--starts", "2", "--seed", "7"],
-                ["--starts", "32", "--seed", "123456"],
-                ["--max-iters", "1"],
-                ["--max-iters", "30"],
-            ):
-                assert main([*argv, "--seed", "0", *extra]) == 0  # a later --seed overrides this one
-                outs.append(capsys.readouterr().out)
-            assert all(out == outs[0] for out in outs[1:]), objective
-            for bad in (("--starts", "0"), ("--seed", "-1"), ("--max-iters", "0")):
-                assert run_cli(capsys, *argv, *bad)[0] == 2
+        variants = [
+            ([], None),
+            (["--starts", "9", "--seed", "7"], None),
+            (["--starts", "2", "--seed", "0"], None),
+            (["--starts", "32", "--seed", "123456"], None),
+            ([], "7"),
+            ([], "abc"),
+        ]
+        for party in ("A", "B"):
+            for objective in ("chsh", "f3"):
+                argv = ("filter", str(path), "--optimize", party, objective)
+                outs = []
+                for extra, env in variants:
+                    monkeypatch.delenv("HQC_SEED", raising=False)
+                    if env is not None:
+                        monkeypatch.setenv("HQC_SEED", env)
+                    assert main([*argv, *extra]) == 0
+                    outs.append(capsys.readouterr().out)
+                assert all(out == outs[0] for out in outs[1:]), (party, objective)
+                for bad in (("--starts", "0"), ("--seed", "-1")):
+                    assert run_cli(capsys, *argv, *bad)[0] == 2
+
+    def test_max_iters_is_an_unknown_flag(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["filter", str(path), "--optimize", "B", "chsh", "--max-iters", "3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-iters 3" in captured.err
+
+    @pytest.mark.parametrize("objective", ["chsh", "f3"])
+    def test_optimize_stdout_keys_are_pinned(self, capsys, tmp_path, objective):
+        path, out = tmp_path / "m.json", tmp_path / "filtered.json"
+        serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
+        code, doc = run_cli(capsys, "filter", str(path), "--optimize", "B", objective, "--out", str(out))
+        assert code == 0
+        assert list(doc) == ["before", "optimizer", "success_probability", "after", "filtered_state", "out"]
+        assert list(doc["optimizer"]) == [
+            "value", "objective", "party", "converged", "starts_used", "evaluations", "at_scale_floor", "filter",
+        ]
 
     @pytest.mark.parametrize(
         "extra, env, message",
         [
             (["--starts", "0"], None, "starts must be >= 1, got 0"),
             (["--seed", "-1"], None, "seed and stream must be >= 0, got -1, 0"),
-            ([], "-3", "seed and stream must be >= 0, got -3, 0"),
-            (["--max-iters", "0"], None, "max_iters must be >= 1, got 0"),
-            (["--max-iters", "-5"], None, "max_iters must be >= 1, got -5"),
-            (["--max-iters", "0", "--seed", "-1"], None, "max_iters must be >= 1, got 0"),
-            (["--max-iters", "0"], "-1", "max_iters must be >= 1, got 0"),
-            (["--starts", "0", "--max-iters", "0"], None, "starts must be >= 1, got 0"),
+            (["--starts", "0", "--seed", "-1"], None, "starts must be >= 1, got 0"),
+            (["--seed", "-1"], "abc", "seed and stream must be >= 0, got -1, 0"),
         ],
-        ids=[
-            "starts", "seed", "env-seed", "max-iters-0", "max-iters--5", "max-iters-seed", "max-iters-env-seed",
-            "starts-max-iters",
-        ],
+        ids=["starts", "seed", "starts-seed", "env-seed"],
     )
     def test_unused_flags_keep_their_errors(self, capsys, tmp_path, monkeypatch, extra, env, message):
-        # --starts, --max-iters and --seed select nothing, but a bad value fails with the error it always gave,
-        # checked in that order
+        # --starts and --seed select nothing, but a bad value fails with the error it always gave, checked in that
+        # order; HQC_SEED is not read
         monkeypatch.delenv("HQC_SEED", raising=False)
         if env is not None:
             monkeypatch.setenv("HQC_SEED", env)
@@ -780,8 +796,7 @@ class TestFilter:
         assert code == 2
         assert doc == {"error": {"type": "DomainError", "message": "--optimize party must be A or B, got 'C'"}}
 
-    def test_optimize_writes_its_stage_line_to_stderr_only(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("HQC_SEED", raising=False)
+    def test_optimize_writes_its_stage_line_to_stderr_only(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         serde.dump_state_json(rho_m(math.pi / 12, 0.75), str(path))
         code = main(["filter", str(path), "--optimize", "A", "chsh", "--starts", "3"])
@@ -799,7 +814,6 @@ class TestFilter:
         expected = {
             "before": serde.report_to_dict(classify(to_r_picture(rho))),
             "optimizer": serde.one_sided_result_to_dict(res),
-            "seed_source": "default",
             "success_probability": res.success_probability,
             "after": serde.report_to_dict(classify(res.filtered_picture)),
             "filtered_state": serde.state_to_dict(res.filtered_state),
@@ -821,7 +835,7 @@ class TestFilter:
         assert line, captured.err
         opt = json.loads(captured.out)["optimizer"]
         assert int(line[1]) == opt["evaluations"] > 0
-        assert (opt["starts_used"], opt["best_start"], opt["converged"], opt["at_scale_floor"]) == (1, 0, True, True)
+        assert (opt["starts_used"], opt["converged"], opt["at_scale_floor"]) == (1, True, True)
 
     def test_filter_file_output_is_pinned(self, capsys, tmp_path):
         # stdout of the non-optimising branch, as it was while each report was its own classify call
@@ -840,11 +854,11 @@ class TestFilter:
             ["--optimize", "C", "chsh"],
             ["--optimize", "B", "f3", "--starts", "0"],
             ["--optimize", "A", "chsh", "--starts", "0"],
-            ["--optimize", "A", "chsh", "--max-iters", "0"],
+            ["--optimize", "A", "chsh", "--seed", "-1"],
             ["--filter-a", "missing.json"],
             [],
         ],
-        ids=["optimize", "bad-party", "no-starts", "no-starts-chsh", "no-max-iters", "missing-filter", "identity"],
+        ids=["optimize", "bad-party", "no-starts", "no-starts-chsh", "bad-seed", "missing-filter", "identity"],
     )
     def test_input_report_error_comes_first(self, capsys, tmp_path, extra):
         # accepted with --tol 0.1, the input has an eigenvalue below the normal-form spectrum's guard

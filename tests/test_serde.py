@@ -131,10 +131,17 @@ class TestComplexMatrixMessages:
         [
             ({"re": "x", "im": 0}, "non-numeric entry {'re': 'x', 'im': 0}"),
             ({"re": 1, "im": None}, "non-numeric entry {'re': 1, 'im': None}"),
+            ({"re": "1", "im": 0}, "non-numeric entry {'re': '1', 'im': 0}"),
+            ({"re": 0.5, "im": "  0  "}, "non-numeric entry {'re': 0.5, 'im': '  0  '}"),
+            ({"re": 1, "im": True}, "non-numeric entry {'re': 1, 'im': True}"),
+            ({"re": 0, "im": int("9" * 400)}, "non-numeric entry {'re': 0, 'im': " + "9" * 400 + "}"),
             ({"re": 1}, "expected {'re': x, 'im': y}, got {'re': 1}"),
             (5, "expected {'re': x, 'im': y}, got 5"),
         ],
-        ids=["non-numeric", "null", "missing-im", "not-an-object"],
+        ids=[
+            "non-numeric", "null", "numeric-string", "padded-string", "boolean", "huge-int", "missing-im",
+            "not-an-object",
+        ],
     )
     def test_entry_error(self, read, n, name, entry, message):
         rows = [[{"re": 0.5, "im": 0.0} for _ in range(n)] for _ in range(n)]
